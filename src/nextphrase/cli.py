@@ -11,7 +11,8 @@ Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
 histogram) into ``--out``.  Re-running with the same config and inputs
 reproduces every output byte for byte; only the manifest timestamp
-moves.  Exit codes: 0 ok, 1 usage or config error, 2 input I/O error,
+moves.  A run that fails deletes the temporary files it opened in
+``--out``.  Exit codes: 0 ok, 1 usage or config error, 2 input I/O error,
 3 data contract violation (malformed tree, mismatched eval files).
 """
 
@@ -26,16 +27,18 @@ import logging
 import os
 import random
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
     DEFAULT_GUARDS,
     DatasetStats,
     RatioSumInvalid,
+    SPLIT_NAMES,
     SentenceRecord,
     assign_splits,
     detokenize,
@@ -47,9 +50,9 @@ from .corpus import (
     split_sentences,
 )
 from .instances import (
+    MAX_CHOICES,
     MoreChoicesThanLetters,
     Skip,
-    TEMPLATES,
     build_completion_pairs,
     build_npp_instance,
     build_nsp_instance,
@@ -86,7 +89,6 @@ class PipelineConfig:
     min_group_size: int = 2
     distractors: int = 1
     ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
-    template: str = "lettered"
     input_mode: str = "lines"
     guard_list: str | None = None
     sample: int | None = None
@@ -118,47 +120,39 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
+# config file values are cast with these; every other key is an integer
+_CASTS = {"ratios": _parse_ratios, "input_mode": str, "guard_list": str}
+
+
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """CLI flag beats config file beats default."""
+    """CLI flag beats config file beats the PipelineConfig default."""
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         file_cfg = load_config_file(args.config)
-    known = set(PipelineConfig.__dataclass_fields__)
+    known = PipelineConfig.__dataclass_fields__
     for key in file_cfg:
         if key not in known:
             raise UsageError(f"unknown config key: {key!r}")
-
-    def pick(key: str, cast, default):
+    values = {}
+    for key in known:
         flag = getattr(args, key, None)
         if flag is not None:
-            return flag
-        if key in file_cfg:
+            values[key] = flag
+        elif key in file_cfg:
             try:
-                return cast(file_cfg[key])
+                values[key] = _CASTS.get(key, int)(file_cfg[key])
             except ValueError:
                 raise UsageError(
                     f"bad config value for {key}: {file_cfg[key]!r}"
                 ) from None
-        return default
-
-    config = PipelineConfig(
-        seed=pick("seed", int, 0),
-        min_group_size=pick("min_group_size", int, 2),
-        distractors=pick("distractors", int, 1),
-        ratios=pick("ratios", _parse_ratios, (0.8, 0.1, 0.1)),
-        template=pick("template", str, "lettered"),
-        input_mode=pick("input_mode", str, "lines"),
-        guard_list=pick("guard_list", str, None),
-        sample=pick("sample", int, None),
-        workers=pick("workers", int, 1),
-        pool_cap=pick("pool_cap", int, 10000),
-    )
-    if config.template not in TEMPLATES:
-        raise UsageError(f"unknown template: {config.template!r}")
+    config = PipelineConfig(**values)
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
     if config.min_group_size < 1:
         raise UsageError("min-group-size must be >= 1")
+    # one letter per choice, and the answer takes one of them
+    if not 1 <= config.distractors < MAX_CHOICES:
+        raise UsageError(f"distractors must be between 1 and {MAX_CHOICES - 1}")
     return config
 
 
@@ -193,13 +187,44 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_manifest(
+def write_stats(out_dir: Path, stats: dict) -> None:
+    atomic_write_text(out_dir / "stats.json", json.dumps(stats, indent=2) + "\n")
+
+
+@contextmanager
+def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]:
+    """Open ``<name>.tmp`` in out_dir for each name, one sink per name.
+
+    When the block completes the files move into place under their
+    names; when anything raises, every ``.tmp`` opened here is deleted.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmps = [out_dir / (name + ".tmp") for name in names]
+    try:
+        with ExitStack() as stack:
+            yield [
+                stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n"))
+                for tmp in tmps
+            ]
+        for tmp, name in zip(tmps, names):
+            os.replace(tmp, out_dir / name)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _finish_build(
     out_dir: Path,
     command: str,
     config: PipelineConfig,
     digests: dict[str, str],
     counts: dict,
-) -> None:
+    stats: dict,
+    summary: str,
+) -> int:
+    """Write stats.json and manifest.json, then log the summary line."""
+    write_stats(out_dir, stats)
     manifest = {
         "command": command,
         "version": __version__,
@@ -209,10 +234,8 @@ def write_manifest(
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def write_stats(out_dir: Path, stats: dict) -> None:
-    atomic_write_text(out_dir / "stats.json", json.dumps(stats, indent=2) + "\n")
+    log.info("%s: %s", command, summary)
+    return EXIT_OK
 
 
 def _map_records(fn, items: Iterable, workers: int) -> Iterator:
@@ -282,8 +305,6 @@ def _npp_record(
 
 def cmd_build_npp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.input).stem
     counts: dict = {"sentences_read": 0, "instances_written": 0, "skips": {}}
     items: Iterable[tuple[int, str]] = _iter_tree_lines(args.input)
@@ -303,8 +324,8 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     worker = functools.partial(
         _npp_record, seed=config.seed, min_size=config.min_group_size, name=name
     )
-    tmp = out_dir / "instances.jsonl.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as sink:
+    out_dir = Path(args.out)
+    with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
         for kind, payload in _map_records(worker, items, config.workers):
             counts["sentences_read"] += 1
             if kind == "skip":
@@ -312,16 +333,12 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
             else:
                 sink.write(payload + "\n")
                 counts["instances_written"] += 1
-    os.replace(tmp, out_dir / "instances.jsonl")
-    write_stats(out_dir, counts)
-    write_manifest(out_dir, "build-npp", config, input_digests(args.input, "file"), counts)
-    log.info(
-        "build-npp: %d sentences -> %d instances (%d skipped)",
-        counts["sentences_read"],
-        counts["instances_written"],
-        sum(counts["skips"].values()),
+    summary = (
+        f"{counts['sentences_read']} sentences -> {counts['instances_written']} "
+        f"instances ({sum(counts['skips'].values())} skipped)"
     )
-    return EXIT_OK
+    digests = input_digests(args.input, "file")
+    return _finish_build(out_dir, "build-npp", config, digests, counts, counts, summary)
 
 
 def _pairs_record(item: tuple[int, SentenceRecord]) -> tuple[int, list[str]]:
@@ -342,34 +359,23 @@ def _pairs_record(item: tuple[int, SentenceRecord]) -> tuple[int, list[str]]:
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name or Path(args.input).stem
     guards = _guards(config)
 
     total = sum(1 for _ in _sentence_records(args.input, config.input_mode, name, guards))
     assignment = assign_splits(total, config.ratios, config.seed)
-    split_names = ("train", "dev", "test")
-    sentence_counts = {split: 0 for split in split_names}
-    pair_counts = {split: 0 for split in split_names}
-    sinks = {}
-    tmp_paths = {}
-    try:
-        for split in split_names:
-            tmp_paths[split] = out_dir / f"pairs_{split}.jsonl.tmp"
-            sinks[split] = open(tmp_paths[split], "w", encoding="utf-8", newline="\n")
+    sentence_counts = {split: 0 for split in SPLIT_NAMES}
+    pair_counts = {split: 0 for split in SPLIT_NAMES}
+    out_dir = Path(args.out)
+    with _output_files(out_dir, [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]) as files:
+        sinks = dict(zip(SPLIT_NAMES, files))
         records = enumerate(_sentence_records(args.input, config.input_mode, name, guards))
         for index, lines in _map_records(_pairs_record, records, config.workers):
-            split = split_names[assignment[index]]
+            split = SPLIT_NAMES[assignment[index]]
             sentence_counts[split] += 1
             for line in lines:
                 sinks[split].write(line + "\n")
             pair_counts[split] += len(lines)
-    finally:
-        for handle in sinks.values():
-            handle.close()
-    for split in split_names:
-        os.replace(tmp_paths[split], out_dir / f"pairs_{split}.jsonl")
 
     row = DatasetStats(sentence_counts)
     print(format_stats_table([(name, row)]))
@@ -379,24 +385,18 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         "sentences": sentence_counts,
         "pairs": pair_counts,
     }
-    write_stats(out_dir, {"dataset": name, **counts, "total_sentences": row.total})
-    write_manifest(
-        out_dir, "build-pairs", config, input_digests(args.input, config.input_mode), counts
-    )
-    log.info("build-pairs: %d sentences -> %d pairs", total, counts["pairs_written"])
-    return EXIT_OK
+    stats = {"dataset": name, **counts, "total_sentences": row.total}
+    summary = f"{total} sentences -> {counts['pairs_written']} pairs"
+    digests = input_digests(args.input, config.input_mode)
+    return _finish_build(out_dir, "build-pairs", config, digests, counts, stats, summary)
 
 
 def cmd_build_nsp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if config.distractors < 1:
-        raise UsageError("distractors must be >= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = Path(args.input).stem
-    guards = _guards(config)
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
+    name = Path(args.input).stem
+    guards = _guards(config)
 
     def doc_sentences() -> Iterator[tuple[int, list[str]]]:
         for doc_index, document in iter_documents(args.input, config.input_mode):
@@ -414,8 +414,8 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     )
 
     counts: dict = {"contexts_read": 0, "instances_written": 0, "skips": {}}
-    tmp = out_dir / "instances.jsonl.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as sink:
+    out_dir = Path(args.out)
+    with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
         for doc_index, sentences in doc_sentences():
             others = [s for d, s in pool if d != doc_index]
             for position in range(len(sentences) - 1):
@@ -437,18 +437,12 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
                 record = {"id": sentence_id, "input": prompt, "target": target}
                 sink.write(json.dumps(record, ensure_ascii=False) + "\n")
                 counts["instances_written"] += 1
-    os.replace(tmp, out_dir / "instances.jsonl")
-    write_stats(out_dir, counts)
-    write_manifest(
-        out_dir, "build-nsp", config, input_digests(args.input, config.input_mode), counts
+    summary = (
+        f"{counts['contexts_read']} contexts -> {counts['instances_written']} "
+        f"instances ({sum(counts['skips'].values())} skipped)"
     )
-    log.info(
-        "build-nsp: %d contexts -> %d instances (%d skipped)",
-        counts["contexts_read"],
-        counts["instances_written"],
-        sum(counts["skips"].values()),
-    )
-    return EXIT_OK
+    digests = input_digests(args.input, config.input_mode)
+    return _finish_build(out_dir, "build-nsp", config, digests, counts, counts, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -473,11 +467,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         name = Path(path).stem
         total = sum(1 for _ in _sentence_records(path, config.input_mode, name, guards))
         assignment = assign_splits(total, config.ratios, config.seed)
-        counts = {
-            "train": assignment.count(0),
-            "dev": assignment.count(1),
-            "test": assignment.count(2),
-        }
+        counts = {split: assignment.count(i) for i, split in enumerate(SPLIT_NAMES)}
         rows.append((name, DatasetStats(counts)))
     print(format_stats_table(rows))
     if args.out:
@@ -511,7 +501,19 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     parser.add_argument("--seed", type=int, help="global random seed (default 0)")
-    parser.add_argument("--workers", type=int, help="parallel workers (default 1)")
+
+
+def _add_build(
+    sub, command: str, func, help_text: str, input_help: str | None = None
+) -> argparse.ArgumentParser:
+    """Subparser of a build command: one input, --out, --workers."""
+    p = sub.add_parser(command, help=help_text)
+    p.add_argument("input", help=input_help)
+    p.add_argument("--out", required=True, metavar="DIR")
+    p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    _add_common(p)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,35 +521,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-npp", help="next-phrase instances from a treebank")
-    p.add_argument("input", help="bracketed trees, one per line")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p = _add_build(
+        sub, "build-npp", cmd_build_npp, "next-phrase instances from a treebank",
+        "bracketed trees, one per line",
+    )
     p.add_argument("--min-group-size", dest="min_group_size", type=int)
-    p.add_argument("--template", choices=TEMPLATES)
     p.add_argument("--sample", type=int, metavar="N", help="keep N random sentences")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_npp)
 
-    p = sub.add_parser("build-nsp", help="next-sentence instances from raw text")
-    p.add_argument("input")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p = _add_build(sub, "build-nsp", cmd_build_nsp, "next-sentence instances from raw text")
     p.add_argument("--distractors", type=int, metavar="N")
     p.add_argument("--input-mode", dest="input_mode", choices=("lines", "dir"))
     p.add_argument("--pool-cap", dest="pool_cap", type=int)
     p.add_argument("--guard-list", dest="guard_list", metavar="FILE")
-    p.add_argument("--template", choices=TEMPLATES)
-    _add_common(p)
-    p.set_defaults(func=cmd_build_nsp)
 
-    p = sub.add_parser("build-pairs", help="prefix/remainder pairs, three-way split")
-    p.add_argument("input")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p = _add_build(sub, "build-pairs", cmd_build_pairs, "prefix/remainder pairs, three-way split")
     p.add_argument("--ratios", type=_parse_ratios, metavar="A,B,C")
     p.add_argument("--input-mode", dest="input_mode", choices=("lines", "dir", "treebank"))
     p.add_argument("--guard-list", dest="guard_list", metavar="FILE")
     p.add_argument("--name", help="dataset name for the stats table")
-    _add_common(p)
-    p.set_defaults(func=cmd_build_pairs)
 
     p = sub.add_parser("evaluate", help="score candidates against references")
     p.add_argument("--candidates", required=True, metavar="FILE")

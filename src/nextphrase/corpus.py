@@ -31,7 +31,7 @@ SPLIT_NAMES = ("train", "dev", "test")
 
 
 class RatioSumInvalid(ValueError):
-    """Split ratios do not sum to 1."""
+    """Split ratios are not all positive or do not sum to 1."""
 
 
 def load_guard_list(path) -> tuple[str, ...]:
@@ -147,16 +147,26 @@ def iter_sentence_records(
 
 def _check_ratios(ratios: Sequence[float]) -> None:
     if any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be positive, got {tuple(ratios)}")
+        raise RatioSumInvalid(f"ratios must be positive, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise RatioSumInvalid(f"ratios sum to {sum(ratios)!r}, expected 1")
 
 
-def _split_sizes(n: int, ratios: Sequence[float]) -> list[int]:
+def _split_positions(n: int, ratios: Sequence[float], seed: int) -> list[list[int]]:
+    """Positions 0..n-1 shuffled with the seed, cut into one contiguous
+    slice per ratio."""
+    _check_ratios(ratios)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
     # floor each share, leftover rows go to train
     sizes = [int(n * r) for r in ratios]
     sizes[0] += n - sum(sizes)
-    return sizes
+    slices = []
+    at = 0
+    for size in sizes:
+        slices.append(order[at:at + size])
+        at += size
+    return slices
 
 
 def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
@@ -165,16 +175,10 @@ def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
     Matches partition(): shuffle positions with the seed, then cut the
     shuffled order into contiguous train/dev/test slices.
     """
-    _check_ratios(ratios)
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    sizes = _split_sizes(n, ratios)
     assignment = [0] * n
-    at = 0
-    for split_index, size in enumerate(sizes):
-        for position in order[at:at + size]:
+    for split_index, positions in enumerate(_split_positions(n, ratios, seed)):
+        for position in positions:
             assignment[position] = split_index
-        at += size
     return assignment
 
 
@@ -182,14 +186,8 @@ def partition(
     records: Sequence, ratios: Sequence[float], seed: int
 ) -> tuple[list, list, list]:
     """Deterministic shuffle then contiguous train/dev/test slices."""
-    _check_ratios(ratios)
-    shuffled = list(records)
-    random.Random(seed).shuffle(shuffled)
-    sizes = _split_sizes(len(shuffled), ratios)
-    train = shuffled[:sizes[0]]
-    dev = shuffled[sizes[0]:sizes[0] + sizes[1]]
-    test = shuffled[sizes[0] + sizes[1]:]
-    return train, dev, test
+    slices = _split_positions(len(records), ratios, seed)
+    return tuple([records[i] for i in positions] for positions in slices)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ NSP_PREFIX = "generate next sentence:"
 # encodings; a real newline would not survive line-oriented files
 _SEPARATOR = " \\n "
 
-TEMPLATES = ("lettered",)
+MAX_CHOICES = len(string.ascii_uppercase)
 
 
 class MoreChoicesThanLetters(ValueError):
@@ -44,6 +44,7 @@ class SkipReason(enum.Enum):
     NO_ELIGIBLE_GROUP = "no_eligible_group"
     ANSWER_AT_SENTENCE_START = "answer_at_sentence_start"
     POOL_TOO_SMALL = "pool_too_small"
+    TOO_MANY_CHOICES = "too_many_choices"
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,15 @@ def build_npp_instance(
     """Pick a phrase group, an answer phrase, and a shuffled choice list.
 
     The answer may not start the sentence (the prefix would be empty),
-    but sentence-initial phrases still appear among the choices.
+    but sentence-initial phrases still appear among the choices.  A
+    group with more phrases than the template has letters is skipped.
     """
     eligible = eligible_groups(groups, min_size)
     if not eligible:
         return Skip(SkipReason.NO_ELIGIBLE_GROUP)
     phrase_type, spans = eligible[rng.randrange(len(eligible))]
+    if len(spans) > MAX_CHOICES:
+        return Skip(SkipReason.TOO_MANY_CHOICES)
     candidates = [s for s in spans if s.start != 0]
     if not candidates:
         return Skip(SkipReason.ANSWER_AT_SENTENCE_START)
@@ -153,7 +157,7 @@ def build_nsp_instance(
         return Skip(SkipReason.POOL_TOO_SMALL)
     context = sentences[index]
     answer = sentences[index + 1]
-    distractors = rng.sample(list(pool), num_distractors)
+    distractors = rng.sample(pool, num_distractors)
     raw = [answer] + distractors
     shuffled, order = _shuffled(raw, rng)
     return NspInstance(
@@ -167,7 +171,7 @@ def build_nsp_instance(
 
 def render_prompt(prefix: str, query: str, choices: Sequence[str]) -> str:
     """``<prefix> <query> \\n (A) ... (B) ...`` with single spaces."""
-    if len(choices) > len(string.ascii_uppercase):
+    if len(choices) > MAX_CHOICES:
         raise MoreChoicesThanLetters(f"{len(choices)} choices exceed A-Z")
     lettered = " ".join(
         f"({letter}) {text}"

@@ -61,6 +61,23 @@ class BleuResult:
     reference_length: int
 
 
+def _clipped_matches(
+    candidate: Sequence[str], references: Sequence[Sequence[str]], n: int
+) -> tuple[int, int]:
+    """(clipped matches, total) of the candidate's n-grams: each n-gram
+    counts at most as often as it occurs in any single reference."""
+    counts = _ngram_counts(candidate, n)
+    if not counts:
+        return 0, 0
+    ceiling: Counter = Counter()
+    for reference in references:
+        for gram, count in _ngram_counts(reference, n).items():
+            if count > ceiling[gram]:
+                ceiling[gram] = count
+    match = sum(min(count, ceiling[gram]) for gram, count in counts.items())
+    return match, sum(counts.values())
+
+
 def _closest_reference_length(candidate_length: int, references) -> int:
     return min(
         (len(r) for r in references),
@@ -81,18 +98,9 @@ def corpus_bleu(segments: Sequence[EvalSegment], max_order: int = MAX_ORDER) -> 
             len(candidate), segment.references
         )
         for n in range(1, max_order + 1):
-            counts = _ngram_counts(candidate, n)
-            if not counts:
-                continue
-            ceiling: Counter = Counter()
-            for reference in segment.references:
-                for gram, count in _ngram_counts(reference, n).items():
-                    if count > ceiling[gram]:
-                        ceiling[gram] = count
-            matches[n - 1] += sum(
-                min(count, ceiling[gram]) for gram, count in counts.items()
-            )
-            totals[n - 1] += sum(counts.values())
+            match, total = _clipped_matches(candidate, segment.references, n)
+            matches[n - 1] += match
+            totals[n - 1] += total
     precisions = tuple(
         m / t if t else 0.0 for m, t in zip(matches, totals)
     )
@@ -131,14 +139,7 @@ def sentence_bleu(
         return 0.0
     smoothed = []
     for n in range(1, max_order + 1):
-        counts = _ngram_counts(candidate, n)
-        total = sum(counts.values())
-        ceiling: Counter = Counter()
-        for reference in references:
-            for gram, count in _ngram_counts(reference, n).items():
-                if count > ceiling[gram]:
-                    ceiling[gram] = count
-        match = sum(min(c, ceiling[g]) for g, c in counts.items())
+        match, total = _clipped_matches(candidate, references, n)
         if n == 1:
             smoothed.append(match / total if total else 0.0)
         else:
@@ -261,17 +262,19 @@ def meteor_segment(
     return best
 
 
+def _pooled(stats: Sequence[MeteorStats]) -> MeteorStats:
+    """Corpus stats: matches, chunks and lengths summed over segments."""
+    return MeteorStats(
+        sum(s.matches for s in stats),
+        sum(s.chunks for s in stats),
+        sum(s.candidate_length for s in stats),
+        sum(s.reference_length for s in stats),
+    )
+
+
 def meteor(segments: Sequence[EvalSegment]) -> float:
     """Corpus score: sum matches/chunks/lengths, then apply the formulas."""
-    matches = chunks = candidate_length = reference_length = 0
-    for segment in segments:
-        stats = meteor_segment(segment.candidate, segment.references)
-        matches += stats.matches
-        chunks += stats.chunks
-        candidate_length += stats.candidate_length
-        reference_length += stats.reference_length
-    pooled = MeteorStats(matches, chunks, candidate_length, reference_length)
-    return pooled.score
+    return _pooled([meteor_segment(s.candidate, s.references) for s in segments]).score
 
 
 # --------------------------------------------------------------- CIDEr
@@ -353,13 +356,13 @@ class EvalReport:
 
 def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     corpus = corpus_bleu(segments)
-    meteor_corpus = meteor(segments)
+    meteor_stats = [meteor_segment(s.candidate, s.references) for s in segments]
     cider_corpus, cider_per_segment = cider_scores(segments)
     detail = tuple(
         SegmentScores(
             index=i,
             bleu4=sentence_bleu(s.candidate, s.references),
-            meteor=meteor_segment(s.candidate, s.references).score,
+            meteor=meteor_stats[i].score,
             cider=cider_per_segment[i],
         )
         for i, s in enumerate(segments)
@@ -374,7 +377,7 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     }
     return EvalReport(
         bleu4=corpus.score,
-        meteor=meteor_corpus,
+        meteor=_pooled(meteor_stats).score,
         cider=cider_corpus,
         segments=detail,
         metadata=metadata,

@@ -12,6 +12,12 @@ SHOP = (
 
 DOG = "(S (NP (DT The) (NN dog)) (VP (VBZ naps)) (. .))"
 
+
+def list_tree(objects: int) -> str:
+    """A subject NP and a verb followed by ``objects`` one-word NPs."""
+    nps = " ".join(f"(NP (NN item{i}))" for i in range(objects))
+    return f"(S (NP (PRP She)) (VP (VBD listed) {nps}) (. .))"
+
 LABELS = ("S", "NP", "VP", "PP", "SBAR", "ADJP", "X")
 TAGS = ("DT", "NN", "VB", "IN", "JJ", "PRP", "RB")
 WORDS = (

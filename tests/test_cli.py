@@ -6,7 +6,7 @@ import pytest
 from nextphrase.cli import main
 from nextphrase.instances import parse_prompt
 
-from conftest import DOG, EAT_PIE, SHOP
+from conftest import DOG, EAT_PIE, SHOP, list_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,8 +128,25 @@ def test_build_npp_min_group_size_flag(tmp_path):
 def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
     trees = tmp_path / "bad.txt"
     trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
-    assert main(["build-npp", str(trees), "--out", str(tmp_path / "out")]) == 3
-    assert "line 2" in capsys.readouterr().err
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert main(["build-npp", str(trees), "--out", str(out), "--workers", workers]) == 3
+        assert "line 2" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
+
+
+def test_build_npp_skips_group_beyond_the_letters(tmp_path):
+    trees = tmp_path / "trees.txt"
+    trees.write_text(f"{SHOP}\n{list_tree(27)}\n{DOG}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out)]) == 0
+    counts = _manifest(out)["counts"]
+    assert counts["skips"] == {"too_many_choices": 1, "no_eligible_group": 1}
+    assert counts["sentences_read"] == counts["instances_written"] + sum(
+        counts["skips"].values()
+    )
+    assert [r["id"] for r in _records(out / "instances.jsonl")] == ["trees:00000000"]
+    assert list(out.glob("*.tmp")) == []
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -141,6 +158,10 @@ def test_missing_input_exits_2(tmp_path):
 def test_usage_error_exits_1(tmp_path):
     assert main(["build-npp"]) == 1
     assert main(["no-such-command"]) == 1
+    trees = _write_trees(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["build-npp", str(trees), "--out", out, "--template", "lettered"]) == 1
+    assert main(["stats", str(trees), "--workers", "2"]) == 1
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -165,11 +186,12 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     trees = _write_trees(tmp_path)
     config = tmp_path / "run.cfg"
-    config.write_text("sede=5\n", encoding="utf-8")
-    assert main(
-        ["build-npp", str(trees), "--out", str(tmp_path / "out"), "--config", str(config)]
-    ) == 1
-    assert "sede" in capsys.readouterr().err
+    for line in ("sede=5", "template=lettered"):
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main(
+            ["build-npp", str(trees), "--out", str(tmp_path / "out"), "--config", str(config)]
+        ) == 1
+        assert line.partition("=")[0] in capsys.readouterr().err
 
 
 def test_build_pairs_counts_and_split(tmp_path, capsys):
@@ -258,6 +280,17 @@ def test_build_nsp_deterministic(tmp_path):
     assert (a / "instances.jsonl").read_bytes() == (b / "instances.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("distractors", ["0", "26"])
+def test_build_nsp_distractors_out_of_range_exit_1(tmp_path, capsys, distractors):
+    docs = _write_docs(tmp_path)
+    out = tmp_path / "out"
+    assert main(
+        ["build-nsp", str(docs), "--out", str(out), "--distractors", distractors]
+    ) == 1
+    assert "distractors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_nsp_pool_too_small(tmp_path):
     docs = tmp_path / "docs.txt"
     docs.write_text("Only doc here. It has two sentences.\n", encoding="utf-8")
@@ -324,10 +357,19 @@ def test_stats_table_and_sidecar(tmp_path, capsys):
     assert sidecar["more"]["total"] == 3
 
 
-def test_stats_bad_ratios_exit_1(tmp_path):
+def test_stats_bad_ratios_exit_1(tmp_path, capsys):
     docs = _write_docs(tmp_path)
     assert main(["stats", str(docs), "--ratios", "0.5,0.2,0.2"]) == 1
     assert main(["stats", str(docs), "--ratios", "0.5,0.5"]) == 1
+    assert main(["stats", str(docs), "--ratios", "1.2,-0.1,-0.1"]) == 1
+    out = tmp_path / "out"
+    assert main(
+        ["build-pairs", str(docs), "--out", str(out), "--ratios", "1.2,-0.1,-0.1"]
+    ) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("error: ") for line in err)
+    assert list(out.glob("*")) == []
 
 
 def test_debug_phrases_tsv(tmp_path, capsys):

@@ -21,7 +21,7 @@ from nextphrase.instances import (
 from nextphrase.phrases import extract_phrases
 from nextphrase.treebank import parse_ptb
 
-from conftest import DOG, SHOP, random_sentence
+from conftest import DOG, SHOP, list_tree, random_sentence
 
 
 def _shop():
@@ -77,6 +77,16 @@ def test_skip_when_only_phrase_starts_the_sentence():
         tree, extract_phrases(tree), random.Random(0), "r", min_size=1
     )
     assert built == Skip(SkipReason.ANSWER_AT_SENTENCE_START)
+
+
+def test_skip_when_group_outgrows_the_letters():
+    at_limit = parse_ptb(list_tree(25))
+    built = build_npp_instance(at_limit, extract_phrases(at_limit), random.Random(0), "l")
+    assert len(built.choices) == 26
+    assert parse_prompt(serialize_npp(built)[0])[2] == list(built.choices)
+    over = parse_ptb(list_tree(26))
+    built = build_npp_instance(over, extract_phrases(over), random.Random(0), "l")
+    assert built == Skip(SkipReason.TOO_MANY_CHOICES)
 
 
 def test_sentence_initial_phrase_still_appears_among_choices():
