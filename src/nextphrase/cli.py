@@ -69,7 +69,7 @@ from .metrics import (
     report_to_json,
 )
 from .phrases import extract_phrases
-from .treebank import TreebankError, parse_ptb, read_treebank
+from .treebank import ConstituencyTree, TreebankError, parse_ptb, read_treebank
 
 log = logging.getLogger("nextphrase")
 
@@ -180,15 +180,8 @@ def input_digests(path, mode: str) -> dict[str, str]:
     return {str(root): file_sha256(root)}
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
-def write_stats(out_dir: Path, stats: dict) -> None:
-    atomic_write_text(out_dir / "stats.json", json.dumps(stats, indent=2) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @contextmanager
@@ -224,7 +217,6 @@ def _finish_build(
     summary: str,
 ) -> int:
     """Write stats.json and manifest.json, then log the summary line."""
-    write_stats(out_dir, stats)
     manifest = {
         "command": command,
         "version": __version__,
@@ -233,7 +225,9 @@ def _finish_build(
         "counts": counts,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with _output_files(out_dir, ["stats.json", "manifest.json"]) as sinks:
+        for sink, payload in zip(sinks, (stats, manifest)):
+            sink.write(_json_text(payload))
     log.info("%s: %s", command, summary)
     return EXIT_OK
 
@@ -255,30 +249,28 @@ def _iter_tree_lines(path) -> Iterator[tuple[int, str]]:
                 yield index, line
 
 
-def _reservoir(items: Iterable, k: int, rng: random.Random) -> list:
+def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
+    """k items drawn uniformly from items, and how many items there were."""
     chosen: list = []
-    for seen, item in enumerate(items):
-        if seen < k:
+    seen = 0
+    for seen, item in enumerate(items, 1):
+        if seen <= k:
             chosen.append(item)
         else:
-            slot = rng.randrange(seen + 1)
+            slot = rng.randrange(seen)
             if slot < k:
                 chosen[slot] = item
-    return chosen
+    return chosen, seen
 
 
-def _sentence_records(
-    path, mode: str, name: str, guards: Sequence[str]
-) -> Iterator[SentenceRecord]:
-    if mode == "treebank":
-        for line_index, tree in read_treebank(path):
-            yield SentenceRecord(
-                sentence_id=f"{name}:{line_index:08d}",
-                text=detokenize(tree.tokens),
-                tokens=tree.tokens,
-            )
-    else:
-        yield from iter_sentence_records(path, mode, name, guards)
+def _parse_tree_line(item: tuple[int, str], name: str) -> tuple[str, ConstituencyTree]:
+    """Sentence id and tree of one treebank line; a parse error names the line."""
+    line_index, line = item
+    try:
+        tree = parse_ptb(line)
+    except TreebankError as exc:
+        raise type(exc)(f"line {line_index + 1}: {exc}") from None
+    return f"{name}:{line_index:08d}", tree
 
 
 # ---------------------------------------------------------- subcommands
@@ -287,12 +279,7 @@ def _sentence_records(
 def _npp_record(
     item: tuple[int, str], seed: int, min_size: int, name: str
 ) -> tuple[str, str]:
-    line_index, line = item
-    sentence_id = f"{name}:{line_index:08d}"
-    try:
-        tree = parse_ptb(line)
-    except TreebankError as exc:
-        raise type(exc)(f"line {line_index + 1}: {exc}") from None
+    sentence_id, tree = _parse_tree_line(item, name)
     groups = extract_phrases(tree)
     rng = record_rng(seed, sentence_id)
     built = build_npp_instance(tree, groups, rng, sentence_id, min_size)
@@ -309,18 +296,10 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     counts: dict = {"sentences_read": 0, "instances_written": 0, "skips": {}}
     items: Iterable[tuple[int, str]] = _iter_tree_lines(args.input)
     if config.sample is not None:
-        scanned = 0
-
-        def counting(source):
-            nonlocal scanned
-            for entry in source:
-                scanned += 1
-                yield entry
-
-        picked = _reservoir(counting(items), config.sample, random.Random(config.seed))
-        picked.sort(key=lambda entry: entry[0])
-        items = picked
-        counts["sentences_scanned"] = scanned
+        picked, counts["sentences_scanned"] = _reservoir(
+            items, config.sample, random.Random(config.seed)
+        )
+        items = sorted(picked)
     worker = functools.partial(
         _npp_record, seed=config.seed, min_size=config.min_group_size, name=name
     )
@@ -341,9 +320,8 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     return _finish_build(out_dir, "build-npp", config, digests, counts, counts, summary)
 
 
-def _pairs_record(item: tuple[int, SentenceRecord]) -> tuple[int, list[str]]:
-    index, record = item
-    lines = [
+def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> list[str]:
+    return [
         json.dumps(
             {
                 "id": f"{pair.sentence_id}#{pair.split_point}",
@@ -352,25 +330,40 @@ def _pairs_record(item: tuple[int, SentenceRecord]) -> tuple[int, list[str]]:
             },
             ensure_ascii=False,
         )
-        for pair in build_completion_pairs(record.tokens, record.sentence_id)
+        for pair in build_completion_pairs(tokens, sentence_id)
     ]
-    return index, lines
+
+
+def _tree_pairs(item: tuple[int, str], name: str) -> list[str]:
+    sentence_id, tree = _parse_tree_line(item, name)
+    return _pair_lines(sentence_id, tree.tokens)
+
+
+def _text_pairs(record: SentenceRecord) -> list[str]:
+    return _pair_lines(record.sentence_id, record.tokens)
 
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
-    guards = _guards(config)
+    # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
+    if config.input_mode == "treebank":
+        items = functools.partial(_iter_tree_lines, args.input)
+        worker = functools.partial(_tree_pairs, name=name)
+    else:
+        items = functools.partial(
+            iter_sentence_records, args.input, config.input_mode, name, _guards(config)
+        )
+        worker = _text_pairs
 
-    total = sum(1 for _ in _sentence_records(args.input, config.input_mode, name, guards))
+    total = sum(1 for _ in items())
     assignment = assign_splits(total, config.ratios, config.seed)
     sentence_counts = {split: 0 for split in SPLIT_NAMES}
     pair_counts = {split: 0 for split in SPLIT_NAMES}
     out_dir = Path(args.out)
     with _output_files(out_dir, [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]) as files:
         sinks = dict(zip(SPLIT_NAMES, files))
-        records = enumerate(_sentence_records(args.input, config.input_mode, name, guards))
-        for index, lines in _map_records(_pairs_record, records, config.workers):
+        for index, lines in enumerate(_map_records(worker, items(), config.workers)):
             split = SPLIT_NAMES[assignment[index]]
             sentence_counts[split] += 1
             for line in lines:
@@ -403,7 +396,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
             yield doc_index, split_sentences(document, guards)
 
     pool_rng = random.Random(config.seed)
-    pool = _reservoir(
+    pool, _ = _reservoir(
         (
             (doc_index, sentence)
             for doc_index, sentences in doc_sentences()
@@ -451,11 +444,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     text = render_report(report)
     print(text)
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(report_path, text + "\n")
-    atomic_write_text(
-        report_path.with_name(report_path.name + ".json"), report_to_json(report)
-    )
+    names = [report_path.name, report_path.name + ".json"]
+    with _output_files(report_path.parent, names) as (text_sink, json_sink):
+        text_sink.write(text + "\n")
+        json_sink.write(report_to_json(report))
     return EXIT_OK
 
 
@@ -465,19 +457,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rows = []
     for path in args.inputs:
         name = Path(path).stem
-        total = sum(1 for _ in _sentence_records(path, config.input_mode, name, guards))
+        if config.input_mode == "treebank":
+            records = read_treebank(path)
+        else:
+            records = iter_sentence_records(path, config.input_mode, name, guards)
+        total = sum(1 for _ in records)
         assignment = assign_splits(total, config.ratios, config.seed)
         counts = {split: assignment.count(i) for i, split in enumerate(SPLIT_NAMES)}
         rows.append((name, DatasetStats(counts)))
     print(format_stats_table(rows))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             name: {"counts": dict(stats.counts), "total": stats.total}
             for name, stats in rows
         }
-        write_stats(out_dir, payload)
+        with _output_files(Path(args.out), ["stats.json"]) as (sink,):
+            sink.write(_json_text(payload))
     return EXIT_OK
 
 

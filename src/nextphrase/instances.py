@@ -45,6 +45,7 @@ class SkipReason(enum.Enum):
     ANSWER_AT_SENTENCE_START = "answer_at_sentence_start"
     POOL_TOO_SMALL = "pool_too_small"
     TOO_MANY_CHOICES = "too_many_choices"
+    AMBIGUOUS_CHOICES = "ambiguous_choices"
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,8 @@ def build_nsp_instance(
     """Choice task: which sentence follows sentences[index]?
 
     ``pool`` must hold sentences from other documents only; distractors
-    are drawn from it without replacement.
+    are drawn from it without replacement.  A draw that repeats the
+    answer's text would leave two right choices, so it is skipped.
     """
     if index < 0 or index + 1 >= len(sentences):
         raise IndexError(f"no sentence follows index {index}")
@@ -158,6 +160,8 @@ def build_nsp_instance(
     context = sentences[index]
     answer = sentences[index + 1]
     distractors = rng.sample(pool, num_distractors)
+    if answer in distractors:
+        return Skip(SkipReason.AMBIGUOUS_CHOICES)
     raw = [answer] + distractors
     shuffled, order = _shuffled(raw, rng)
     return NspInstance(

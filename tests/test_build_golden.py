@@ -120,6 +120,12 @@ RUNS = {
         PAIRS_LINES_FILES,
         PAIRS_LINES_COUNTS,
     ),
+    "pairs-lines-w2": (
+        _documents,
+        ["build-pairs", "--seed", "11", "--workers", "2"],
+        PAIRS_LINES_FILES,
+        PAIRS_LINES_COUNTS,
+    ),
     "nsp": (
         _documents,
         ["build-nsp", "--seed", "11", "--distractors", "2"],

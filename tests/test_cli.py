@@ -126,13 +126,19 @@ def test_build_npp_min_group_size_flag(tmp_path):
 
 
 def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
+    # build-pairs parses in the worker too, so at 2 workers the error
+    # crosses the Pool and must keep its type and line number
     trees = tmp_path / "bad.txt"
     trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
-    for workers in ("1", "2"):
-        out = tmp_path / f"out{workers}"
-        assert main(["build-npp", str(trees), "--out", str(out), "--workers", workers]) == 3
-        assert "line 2" in capsys.readouterr().err
-        assert list(out.glob("*.tmp")) == []
+    commands = (["build-npp"], ["build-pairs", "--input-mode", "treebank"])
+    for command in commands:
+        for workers in ("1", "2"):
+            out = tmp_path / f"{command[0]}-{workers}"
+            argv = [*command, str(trees), "--out", str(out), "--workers", workers]
+            assert main(argv) == 3, argv
+            assert "error: line 2:" in capsys.readouterr().err, argv
+            assert list(out.glob("*.tmp")) == [], argv
+            assert list(out.glob("pairs_*.jsonl")) == [], argv
 
 
 def test_build_npp_skips_group_beyond_the_letters(tmp_path):
@@ -269,6 +275,31 @@ def test_build_nsp_distractors_cross_documents(tmp_path):
         for choice in choices:
             if choice != record["target"]:
                 assert doc_of[choice] != doc_index
+
+
+def test_build_nsp_skips_ambiguous_choices(tmp_path):
+    docs = tmp_path / "docs.txt"
+    docs.write_text(
+        "Hello there. Thanks, Bob.\n"
+        "Meeting at noon. Thanks, Bob.\n"
+        "Report attached. Thanks, Bob.\n"
+        "Lunch is ready. Come eat.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    # five of the six sentences in each pool: every signed-off email
+    # draws another email's sign-off as a distractor
+    assert main(["build-nsp", str(docs), "--out", str(out), "--distractors", "5"]) == 0
+    counts = _manifest(out)["counts"]
+    assert counts["skips"] == {"ambiguous_choices": 3}
+    assert counts["contexts_read"] == counts["instances_written"] + sum(
+        counts["skips"].values()
+    )
+    records = _records(out / "instances.jsonl")
+    assert [r["target"] for r in records] == ["Come eat."]
+    choices = parse_prompt(records[0]["input"])[2]
+    assert len(choices) == 6
+    assert choices.count("Come eat.") == 1
 
 
 def test_build_nsp_deterministic(tmp_path):

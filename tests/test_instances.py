@@ -187,6 +187,26 @@ def test_nsp_pool_too_small():
     assert built == Skip(SkipReason.POOL_TOO_SMALL)
 
 
+def test_nsp_skips_distractor_with_the_answers_text():
+    doc = ["Hello there.", "Thanks, Bob."]
+    pool = ["Thanks, Bob."] * 3
+    built = build_nsp_instance(doc, 0, pool, random.Random(0), "n", 2)
+    assert built == Skip(SkipReason.AMBIGUOUS_CHOICES)
+
+
+def test_nsp_choices_are_distinct_or_skipped():
+    doc = ["Hello there.", "Thanks, Bob."]
+    pool = ["Thanks, Bob.", "See you.", "Cheers.", "Best regards."]
+    reasons = set()
+    for seed in range(50):
+        built = build_nsp_instance(doc, 0, pool, random.Random(seed), "n", 2)
+        if isinstance(built, Skip):
+            reasons.add(built.reason)
+        else:
+            assert len(set(built.choices)) == len(built.choices)
+    assert reasons == {SkipReason.AMBIGUOUS_CHOICES}
+
+
 def test_nsp_rejects_last_sentence_as_context():
     with pytest.raises(IndexError):
         build_nsp_instance(["A.", "B."], 1, ["x"], random.Random(0), "n")
