@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -152,6 +153,25 @@ def test_align_counts_chunks():
 def test_align_prefers_fewer_chunks_among_max_matchings():
     # greedy left-to-right pairing of "a" would split "a b" across chunks
     assert align(("a", "a", "b"), ("a", "x", "a", "b")) == (3, 2)
+
+
+ALIGN_PIN_SHA256 = "b35352133b73f42a413a5456e9b9fc9597ce01e4d7b62aa1304ed46c83343ac3"
+
+
+def test_align_beam_tie_break_is_pinned():
+    # three-word vocabulary and up to 40 tokens: the beam truncates, so the
+    # order in which it ranks equal-chunk states decides some results
+    rng = random.Random(7)
+    pairs = [
+        tuple(
+            tuple(rng.choice("abc") for _ in range(rng.randint(8, 40)))
+            for _ in range(2)
+        )
+        for _ in range(400)
+    ]
+    results = [list(align(candidate, reference)) for candidate, reference in pairs]
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == ALIGN_PIN_SHA256
 
 
 def test_meteor_picks_best_reference():
