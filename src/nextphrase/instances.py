@@ -148,8 +148,9 @@ def build_nsp_instance(
     """Choice task: which sentence follows sentences[index]?
 
     ``pool`` must hold sentences from other documents only; distractors
-    are drawn from it without replacement.  A draw that repeats the
-    answer's text would leave two right choices, so it is skipped.
+    are drawn from it without replacement.  A draw that repeats a text,
+    the answer's or another distractor's, would list two equal choices,
+    so it is skipped.
     """
     if index < 0 or index + 1 >= len(sentences):
         raise IndexError(f"no sentence follows index {index}")
@@ -159,11 +160,10 @@ def build_nsp_instance(
         return Skip(SkipReason.POOL_TOO_SMALL)
     context = sentences[index]
     answer = sentences[index + 1]
-    distractors = rng.sample(pool, num_distractors)
-    if answer in distractors:
+    choices = [answer] + rng.sample(pool, num_distractors)
+    if len(set(choices)) < len(choices):
         return Skip(SkipReason.AMBIGUOUS_CHOICES)
-    raw = [answer] + distractors
-    shuffled, order = _shuffled(raw, rng)
+    shuffled, order = _shuffled(choices, rng)
     return NspInstance(
         sentence_id=sentence_id,
         context=context,

@@ -201,50 +201,70 @@ def align(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]
     minimization is a common-partition problem, so for adversarial
     repetition patterns the beam may return a slight overcount, but it
     is deterministic and exact on natural sentences.
+
+    A beam state is ``(used, last)``: ``used`` is an int bitmask of the
+    matched reference positions, position ``j`` at bit ``L-1-j`` for a
+    reference of length ``L``.  ``last`` is the last matched pair
+    ``(i, j)`` as the int ``i*(L+2)+j``, which orders like the tuple; the
+    start state's "no pair yet" is below every real pair.
+    When a step has more than ``_BEAM_WIDTH`` successors, the beam keeps
+    those with the fewest chunks, then the most matches, then the
+    smallest ``last``, then the largest ``used``.  With that bit order a
+    larger mask of the same size is the set whose sorted positions come
+    first lexicographically, so the tie-break is "earliest positions".
     """
-    ref_positions: dict[str, list[int]] = defaultdict(list)
+    width = len(reference) + 2
+    ref_bits: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    word_mask: dict[str, int] = defaultdict(int)
     for j, word in enumerate(reference):
-        ref_positions[word].append(j)
-    cand_positions: dict[str, list[int]] = defaultdict(list)
-    for i, word in enumerate(candidate):
-        cand_positions[word].append(i)
+        bit = 1 << (len(reference) - 1 - j)
+        ref_bits[word].append((j, bit))
+        word_mask[word] |= bit
+    remaining = Counter(candidate)
     quota = {
-        word: min(len(cand_positions[word]), len(ref_positions[word]))
-        for word in cand_positions
-        if word in ref_positions
+        word: min(count, len(ref_bits[word]))
+        for word, count in remaining.items()
+        if word in ref_bits
     }
     total = sum(quota.values())
     if total == 0:
         return 0, 0
-    no_pair = (-2, -2)
-    # state: (used reference positions, last matched pair) -> chunks
-    states: dict[tuple[frozenset[int], tuple[int, int]], int] = {
-        (frozenset(), no_pair): 0
-    }
+    # state: (used reference bits, encoded last matched pair) -> chunks
+    states: dict[tuple[int, int], int] = {(0, -2 * width - 2): 0}
     for i, word in enumerate(candidate):
         if word not in quota:
             continue
-        later = sum(1 for p in cand_positions[word] if p > i)
-        successors: dict[tuple[frozenset[int], tuple[int, int]], int] = {}
+        remaining[word] -= 1
+        later = remaining[word]
+        mask = word_mask[word]
+        positions = ref_bits[word]
+        here = i * width
+        # `last` of the pair (i-1, j-1), which a match at (i, j) extends
+        adjacent = here - width - 1
+        successors: dict[tuple[int, int], int] = {}
         for (used, last), chunks in states.items():
-            need = quota[word] - sum(1 for j in used if reference[j] == word)
+            need = quota[word] - (used & mask).bit_count()
             if need <= 0 or later >= need:
-                key = (used, last)
-                if chunks < successors.get(key, math.inf):
-                    successors[key] = chunks
+                # no other state or match successor has this key
+                successors[used, last] = chunks
             if need > 0:
-                for j in ref_positions[word]:
-                    if j in used:
+                for j, bit in positions:
+                    if used & bit:
                         continue
-                    grown = chunks + (0 if last == (i - 1, j - 1) else 1)
-                    key = (used | {j}, (i, j))
-                    if grown < successors.get(key, math.inf):
+                    grown = chunks if last == adjacent + j else chunks + 1
+                    key = (used | bit, here + j)
+                    if grown < successors.get(key, grown + 1):
                         successors[key] = grown
-        ranked = sorted(
-            successors.items(),
-            key=lambda kv: (kv[1], -len(kv[0][0]), kv[0][1], tuple(sorted(kv[0][0]))),
-        )
-        states = dict(ranked[:_BEAM_WIDTH])
+        if len(successors) > _BEAM_WIDTH:
+            ranked = sorted(
+                [(chunks, -used.bit_count(), last, -used)
+                 for (used, last), chunks in successors.items()]
+            )
+            successors = {
+                (-negated, last): chunks
+                for chunks, _, last, negated in ranked[:_BEAM_WIDTH]
+            }
+        states = successors
     return total, min(states.values())
 
 

@@ -116,3 +116,30 @@ def cider_oracle(segments):
             order_means.append(sum(sims) / len(sims))
         scores.append(10.0 * sum(order_means) / 4.0)
     return sum(scores) / len(scores), scores
+
+
+def align_oracle(candidate, reference):
+    """(matches, chunks): the most matches, then the fewest chunks, over
+    every matching of candidate tokens to equal reference tokens.
+
+    Each candidate position is matched to a free reference position with
+    the same word, or left unmatched.  A branch is cut only when matching
+    every remaining candidate token could not beat the best so far.
+    """
+    best = (0, 0)  # (matches, -chunks) of the best complete matching
+
+    def walk(i, used, last, matches, chunks):
+        nonlocal best
+        if (matches + len(candidate) - i, -chunks) < best:
+            return
+        if i == len(candidate):
+            best = (matches, -chunks)
+            return
+        for j, word in enumerate(reference):
+            if word == candidate[i] and j not in used:
+                joined = last == (i - 1, j - 1)
+                walk(i + 1, used | {j}, (i, j), matches + 1, chunks + (not joined))
+        walk(i + 1, used, last, matches, chunks)
+
+    walk(0, frozenset(), None, 0, 0)
+    return best[0], -best[1]

@@ -287,19 +287,29 @@ def test_build_nsp_skips_ambiguous_choices(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    # five of the six sentences in each pool: every signed-off email
-    # draws another email's sign-off as a distractor
+    # five of the six sentences in each pool: every signed-off email draws
+    # another email's sign-off, and "Come eat." draws "Thanks, Bob." twice
     assert main(["build-nsp", str(docs), "--out", str(out), "--distractors", "5"]) == 0
     counts = _manifest(out)["counts"]
-    assert counts["skips"] == {"ambiguous_choices": 3}
+    assert counts["skips"] == {"ambiguous_choices": 4}
     assert counts["contexts_read"] == counts["instances_written"] + sum(
         counts["skips"].values()
     )
-    records = _records(out / "instances.jsonl")
-    assert [r["target"] for r in records] == ["Come eat."]
-    choices = parse_prompt(records[0]["input"])[2]
-    assert len(choices) == 6
-    assert choices.count("Come eat.") == 1
+    assert _records(out / "instances.jsonl") == []
+    # with two distractors some draws are distinct; none that repeats is written
+    written = []
+    for seed in range(8):
+        out = tmp_path / f"seed{seed}"
+        assert main([
+            "build-nsp", str(docs), "--out", str(out),
+            "--distractors", "2", "--seed", str(seed),
+        ]) == 0
+        written += _records(out / "instances.jsonl")
+    assert {r["target"] for r in written} == {"Thanks, Bob.", "Come eat."}
+    for record in written:
+        choices = parse_prompt(record["input"])[2]
+        assert len(choices) == 3
+        assert len(set(choices)) == len(choices)
 
 
 def test_build_nsp_deterministic(tmp_path):

@@ -196,7 +196,7 @@ def test_nsp_skips_distractor_with_the_answers_text():
 
 def test_nsp_choices_are_distinct_or_skipped():
     doc = ["Hello there.", "Thanks, Bob."]
-    pool = ["Thanks, Bob.", "See you.", "Cheers.", "Best regards."]
+    pool = ["Thanks, Bob.", "See you.", "See you.", "Cheers.", "Best regards."]
     reasons = set()
     for seed in range(50):
         built = build_nsp_instance(doc, 0, pool, random.Random(seed), "n", 2)

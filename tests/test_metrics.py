@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nextphrase.metrics import (
     CountMismatch,
@@ -26,7 +27,7 @@ from nextphrase.metrics import (
 )
 
 from conftest import WORDS, random_sentence
-from oracles import bleu_oracle, cider_oracle
+from oracles import align_oracle, bleu_oracle, cider_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -172,6 +173,14 @@ def test_align_beam_tie_break_is_pinned():
     results = [list(align(candidate, reference)) for candidate, reference in pairs]
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == ALIGN_PIN_SHA256
+
+
+SHORT_TOKENS = st.lists(st.sampled_from("abc"), max_size=8).map(tuple)
+
+
+@given(SHORT_TOKENS, SHORT_TOKENS)
+def test_align_matches_exhaustive_oracle(candidate, reference):
+    assert align(candidate, reference) == align_oracle(candidate, reference)
 
 
 def test_meteor_picks_best_reference():
