@@ -150,6 +150,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError("workers must be >= 1")
     if config.min_group_size < 1:
         raise UsageError("min-group-size must be >= 1")
+    if config.sample is not None and config.sample < 1:
+        raise UsageError("sample must be >= 1")
+    if config.pool_cap < 1:
+        raise UsageError("pool-cap must be >= 1")
     # one letter per choice, and the answer takes one of them
     if not 1 <= config.distractors < MAX_CHOICES:
         raise UsageError(f"distractors must be between 1 and {MAX_CHOICES - 1}")

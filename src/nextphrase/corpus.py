@@ -146,9 +146,10 @@ def iter_sentence_records(
 
 
 def _check_ratios(ratios: Sequence[float]) -> None:
-    if any(r <= 0 for r in ratios):
+    # written as negations so that NaN fails them too
+    if any(not r > 0 for r in ratios):
         raise RatioSumInvalid(f"ratios must be positive, got {tuple(ratios)}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise RatioSumInvalid(f"ratios sum to {sum(ratios)!r}, expected 1")
 
 

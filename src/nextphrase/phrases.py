@@ -1,16 +1,17 @@
 """Extraction of the lowest NP, VP, and PP constituents from a tree.
 
 Nested phrases of one type collapse to the innermost: a node is kept
-only if no descendant carries the same label.  "She wants to eat pie."
-therefore contributes a single VP, "eat pie", even though three VP
-nodes sit above one another in the parse.
+only if no descendant carries the same label, which holds exactly when
+the next node with its label in pre-order is absent or starts at or
+after the node's end.  "She wants to eat pie." therefore contributes a
+single VP, "eat pie", even though three VP nodes sit above one another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .treebank import ConstituencyTree, iter_nodes
+from .treebank import ConstituencyTree, Node, iter_nodes
 
 PHRASE_TYPES = ("NP", "VP", "PP")
 
@@ -39,30 +40,21 @@ class PhraseGroups:
 
 def extract_phrases(tree: ConstituencyTree) -> PhraseGroups:
     """Collect phrases per type, innermost only, in document order."""
-    order = list(iter_nodes(tree.root))
-    # labels of interest present in each node's subtree; reversed
-    # pre-order sees every child before its parent
-    present: dict[int, frozenset[str]] = {}
-    kept: dict[str, list[PhraseSpan]] = {t: [] for t in PHRASE_TYPES}
-    for node in reversed(order):
-        below: frozenset[str] = frozenset()
-        for child in node.children:
-            below |= present[id(child)]
-        if node.label in PHRASE_TYPES:
-            if node.label not in below:
-                text = " ".join(tree.tokens[node.start:node.end])
-                kept[node.label].append(
-                    PhraseSpan(node.label, node.start, node.end, text)
-                )
-            below |= {node.label}
-        present[id(node)] = below
-    # kept spans of one type never overlap, so reversing the
-    # reversed-pre-order pass restores document order
-    return PhraseGroups(
-        np=tuple(reversed(kept["NP"])),
-        vp=tuple(reversed(kept["VP"])),
-        pp=tuple(reversed(kept["PP"])),
-    )
+    found: dict[str, list[Node]] = {t: [] for t in PHRASE_TYPES}
+    for node in iter_nodes(tree.root):
+        if node.label in found:
+            found[node.label].append(node)
+    kept: dict[str, tuple[PhraseSpan, ...]] = {}
+    for label, nodes in found.items():
+        # a subtree is the block right after its root in pre-order and
+        # every node spans a token, so the next same-label node is a
+        # descendant exactly when it starts before this node's end
+        kept[label] = tuple(
+            PhraseSpan(label, n.start, n.end, " ".join(tree.tokens[n.start:n.end]))
+            for n, after in zip(nodes, nodes[1:] + [None])
+            if after is None or after.start >= n.end
+        )
+    return PhraseGroups(np=kept["NP"], vp=kept["VP"], pp=kept["PP"])
 
 
 def eligible_groups(

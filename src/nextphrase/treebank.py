@@ -76,7 +76,7 @@ def normalize_label(label: str) -> str:
     """
     if label.startswith("-"):
         return label
-    return re.split(r"[-=]", label, maxsplit=1)[0]
+    return label.split("-", 1)[0].split("=", 1)[0]
 
 
 def parse_ptb(text: str) -> ConstituencyTree:
@@ -90,7 +90,7 @@ def parse_ptb(text: str) -> ConstituencyTree:
     # stack holds None for an open bracket, str for a bare atom, and
     # Node for a finished constituent
     stack: list[object] = []
-    token_index = 0
+    tokens: list[str] = []
     for piece in pieces:
         if piece == "(":
             stack.append(None)
@@ -112,8 +112,8 @@ def parse_ptb(text: str) -> ConstituencyTree:
         if not rest:
             raise EmptyConstituent(f"({label}) has no children and no token")
         if len(rest) == 1 and isinstance(rest[0], str):
-            node = Node(label, (), rest[0], token_index, token_index + 1)
-            token_index += 1
+            node = Node(label, (), rest[0], len(tokens), len(tokens) + 1)
+            tokens.append(rest[0])
         else:
             for item in rest:
                 if isinstance(item, str):
@@ -128,7 +128,7 @@ def parse_ptb(text: str) -> ConstituencyTree:
     root = stack[0]
     if root.label in _WRAPPER_LABELS and len(root.children) == 1:
         root = root.children[0]
-    return ConstituencyTree(root, tuple(yield_tokens(root)))
+    return ConstituencyTree(root, tuple(tokens))
 
 
 def yield_tokens(node: Node) -> list[str]:

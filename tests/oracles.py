@@ -1,7 +1,16 @@
 """Slow reference implementations the fast code is tested against."""
 
 import math
+import re
 from fractions import Fraction
+
+
+def normalize_label_oracle(label):
+    """Base category by regex: the text before the first ``-`` or ``=``,
+    unless the label itself starts with ``-``."""
+    if label.startswith("-"):
+        return label
+    return re.split(r"[-=]", label, maxsplit=1)[0]
 
 
 def descendants(node):

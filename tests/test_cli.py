@@ -1,14 +1,30 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nextphrase.cli import main
-from nextphrase.instances import parse_prompt
+from nextphrase.cli import _npp_record, main
+from nextphrase.instances import SkipReason, parse_prompt
 
-from conftest import DOG, EAT_PIE, SHOP, list_tree
+from conftest import DOG, EAT_PIE, SHOP, list_tree, random_tree_text
 
 DATA = Path(__file__).parent / "data"
+
+# (max_depth, max_branch) of random_tree_text: wide trees and deep trees
+TREE_SHAPES = ((4, 12), (14, 2))
+
+GENERATED_TREES = st.one_of(
+    st.builds(
+        lambda seed, shape: random_tree_text(random.Random(seed), *shape),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(TREE_SHAPES),
+    ),
+    st.integers(0, 40).map(list_tree),
+)
+
+SKIP_REASONS = {reason.value for reason in SkipReason}
 
 
 def _write_trees(tmp_path, name="trees.txt"):
@@ -141,6 +157,37 @@ def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
             assert list(out.glob("pairs_*.jsonl")) == [], argv
 
 
+@given(GENERATED_TREES, st.integers(0, 2**16))
+def test_npp_record_writes_or_names_a_skip(text, seed):
+    kind, payload = _npp_record((0, text), seed=seed, min_size=2, name="t")
+    if kind == "ok":
+        record = json.loads(payload)
+        assert record["id"] == "t:00000000"
+        assert record["target"] in parse_prompt(record["input"])[2]
+    else:
+        assert kind == "skip"
+        assert payload in SKIP_REASONS
+
+
+def test_build_npp_accounts_for_every_generated_tree(tmp_path):
+    rng = random.Random(41)
+    texts = [random_tree_text(rng, *shape) for shape in TREE_SHAPES for _ in range(40)]
+    texts += [list_tree(n) for n in range(41)]
+    trees = tmp_path / "generated.txt"
+    trees.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--seed", "2"]) == 0
+    counts = _manifest(out)["counts"]
+    assert counts["sentences_read"] == len(texts)
+    assert counts["sentences_read"] == counts["instances_written"] + sum(
+        counts["skips"].values()
+    )
+    assert counts["instances_written"] > 0 and set(counts["skips"]) <= SKIP_REASONS
+    assert "too_many_choices" in counts["skips"]
+    lines = (out / "instances.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == counts["instances_written"]
+
+
 def test_build_npp_skips_group_beyond_the_letters(tmp_path):
     trees = tmp_path / "trees.txt"
     trees.write_text(f"{SHOP}\n{list_tree(27)}\n{DOG}\n", encoding="utf-8")
@@ -161,13 +208,24 @@ def test_missing_input_exits_2(tmp_path):
     ) == 2
 
 
-def test_usage_error_exits_1(tmp_path):
+def test_usage_error_exits_1(tmp_path, capsys):
     assert main(["build-npp"]) == 1
     assert main(["no-such-command"]) == 1
     trees = _write_trees(tmp_path)
     out = str(tmp_path / "out")
     assert main(["build-npp", str(trees), "--out", out, "--template", "lettered"]) == 1
     assert main(["stats", str(trees), "--workers", "2"]) == 1
+    capsys.readouterr()
+    docs = _write_docs(tmp_path)
+    for argv in (
+        ["build-npp", str(trees), "--out", out, "--sample", "0"],
+        ["build-npp", str(trees), "--out", out, "--sample", "-3"],
+        ["build-nsp", str(docs), "--out", out, "--pool-cap", "0"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -403,12 +461,21 @@ def test_stats_bad_ratios_exit_1(tmp_path, capsys):
     assert main(["stats", str(docs), "--ratios", "0.5,0.2,0.2"]) == 1
     assert main(["stats", str(docs), "--ratios", "0.5,0.5"]) == 1
     assert main(["stats", str(docs), "--ratios", "1.2,-0.1,-0.1"]) == 1
+    assert main(["stats", str(docs), "--ratios", "nan,0.5,0.5"]) == 1
     out = tmp_path / "out"
     assert main(
         ["build-pairs", str(docs), "--out", str(out), "--ratios", "1.2,-0.1,-0.1"]
     ) == 1
+    assert main(
+        ["build-pairs", str(docs), "--out", str(out), "--ratios", "nan,0.5,0.5"]
+    ) == 1
+    config = tmp_path / "nan.cfg"
+    config.write_text("ratios=nan,0.5,0.5\n", encoding="utf-8")
+    assert main(
+        ["build-pairs", str(docs), "--out", str(out), "--config", str(config)]
+    ) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4
+    assert len(err) == 7
     assert all(line.startswith("error: ") for line in err)
     assert list(out.glob("*")) == []
 

@@ -141,6 +141,8 @@ def test_partition_rejects_bad_ratios():
         partition([1, 2, 3], (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError):
         partition([1, 2, 3], (1.2, -0.1, -0.1), seed=0)
+    with pytest.raises(RatioSumInvalid):
+        partition([1, 2, 3], (float("nan"), 0.5, 0.5), seed=0)
     partition([1, 2, 3], (0.8, 0.1, 0.1 + 1e-12), seed=0)
 
 

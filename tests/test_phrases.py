@@ -5,7 +5,7 @@ import pytest
 from nextphrase.phrases import eligible_groups, extract_phrases
 from nextphrase.treebank import parse_ptb
 
-from conftest import DOG, EAT_PIE, SHOP, random_tree_text
+from conftest import DOG, EAT_PIE, SHOP, list_tree, random_tree_text
 from oracles import brute_force_phrases
 
 
@@ -45,10 +45,25 @@ def test_no_phrases_at_all():
     assert eligible_groups(groups, 1) == []
 
 
+EDGE_TREES = (
+    # unary same-label chains
+    "(NP (NP (NP (NN x))))",
+    "(S (VP (VP (VP (VB go))) (NP (NP (NN x)) (PP (PP (IN of) (NP (NN y)))))))",
+    # trace leaves
+    "(S (NP-SBJ (-NONE- *)) (VP (VBD ran) (NP (-NONE- *T*-1))) (. .))",
+    "(NP (NP (-NONE- *)) (NP (NN x)))",
+    # wrappers, dropped or kept
+    "(ROOT (S (NP (PRP She)) (VP (VBZ naps))))",
+    "(TOP (NP (NP (NN a))) (NP (NN b)))",
+    list_tree(30),
+)
+
+
 def test_matches_brute_force_on_random_trees():
     rng = random.Random(21)
-    for _ in range(300):
-        tree = parse_ptb(random_tree_text(rng))
+    texts = [random_tree_text(rng) for _ in range(300)] + list(EDGE_TREES)
+    for text in texts:
+        tree = parse_ptb(text)
         groups = extract_phrases(tree)
         expected = brute_force_phrases(tree)
         for kind, spans in groups.items():

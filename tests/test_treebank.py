@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from nextphrase.phrases import extract_phrases
 from nextphrase.treebank import (
     EmptyConstituent,
     MalformedLabel,
@@ -18,6 +19,7 @@ from nextphrase.treebank import (
 )
 
 from conftest import EAT_PIE, random_tree_text
+from oracles import normalize_label_oracle
 
 
 def test_single_leaf_tree():
@@ -114,6 +116,11 @@ def test_fuzz_returns_tree_or_structured_error(text):
         pass
 
 
+@given(st.text() | st.text(alphabet="NP-=x", max_size=12))
+def test_normalize_label_matches_regex_oracle(label):
+    assert normalize_label(label) == normalize_label_oracle(label)
+
+
 @given(st.text(max_size=60))
 def test_fuzz_arbitrary_text(text):
     try:
@@ -160,6 +167,9 @@ def test_deep_input_does_not_hit_recursion_limit():
     tree = parse_ptb(text)
     assert tree.tokens == ("x",)
     assert serialize_tree(parse_ptb(serialize_tree(tree))) == serialize_tree(tree)
+    chain = "".join("(VP " for _ in range(depth)) + "(VB x)" + ")" * depth
+    groups = extract_phrases(parse_ptb(chain))
+    assert [p.span for p in groups.vp] == [(0, 1)]
 
 
 def test_read_treebank_skips_blank_lines(tmp_path):
