@@ -22,6 +22,7 @@ import argparse
 import datetime as _dt
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -52,6 +53,7 @@ from .corpus import (
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
+    PoolView,
     Skip,
     build_completion_pairs,
     build_npp_instance,
@@ -77,6 +79,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
+
+INPUT_MODES = ("lines", "dir", "treebank")
 
 
 class UsageError(Exception):
@@ -146,6 +150,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
                     f"bad config value for {key}: {file_cfg[key]!r}"
                 ) from None
     config = PipelineConfig(**values)
+    if config.input_mode not in INPUT_MODES:
+        raise UsageError(f"unknown input mode: {config.input_mode!r}")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
     if config.min_group_size < 1:
@@ -182,6 +188,10 @@ def input_digests(path, mode: str) -> dict[str, str]:
     if mode == "dir":
         return {str(p): file_sha256(p) for p in sorted(root.glob("*.txt"))}
     return {str(root): file_sha256(root)}
+
+
+# one encoder for every JSON-lines record; same bytes as json.dumps(..., ensure_ascii=False)
+_json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _json_text(payload: dict) -> str:
@@ -236,13 +246,21 @@ def _finish_build(
     return EXIT_OK
 
 
-def _map_records(fn, items: Iterable, workers: int) -> Iterator:
-    """Apply fn to each item, in order; fan out when workers > 1."""
+def _map_records(
+    fn, items: Iterable, workers: int, initializer=None, initargs: tuple = ()
+) -> Iterator:
+    """Apply fn to each item, in order; fan out when workers > 1.
+
+    ``initializer(*initargs)`` runs once in every process that calls fn:
+    this one when serial, each Pool worker otherwise.
+    """
     if workers <= 1:
+        if initializer is not None:
+            initializer(*initargs)
         for item in items:
             yield fn(item)
         return
-    with Pool(workers) as pool:
+    with Pool(workers, initializer, initargs) as pool:
         yield from pool.imap(fn, items, chunksize=32)
 
 
@@ -280,6 +298,20 @@ def _parse_tree_line(item: tuple[int, str], name: str) -> tuple[str, Constituenc
 # ---------------------------------------------------------- subcommands
 
 
+def _write_records(
+    sink: TextIO, results: Iterable[tuple[str, str]], counts: dict, read_key: str
+) -> None:
+    """Write each ("ok", line) result; count every result under read_key
+    and each ("skip", reason) under its reason."""
+    for kind, payload in results:
+        counts[read_key] += 1
+        if kind == "skip":
+            counts["skips"][payload] = counts["skips"].get(payload, 0) + 1
+        else:
+            sink.write(payload + "\n")
+            counts["instances_written"] += 1
+
+
 def _npp_record(
     item: tuple[int, str], seed: int, min_size: int, name: str
 ) -> tuple[str, str]:
@@ -291,7 +323,7 @@ def _npp_record(
         return "skip", built.reason.value
     prompt, target = serialize_npp(built)
     record = {"id": sentence_id, "input": prompt, "target": target}
-    return "ok", json.dumps(record, ensure_ascii=False)
+    return "ok", _json_line(record)
 
 
 def cmd_build_npp(args: argparse.Namespace) -> int:
@@ -309,13 +341,7 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
-        for kind, payload in _map_records(worker, items, config.workers):
-            counts["sentences_read"] += 1
-            if kind == "skip":
-                counts["skips"][payload] = counts["skips"].get(payload, 0) + 1
-            else:
-                sink.write(payload + "\n")
-                counts["instances_written"] += 1
+        _write_records(sink, _map_records(worker, items, config.workers), counts, "sentences_read")
     summary = (
         f"{counts['sentences_read']} sentences -> {counts['instances_written']} "
         f"instances ({sum(counts['skips'].values())} skipped)"
@@ -326,13 +352,12 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
 
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> list[str]:
     return [
-        json.dumps(
+        _json_line(
             {
                 "id": f"{pair.sentence_id}#{pair.split_point}",
                 "p": detokenize(pair.p),
                 "q": detokenize(pair.q),
-            },
-            ensure_ascii=False,
+            }
         )
         for pair in build_completion_pairs(tokens, sentence_id)
     ]
@@ -388,52 +413,70 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     return _finish_build(out_dir, "build-pairs", config, digests, counts, stats, summary)
 
 
+# the reservoir pool's texts, installed once per process that builds NSP records
+_nsp_pool: Sequence[str] = ()
+
+
+def _install_nsp_pool(texts: Sequence[str]) -> None:
+    global _nsp_pool
+    _nsp_pool = texts
+
+
+def _nsp_records(
+    item: tuple[int, list[str], list[int]], seed: int, distractors: int, name: str
+) -> list[tuple[str, str]]:
+    """One document's NSP records; ``own`` lists its sentences' pool positions."""
+    doc_index, sentences, own = item
+    others = PoolView(_nsp_pool, own)
+    records = []
+    for position in range(len(sentences) - 1):
+        sentence_id = make_sentence_id(name, doc_index, position)
+        rng = record_rng(seed, sentence_id)
+        built = build_nsp_instance(sentences, position, others, rng, sentence_id, distractors)
+        if isinstance(built, Skip):
+            records.append(("skip", built.reason.value))
+            continue
+        prompt, target = serialize_nsp(built)
+        record = {"id": sentence_id, "input": prompt, "target": target}
+        records.append(("ok", _json_line(record)))
+    return records
+
+
 def cmd_build_nsp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
     name = Path(args.input).stem
     guards = _guards(config)
-
-    def doc_sentences() -> Iterator[tuple[int, list[str]]]:
-        for doc_index, document in iter_documents(args.input, config.input_mode):
-            yield doc_index, split_sentences(document, guards)
-
-    pool_rng = random.Random(config.seed)
+    documents = [
+        (doc_index, split_sentences(document, guards))
+        for doc_index, document in iter_documents(args.input, config.input_mode)
+    ]
     pool, _ = _reservoir(
-        (
-            (doc_index, sentence)
-            for doc_index, sentences in doc_sentences()
-            for sentence in sentences
-        ),
+        ((doc_index, sentence) for doc_index, sentences in documents for sentence in sentences),
         config.pool_cap,
-        pool_rng,
+        random.Random(config.seed),
+    )
+    texts = [sentence for _, sentence in pool]
+    # each document's own pool positions, ascending; distractors skip them
+    own: dict[int, list[int]] = {}
+    for position, (doc_index, _) in enumerate(pool):
+        own.setdefault(doc_index, []).append(position)
+    items = ((d, sentences, own.get(d, [])) for d, sentences in documents)
+    worker = functools.partial(
+        _nsp_records, seed=config.seed, distractors=config.distractors, name=name
     )
 
     counts: dict = {"contexts_read": 0, "instances_written": 0, "skips": {}}
     out_dir = Path(args.out)
-    with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
-        for doc_index, sentences in doc_sentences():
-            others = [s for d, s in pool if d != doc_index]
-            for position in range(len(sentences) - 1):
-                counts["contexts_read"] += 1
-                sentence_id = make_sentence_id(name, doc_index, position)
-                built = build_nsp_instance(
-                    sentences,
-                    position,
-                    others,
-                    record_rng(config.seed, sentence_id),
-                    sentence_id,
-                    config.distractors,
-                )
-                if isinstance(built, Skip):
-                    key = built.reason.value
-                    counts["skips"][key] = counts["skips"].get(key, 0) + 1
-                    continue
-                prompt, target = serialize_nsp(built)
-                record = {"id": sentence_id, "input": prompt, "target": target}
-                sink.write(json.dumps(record, ensure_ascii=False) + "\n")
-                counts["instances_written"] += 1
+    per_document = _map_records(worker, items, config.workers, _install_nsp_pool, (texts,))
+    try:
+        with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
+            records = itertools.chain.from_iterable(per_document)
+            _write_records(sink, records, counts, "contexts_read")
+    finally:
+        # a serial run installed the pool in this process; keep none between runs
+        _install_nsp_pool(())
     summary = (
         f"{counts['contexts_read']} contexts -> {counts['instances_written']} "
         f"instances ({sum(counts['skips'].values())} skipped)"
@@ -535,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_build(sub, "build-pairs", cmd_build_pairs, "prefix/remainder pairs, three-way split")
     p.add_argument("--ratios", type=_parse_ratios, metavar="A,B,C")
-    p.add_argument("--input-mode", dest="input_mode", choices=("lines", "dir", "treebank"))
+    p.add_argument("--input-mode", dest="input_mode", choices=INPUT_MODES)
     p.add_argument("--guard-list", dest="guard_list", metavar="FILE")
     p.add_argument("--name", help="dataset name for the stats table")
 
@@ -548,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="split-size table for one or more corpora")
     p.add_argument("inputs", nargs="+", metavar="INPUT")
     p.add_argument("--ratios", type=_parse_ratios, metavar="A,B,C")
-    p.add_argument("--input-mode", dest="input_mode", choices=("lines", "dir", "treebank"))
+    p.add_argument("--input-mode", dest="input_mode", choices=INPUT_MODES)
     p.add_argument("--guard-list", dest="guard_list", metavar="FILE")
     p.add_argument("--out", metavar="DIR", help="also write stats.json here")
     _add_common(p)

@@ -11,8 +11,8 @@ guard list via a config file when the domain needs it.
 
 from __future__ import annotations
 
+import functools
 import random
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -52,9 +52,14 @@ def _guarded(text: str, dot: int, guards: frozenset[str]) -> bool:
     return word.lower() in guards
 
 
+@functools.lru_cache(maxsize=8)
+def _guard_set(guards: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(g.lower() for g in guards)
+
+
 def split_sentences(text: str, guards: Sequence[str] = DEFAULT_GUARDS) -> list[str]:
     """Deterministic rule-based sentence segmentation."""
-    guard_set = frozenset(g.lower() for g in guards)
+    guard_set = _guard_set(tuple(guards))
     sentences: list[str] = []
     begin = 0
     i = 0

@@ -14,6 +14,7 @@ All random decisions flow through a caller-supplied Random so a
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import random
@@ -135,6 +136,31 @@ def build_completion_pairs(
         CompletionPair(sentence_id, k, tuple(tokens[:k]), tuple(tokens[k:]))
         for k in range(1, len(tokens))
     ]
+
+
+class PoolView(Sequence):
+    """Read-only view of ``texts`` without the positions in ``skip``.
+
+    ``skip`` must be sorted.  ``random.sample`` uses only ``len()`` and
+    indexing, or iterates when it copies a small population, so it draws
+    the same items from the view as from the filtered list.
+    """
+
+    __slots__ = ("_texts", "_shifts", "_len")
+
+    def __init__(self, texts: Sequence[str], skip: Sequence[int]) -> None:
+        self._texts = texts
+        # lookup j steps over skip[m] exactly when skip[m] - m <= j
+        self._shifts = [position - m for m, position in enumerate(skip)]
+        self._len = len(texts) - len(skip)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> str:
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        return self._texts[index + bisect.bisect_right(self._shifts, index)]
 
 
 def build_nsp_instance(

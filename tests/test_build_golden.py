@@ -132,6 +132,12 @@ RUNS = {
         NSP_FILES,
         NSP_COUNTS,
     ),
+    "nsp-w2": (
+        _documents,
+        ["build-nsp", "--seed", "11", "--distractors", "2", "--workers", "2"],
+        NSP_FILES,
+        NSP_COUNTS,
+    ),
 }
 
 

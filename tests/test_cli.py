@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from nextphrase.cli import _npp_record, main
 from nextphrase.instances import SkipReason, parse_prompt
 
-from conftest import DOG, EAT_PIE, SHOP, list_tree, random_tree_text
+from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,6 +258,22 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
         assert line.partition("=")[0] in capsys.readouterr().err
 
 
+def test_unknown_input_mode_in_config_exits_1(tmp_path, capsys):
+    docs = _write_docs(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("input_mode=bogus\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (
+        ["build-pairs", str(docs), "--out", str(out)],
+        ["build-nsp", str(docs), "--out", str(out)],
+        ["stats", str(docs)],
+    ):
+        assert main([*command, "--config", str(config)]) == 1, command
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown input mode: 'bogus'"], command
+    assert not out.exists()
+
+
 def test_build_pairs_counts_and_split(tmp_path, capsys):
     docs = _write_docs(tmp_path)
     out = tmp_path / "out"
@@ -377,6 +393,39 @@ def test_build_nsp_deterministic(tmp_path):
     for out in (a, b):
         assert main(["build-nsp", str(docs), "--out", str(out), "--seed", "4"]) == 0
     assert (a / "instances.jsonl").read_bytes() == (b / "instances.jsonl").read_bytes()
+
+
+def test_build_nsp_workers_2_writes_the_same_bytes(tmp_path):
+    # enough documents for several Pool chunks; a pool cap below the
+    # sentence count leaves some documents with no sentence in the pool,
+    # and shared sign-offs make some draws ambiguous
+    rng = random.Random(5)
+    lines = []
+    for _ in range(120):
+        sentences = [
+            " ".join(random_sentence(rng, 2, 8)).capitalize() + "."
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.4:
+            sentences.append("Thanks, Bob.")
+        lines.append(" ".join(sentences))
+    docs = tmp_path / "docs.txt"
+    docs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([
+            "build-nsp", str(docs), "--out", str(out), "--seed", "3",
+            "--distractors", "7", "--pool-cap", "150", "--workers", workers,
+        ]) == 0
+        outputs.append([(out / n).read_bytes() for n in ("instances.jsonl", "stats.json")])
+        counts = _manifest(out)["counts"]
+        assert counts["contexts_read"] == counts["instances_written"] + sum(
+            counts["skips"].values()
+        )
+        assert counts["instances_written"] == len(_records(out / "instances.jsonl"))
+    assert outputs[0] == outputs[1]
+    assert counts["instances_written"] > 0 and counts["skips"]
 
 
 @pytest.mark.parametrize("distractors", ["0", "26"])

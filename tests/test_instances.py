@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from nextphrase.instances import (
     MoreChoicesThanLetters,
     NPP_PREFIX,
     NSP_PREFIX,
+    PoolView,
     Skip,
     SkipReason,
     build_completion_pairs,
@@ -205,6 +207,64 @@ def test_nsp_choices_are_distinct_or_skipped():
         else:
             assert len(set(built.choices)) == len(built.choices)
     assert reasons == {SkipReason.AMBIGUOUS_CHOICES}
+
+
+def _copies_population(n, k):
+    """True when random.sample copies the population into a list (it
+    then iterates it), False when it selects indexes through a set."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+# (pool size, draws): each draw count on both sides of random.sample's
+# list-or-set threshold, which grows with the draw count above 5
+POOL_DRAWS = ((15, 3), (60, 3), (60, 8), (200, 8), (40, 25), (400, 25))
+
+
+def _own_positions(n):
+    """One document's pool positions: at the start, the middle, the end,
+    scattered, a third of the pool, or none at all."""
+    middle = n // 2
+    return (
+        [0, 1, 2],
+        [middle - 1, middle, middle + 2],
+        [n - 3, n - 2, n - 1],
+        [1, n // 3, n - 1],
+        list(range(0, n, 3)),
+        [],
+    )
+
+
+def test_pool_view_draws_match_the_filtered_list():
+    assert {_copies_population(n, k) for n, k in POOL_DRAWS} == {True, False}
+    for n, k in POOL_DRAWS:
+        texts = [f"s{i}" for i in range(n)]
+        for own in _own_positions(n):
+            view = PoolView(texts, own)
+            kept = [text for i, text in enumerate(texts) if i not in own]
+            assert len(view) == len(kept)
+            assert list(view) == kept
+            for outside in (len(kept), -1):
+                with pytest.raises(IndexError):
+                    view[outside]
+            for seed in range(20):
+                from_view, from_list = random.Random(seed), random.Random(seed)
+                assert from_view.sample(view, k) == from_list.sample(kept, k), (n, k, own)
+                assert from_view.random() == from_list.random()
+
+
+def test_nsp_instance_from_a_pool_view_equals_one_from_the_list():
+    doc = ["Hello there.", "See you soon.", "Bye now."]
+    texts = [f"Pool sentence {i}." for i in range(30)] + ["See you soon."]
+    own = [0, 14, 30]
+    kept = [text for i, text in enumerate(texts) if i not in own]
+    for seed in range(20):
+        for index in (0, 1):
+            assert build_nsp_instance(
+                doc, index, PoolView(texts, own), record_rng(seed, "n"), "n", 6
+            ) == build_nsp_instance(doc, index, kept, record_rng(seed, "n"), "n", 6)
 
 
 def test_nsp_rejects_last_sentence_as_context():
