@@ -30,7 +30,6 @@ import random
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -260,6 +259,9 @@ def _map_records(
         for item in items:
             yield fn(item)
         return
+    # imported here: a serial run, the common case, never starts a Pool
+    from multiprocessing import Pool
+
     with Pool(workers, initializer, initargs) as pool:
         yield from pool.imap(fn, items, chunksize=32)
 
@@ -375,24 +377,26 @@ def _text_pairs(record: SentenceRecord) -> list[str]:
 def cmd_build_pairs(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
-    # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
+    items: Iterable
     if config.input_mode == "treebank":
-        items = functools.partial(_iter_tree_lines, args.input)
+        # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
+        total = sum(1 for _ in _iter_tree_lines(args.input))
+        items = _iter_tree_lines(args.input)
         worker = functools.partial(_tree_pairs, name=name)
     else:
-        items = functools.partial(
-            iter_sentence_records, args.input, config.input_mode, name, _guards(config)
+        # each document is split once; its sentences are held for the build pass
+        items = list(
+            iter_sentence_records(args.input, config.input_mode, name, _guards(config))
         )
+        total = len(items)
         worker = _text_pairs
-
-    total = sum(1 for _ in items())
     assignment = assign_splits(total, config.ratios, config.seed)
     sentence_counts = {split: 0 for split in SPLIT_NAMES}
     pair_counts = {split: 0 for split in SPLIT_NAMES}
     out_dir = Path(args.out)
     with _output_files(out_dir, [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]) as files:
         sinks = dict(zip(SPLIT_NAMES, files))
-        for index, lines in enumerate(_map_records(worker, items(), config.workers)):
+        for index, lines in enumerate(_map_records(worker, items, config.workers)):
             split = SPLIT_NAMES[assignment[index]]
             sentence_counts[split] += 1
             for line in lines:

@@ -1,17 +1,18 @@
 """Extraction of the lowest NP, VP, and PP constituents from a tree.
 
-Nested phrases of one type collapse to the innermost: a node is kept
-only if no descendant carries the same label, which holds exactly when
-the next node with its label in pre-order is absent or starts at or
-after the node's end.  "She wants to eat pie." therefore contributes a
-single VP, "eat pie", even though three VP nodes sit above one another.
+Nested phrases of one type collapse to the innermost: a constituent is
+kept only if no descendant carries the same label, which holds exactly
+when the next row with its label in the tree's pre-order span table is
+absent or starts at or after the constituent's end.  "She wants to eat
+pie." therefore contributes a single VP, "eat pie", even though three
+VP nodes sit above one another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .treebank import ConstituencyTree, Node, iter_nodes
+from .treebank import ConstituencyTree, Span
 
 PHRASE_TYPES = ("NP", "VP", "PP")
 
@@ -40,19 +41,19 @@ class PhraseGroups:
 
 def extract_phrases(tree: ConstituencyTree) -> PhraseGroups:
     """Collect phrases per type, innermost only, in document order."""
-    found: dict[str, list[Node]] = {t: [] for t in PHRASE_TYPES}
-    for node in iter_nodes(tree.root):
-        if node.label in found:
-            found[node.label].append(node)
+    found: dict[str, list[Span]] = {t: [] for t in PHRASE_TYPES}
+    for row in tree.spans:
+        if row[0] in found:
+            found[row[0]].append(row)
     kept: dict[str, tuple[PhraseSpan, ...]] = {}
-    for label, nodes in found.items():
+    for label, rows in found.items():
         # a subtree is the block right after its root in pre-order and
-        # every node spans a token, so the next same-label node is a
-        # descendant exactly when it starts before this node's end
+        # every constituent spans a token, so the next same-label row is
+        # a descendant exactly when it starts before this row's end
         kept[label] = tuple(
-            PhraseSpan(label, n.start, n.end, " ".join(tree.tokens[n.start:n.end]))
-            for n, after in zip(nodes, nodes[1:] + [None])
-            if after is None or after.start >= n.end
+            PhraseSpan(label, start, end, " ".join(tree.tokens[start:end]))
+            for (_, start, end), after in zip(rows, rows[1:] + [None])
+            if after is None or after[1] >= end
         )
     return PhraseGroups(np=kept["NP"], vp=kept["VP"], pp=kept["PP"])
 

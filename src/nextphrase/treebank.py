@@ -9,11 +9,17 @@ both become ``NP``); an outer ``(ROOT ...)`` or ``(TOP ...)`` wrapper is
 dropped.  Escaped brackets such as ``-LRB-`` are kept verbatim, both as
 labels and as tokens.  Malformed input raises a TreebankError subclass
 rather than crashing, so the parser can be pointed at untrusted text.
+
+A parsed tree is a span table, not a node graph: its tokens plus one
+``(label, start, end)`` row per constituent, in pre-order.  That is all
+phrase extraction and the builders read, so parsing builds no ``Node``.
+``ConstituencyTree.root`` rebuilds the Node tree from the table on first
+use, for callers that walk or print constituents.
 """
 
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,9 +40,9 @@ class MalformedLabel(TreebankError):
     """A constituent is missing its label."""
 
 
-_LEXER = re.compile(r"\(|\)|[^()\s]+")
-
 _WRAPPER_LABELS = ("ROOT", "TOP")
+
+Span = tuple[str, int, int]  # label, start, end
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,37 @@ class Node:
 
 @dataclass(frozen=True)
 class ConstituencyTree:
-    root: Node
+    """One parsed sentence: its tokens and its constituents' span table.
+
+    ``spans`` has one ``(label, start, end)`` row per constituent, leaves
+    included, in pre-order: a parent comes before its children and
+    siblings come left to right.  ``start``/``end`` are a half-open token
+    range and every constituent covers at least one token, so a row's
+    subtree is the block of rows right after it that start before its
+    end, and a row is a leaf exactly when the next row does not.
+    ``root`` is the same tree as ``Node`` objects, built on first use.
+    """
+
     tokens: tuple[str, ...]
+    spans: tuple[Span, ...]
+
+    @functools.cached_property
+    def root(self) -> Node:
+        """The tree as Node objects, built from the span table."""
+        spans = self.spans
+        # built nodes no parent has claimed yet, the leftmost last; a
+        # backward scan meets every child before its parent
+        free: list[Node] = []
+        for index in range(len(spans) - 1, -1, -1):
+            label, start, end = spans[index]
+            if index + 1 == len(spans) or spans[index + 1][1] >= end:
+                free.append(Node(label, (), self.tokens[start], start, end))
+                continue
+            children = []
+            while free and free[-1].start < end:
+                children.append(free.pop())
+            free.append(Node(label, tuple(children), None, start, end))
+        return free[0]
 
 
 def normalize_label(label: str) -> str:
@@ -79,6 +114,20 @@ def normalize_label(label: str) -> str:
     return label.split("-", 1)[0].split("=", 1)[0]
 
 
+# a treebank has a few hundred distinct raw labels; the cap bounds the
+# memo on untrusted input
+_base_label = functools.lru_cache(maxsize=1024)(normalize_label)
+
+# what an open bracket has held so far; the state at its close decides
+# between a leaf, an internal node and each error
+_OPENED = 0  # nothing
+_LABELED = 1  # a label
+_LEAF = 2  # a label and one token
+_INNER = 3  # a label and bracketed children only
+_BARE = 4  # a label and a token next to some other item
+_UNLABELED = 5  # a bracketed child where the label belongs
+
+
 def parse_ptb(text: str) -> ConstituencyTree:
     """Parse one bracketed tree.
 
@@ -86,62 +135,71 @@ def parse_ptb(text: str) -> ConstituencyTree:
     malformed input; never anything else.  The parser is iterative, so
     pathologically deep input cannot blow the interpreter stack.
     """
-    pieces = _LEXER.findall(text)
-    # stack holds None for an open bracket, str for a bare atom, and
-    # Node for a finished constituent
-    stack: list[object] = []
+    rows: list[list] = []  # [label, start, end] per open bracket, in pre-order
     tokens: list[str] = []
-    for piece in pieces:
+    enclosing: list[tuple[list, int, str | None]] = []  # (row, state, token)
+    row: list | None = None  # the innermost open bracket's row; None at top level
+    state = _OPENED
+    token: str | None = None  # the first atom after the label
+    trees = 0  # brackets opened at top level
+    stray = False  # an atom at top level
+    # padding the brackets with spaces lexes them apart from the atoms
+    for piece in text.replace("(", " ( ").replace(")", " ) ").split():
         if piece == "(":
-            stack.append(None)
-            continue
-        if piece != ")":
-            stack.append(piece)
-            continue
-        contents: list[object] = []
-        while stack and stack[-1] is not None:
-            contents.append(stack.pop())
-        if not stack:
-            raise UnbalancedBrackets("close bracket without matching open")
-        stack.pop()
-        contents.reverse()
-        if not contents or not isinstance(contents[0], str):
-            raise MalformedLabel("constituent is missing its label")
-        label = normalize_label(contents[0])
-        rest = contents[1:]
-        if not rest:
-            raise EmptyConstituent(f"({label}) has no children and no token")
-        if len(rest) == 1 and isinstance(rest[0], str):
-            node = Node(label, (), rest[0], len(tokens), len(tokens) + 1)
-            tokens.append(rest[0])
-        else:
-            for item in rest:
-                if isinstance(item, str):
-                    raise UnbalancedBrackets(
-                        f"bare token {item!r} where a bracketed child was expected"
-                    )
-            kids = tuple(rest)  # type: ignore[arg-type]
-            node = Node(label, kids, None, kids[0].start, kids[-1].end)
-        stack.append(node)
-    if len(stack) != 1 or not isinstance(stack[0], Node):
+            if row is None:
+                trees += 1
+            else:
+                if state == _LABELED:
+                    state = _INNER
+                elif state == _OPENED:
+                    state = _UNLABELED
+                elif state == _LEAF:
+                    state = _BARE
+                enclosing.append((row, state, token))
+            row = [None, len(tokens), 0]
+            rows.append(row)
+            state = _OPENED
+            token = None
+        elif piece == ")":
+            if row is None:
+                raise UnbalancedBrackets("close bracket without matching open")
+            if state == _LEAF:
+                row[2] = len(tokens) + 1
+                tokens.append(token)  # type: ignore[arg-type]
+            elif state == _INNER:
+                row[2] = len(tokens)
+            elif state == _LABELED:
+                raise EmptyConstituent(f"({row[0]}) has no children and no token")
+            elif state == _BARE:
+                raise UnbalancedBrackets(
+                    f"bare token {token!r} where a bracketed child was expected"
+                )
+            else:
+                raise MalformedLabel("constituent is missing its label")
+            if enclosing:
+                row, state, token = enclosing.pop()
+            else:
+                row = None
+        elif row is None:
+            stray = True
+        elif state == _OPENED:
+            row[0] = _base_label(piece)
+            state = _LABELED
+        elif state == _LABELED:
+            state = _LEAF
+            token = piece
+        elif state == _LEAF:
+            state = _BARE
+        elif state == _INNER:
+            state = _BARE
+            token = piece
+    if row is not None or trees != 1 or stray:
         raise UnbalancedBrackets("input is not a single well-formed tree")
-    root = stack[0]
-    if root.label in _WRAPPER_LABELS and len(root.children) == 1:
-        root = root.children[0]
-    return ConstituencyTree(root, tuple(tokens))
-
-
-def yield_tokens(node: Node) -> list[str]:
-    """Leaf tokens in sentence order."""
-    out: list[str] = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.is_leaf:
-            out.append(cur.token)  # type: ignore[arg-type]
-        else:
-            stack.extend(reversed(cur.children))
-    return out
+    # the wrapper goes only when it is internal with one child, which
+    # then ends where it ends
+    if len(rows) > 1 and rows[0][0] in _WRAPPER_LABELS and rows[1][2] == rows[0][2]:
+        del rows[0]
+    return ConstituencyTree(tuple(tokens), tuple(map(tuple, rows)))
 
 
 def iter_nodes(node: Node) -> Iterator[Node]:
@@ -151,11 +209,6 @@ def iter_nodes(node: Node) -> Iterator[Node]:
         cur = stack.pop()
         yield cur
         stack.extend(reversed(cur.children))
-
-
-def nodes_with_label(tree: ConstituencyTree, label: str) -> list[Node]:
-    """All nodes carrying the given base label, in document order."""
-    return [n for n in iter_nodes(tree.root) if n.label == label]
 
 
 def to_bracketed(node: Node) -> str:
@@ -181,10 +234,6 @@ def to_bracketed(node: Node) -> str:
             text.append(" ")
         text.append(piece)
     return "".join(text)
-
-
-def serialize_tree(tree: ConstituencyTree) -> str:
-    return to_bracketed(tree.root)
 
 
 def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:

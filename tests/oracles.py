@@ -4,6 +4,15 @@ import math
 import re
 from fractions import Fraction
 
+from nextphrase.treebank import (
+    EmptyConstituent,
+    MalformedLabel,
+    Node,
+    UnbalancedBrackets,
+    iter_nodes,
+    normalize_label,
+)
+
 
 def normalize_label_oracle(label):
     """Base category by regex: the text before the first ``-`` or ``=``,
@@ -11,6 +20,80 @@ def normalize_label_oracle(label):
     if label.startswith("-"):
         return label
     return re.split(r"[-=]", label, maxsplit=1)[0]
+
+
+_LEXER = re.compile(r"\(|\)|[^()\s]+")
+
+_WRAPPER_LABELS = ("ROOT", "TOP")
+
+
+def parse_ptb_oracle(text):
+    """(root, tokens) of one bracketed tree, built as Node objects.
+
+    The parser that came before the span table, kept as the reference
+    for its tokens, constituents and errors.
+    """
+    pieces = _LEXER.findall(text)
+    # stack holds None for an open bracket, str for a bare atom, and
+    # Node for a finished constituent
+    stack = []
+    tokens = []
+    for piece in pieces:
+        if piece == "(":
+            stack.append(None)
+            continue
+        if piece != ")":
+            stack.append(piece)
+            continue
+        contents = []
+        while stack and stack[-1] is not None:
+            contents.append(stack.pop())
+        if not stack:
+            raise UnbalancedBrackets("close bracket without matching open")
+        stack.pop()
+        contents.reverse()
+        if not contents or not isinstance(contents[0], str):
+            raise MalformedLabel("constituent is missing its label")
+        label = normalize_label(contents[0])
+        rest = contents[1:]
+        if not rest:
+            raise EmptyConstituent(f"({label}) has no children and no token")
+        if len(rest) == 1 and isinstance(rest[0], str):
+            node = Node(label, (), rest[0], len(tokens), len(tokens) + 1)
+            tokens.append(rest[0])
+        else:
+            for item in rest:
+                if isinstance(item, str):
+                    raise UnbalancedBrackets(
+                        f"bare token {item!r} where a bracketed child was expected"
+                    )
+            kids = tuple(rest)
+            node = Node(label, kids, None, kids[0].start, kids[-1].end)
+        stack.append(node)
+    if len(stack) != 1 or not isinstance(stack[0], Node):
+        raise UnbalancedBrackets("input is not a single well-formed tree")
+    root = stack[0]
+    if root.label in _WRAPPER_LABELS and len(root.children) == 1:
+        root = root.children[0]
+    return root, tuple(tokens)
+
+
+def yield_tokens(node):
+    """Leaf tokens in sentence order."""
+    out = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur.is_leaf:
+            out.append(cur.token)
+        else:
+            stack.extend(reversed(cur.children))
+    return out
+
+
+def nodes_with_label(tree, label):
+    """All nodes carrying the given base label, in document order."""
+    return [n for n in iter_nodes(tree.root) if n.label == label]
 
 
 def descendants(node):

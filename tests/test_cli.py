@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nextphrase.cli import _npp_record, main
+import nextphrase.corpus
+import nextphrase.treebank
+from nextphrase.cli import _npp_record, _tree_pairs, main
 from nextphrase.instances import SkipReason, parse_prompt
 
 from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
@@ -169,6 +174,21 @@ def test_npp_record_writes_or_names_a_skip(text, seed):
         assert payload in SKIP_REASONS
 
 
+def test_tree_records_build_no_nodes(monkeypatch):
+    def no_node(*args):
+        raise AssertionError("a Node was built")
+
+    monkeypatch.setattr(nextphrase.treebank, "Node", no_node)
+    with pytest.raises(AssertionError, match="a Node was built"):
+        nextphrase.treebank.parse_ptb(DOG).root
+    kinds = []
+    for index, text in enumerate((SHOP, EAT_PIE, DOG, f"(ROOT {SHOP})", list_tree(3))):
+        kind, _ = _npp_record((index, text), seed=3, min_size=2, name="t")
+        kinds.append(kind)
+        assert _tree_pairs((index, text), name="t")
+    assert "ok" in kinds
+
+
 def test_build_npp_accounts_for_every_generated_tree(tmp_path):
     rng = random.Random(41)
     texts = [random_tree_text(rng, *shape) for shape in TREE_SHAPES for _ in range(40)]
@@ -200,6 +220,20 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
     )
     assert [r["id"] for r in _records(out / "instances.jsonl")] == ["trees:00000000"]
     assert list(out.glob("*.tmp")) == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a build with --workers above 1 needs a Pool
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    code = "import sys, nextphrase.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -297,6 +331,23 @@ def test_build_pairs_counts_and_split(tmp_path, capsys):
             assert record["p"]
     sample = per_split["train"][0]
     assert "#" in sample["id"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_build_pairs_splits_each_document_once(tmp_path, monkeypatch, workers):
+    docs = _write_docs(tmp_path)
+    split = nextphrase.corpus.split_sentences
+    documents = []
+
+    def counted(document, *args, **kwargs):
+        documents.append(document)
+        return split(document, *args, **kwargs)
+
+    monkeypatch.setattr(nextphrase.corpus, "split_sentences", counted)
+    out = tmp_path / "out"
+    assert main(["build-pairs", str(docs), "--out", str(out), "--workers", workers]) == 0
+    assert len(documents) == len(set(documents)) == 2
+    assert _manifest(out)["counts"]["sentences_read"] == 6
 
 
 def test_build_pairs_reconstruction(tmp_path):

@@ -10,16 +10,19 @@ from nextphrase.treebank import (
     TreebankError,
     UnbalancedBrackets,
     iter_nodes,
-    nodes_with_label,
     normalize_label,
     parse_ptb,
     read_treebank,
-    serialize_tree,
-    yield_tokens,
+    to_bracketed,
 )
 
 from conftest import EAT_PIE, random_tree_text
-from oracles import normalize_label_oracle
+from oracles import (
+    nodes_with_label,
+    normalize_label_oracle,
+    parse_ptb_oracle,
+    yield_tokens,
+)
 
 
 def test_single_leaf_tree():
@@ -99,13 +102,13 @@ def test_round_trip_on_random_trees():
     rng = random.Random(11)
     for _ in range(300):
         tree = parse_ptb(random_tree_text(rng))
-        assert parse_ptb(serialize_tree(tree)) == tree
+        assert parse_ptb(to_bracketed(tree.root)) == tree
 
 
 def test_serialization_is_canonical():
     messy = "(S   (NP-TMP (DT the)\t(NN dog))  (VP (VBZ naps)))"
     tree = parse_ptb(messy)
-    assert serialize_tree(tree) == "(S (NP (DT the) (NN dog)) (VP (VBZ naps)))"
+    assert to_bracketed(tree.root) == "(S (NP (DT the) (NN dog)) (VP (VBZ naps)))"
 
 
 @given(st.text(alphabet="() SNPVx-", max_size=80))
@@ -150,15 +153,6 @@ def test_span_union_invariant():
                     assert left.end == right.start
 
 
-def test_nodes_with_label_matches_plain_scan():
-    rng = random.Random(7)
-    for _ in range(100):
-        tree = parse_ptb(random_tree_text(rng))
-        for label in ("NP", "VP", "X"):
-            expected = [n for n in iter_nodes(tree.root) if n.label == label]
-            assert nodes_with_label(tree, label) == expected
-
-
 def test_deep_input_does_not_hit_recursion_limit():
     with pytest.raises(UnbalancedBrackets):
         parse_ptb("(" * 50000)
@@ -166,7 +160,8 @@ def test_deep_input_does_not_hit_recursion_limit():
     text = "".join("(S " for _ in range(depth)) + "(NN x)" + ")" * depth
     tree = parse_ptb(text)
     assert tree.tokens == ("x",)
-    assert serialize_tree(parse_ptb(serialize_tree(tree))) == serialize_tree(tree)
+    printed = to_bracketed(tree.root)
+    assert to_bracketed(parse_ptb(printed).root) == printed
     chain = "".join("(VP " for _ in range(depth)) + "(VB x)" + ")" * depth
     groups = extract_phrases(parse_ptb(chain))
     assert [p.span for p in groups.vp] == [(0, 1)]
@@ -185,3 +180,50 @@ def test_read_treebank_reports_line_number(tmp_path):
     path.write_text("(NN dog)\n(S\n", encoding="utf-8")
     with pytest.raises(UnbalancedBrackets, match="line 2"):
         list(read_treebank(path))
+
+
+# pieces of the parity fuzz: brackets, labels that normalize, wrappers
+# and a trace label, joined with and without spaces
+FUZZ_PIECES = ("(", ")", "NP", "VP", "a", "b", "(ROOT", "(TOP", "-NONE-", "NP-SBJ")
+
+
+def _outcome(parse, text):
+    """("error", class, message), or ("tree", tokens, pre-order spans, root)."""
+    try:
+        tree = parse(text)
+    except TreebankError as exc:
+        return ("error", type(exc), str(exc))
+    return ("tree", tree.tokens, list(tree.spans), tree.root)
+
+
+def _oracle_outcome(text):
+    try:
+        root, tokens = parse_ptb_oracle(text)
+    except TreebankError as exc:
+        return ("error", type(exc), str(exc))
+    spans = [(n.label, n.start, n.end) for n in iter_nodes(root)]
+    return ("tree", tokens, spans, root)
+
+
+@given(
+    st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).flatmap(
+        lambda pieces: st.sampled_from((" ".join(pieces), "".join(pieces)))
+    )
+    | st.text(alphabet="() NPVab-=\t", max_size=40)
+    | st.text(max_size=30)
+)
+def test_parse_matches_node_building_oracle(text):
+    assert _outcome(parse_ptb, text) == _oracle_outcome(text)
+
+
+def test_parse_matches_oracle_on_seeded_fuzz():
+    rng = random.Random(17)
+    texts = []
+    for _ in range(300):
+        tree = random_tree_text(rng)
+        texts += [tree, f"(ROOT {tree})", f"(TOP {tree} {tree})"]
+    for _ in range(100_000):
+        pieces = rng.choices(FUZZ_PIECES, k=rng.randint(0, 16))
+        texts.append((" " if rng.random() < 0.5 else "").join(pieces))
+    mismatches = [t for t in texts if _outcome(parse_ptb, t) != _oracle_outcome(t)]
+    assert mismatches == []
