@@ -30,6 +30,7 @@ import random
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -39,22 +40,20 @@ from .corpus import (
     DatasetStats,
     RatioSumInvalid,
     SPLIT_NAMES,
-    SentenceRecord,
     assign_splits,
-    detokenize,
     format_stats_table,
     iter_documents,
-    iter_sentence_records,
+    iter_sentence_texts,
     load_guard_list,
     make_sentence_id,
     split_sentences,
+    tokenize,
 )
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
     PoolView,
     Skip,
-    build_completion_pairs,
     build_npp_instance,
     build_nsp_instance,
     record_rng,
@@ -189,8 +188,15 @@ def input_digests(path, mode: str) -> dict[str, str]:
     return {str(root): file_sha256(root)}
 
 
-# one encoder for every JSON-lines record; same bytes as json.dumps(..., ensure_ascii=False)
-_json_line = json.JSONEncoder(ensure_ascii=False).encode
+# Every JSON-lines record is built with _quote, the string quoting of
+# json.dumps(..., ensure_ascii=False): it escapes character by character,
+# writes non-ASCII as it is and never touches a space.
+def _record_line(sentence_id: str, prompt: str, target: str) -> str:
+    """One NPP or NSP record, the bytes of json.dumps of its dict plus a newline."""
+    return (
+        f'{{"id": {_quote(sentence_id)}, "input": {_quote(prompt)}, '
+        f'"target": {_quote(target)}}}\n'
+    )
 
 
 def _json_text(payload: dict) -> str:
@@ -310,7 +316,7 @@ def _write_records(
         if kind == "skip":
             counts["skips"][payload] = counts["skips"].get(payload, 0) + 1
         else:
-            sink.write(payload + "\n")
+            sink.write(payload)
             counts["instances_written"] += 1
 
 
@@ -323,9 +329,7 @@ def _npp_record(
     built = build_npp_instance(tree, groups, rng, sentence_id, min_size)
     if isinstance(built, Skip):
         return "skip", built.reason.value
-    prompt, target = serialize_npp(built)
-    record = {"id": sentence_id, "input": prompt, "target": target}
-    return "ok", _json_line(record)
+    return "ok", _record_line(sentence_id, *serialize_npp(built))
 
 
 def cmd_build_npp(args: argparse.Namespace) -> int:
@@ -352,26 +356,31 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     return _finish_build(out_dir, "build-npp", config, digests, counts, counts, summary)
 
 
-def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> list[str]:
-    return [
-        _json_line(
-            {
-                "id": f"{pair.sentence_id}#{pair.split_point}",
-                "p": detokenize(pair.p),
-                "q": detokenize(pair.q),
-            }
-        )
-        for pair in build_completion_pairs(tokens, sentence_id)
+def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
+    """How many completion pairs a sentence has, and all of them as JSON lines.
+
+    Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
+    "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
+    newline: each token is quoted once, and since quoting never touches a
+    space, joining quoted tokens quotes the joined text.
+    """
+    body = [_quote(token)[1:-1] for token in tokens]
+    head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
+    lines = [
+        f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
+        for k in range(1, len(body))
     ]
+    return len(lines), "".join(lines)
 
 
-def _tree_pairs(item: tuple[int, str], name: str) -> list[str]:
+def _tree_pairs(item: tuple[int, str], name: str) -> tuple[int, str]:
     sentence_id, tree = _parse_tree_line(item, name)
-    return _pair_lines(sentence_id, tree.tokens)
+    return _pair_block(sentence_id, tree.tokens)
 
 
-def _text_pairs(record: SentenceRecord) -> list[str]:
-    return _pair_lines(record.sentence_id, record.tokens)
+def _text_pairs(item: tuple[str, str]) -> tuple[int, str]:
+    sentence_id, text = item
+    return _pair_block(sentence_id, tokenize(text))
 
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
@@ -384,9 +393,10 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         items = _iter_tree_lines(args.input)
         worker = functools.partial(_tree_pairs, name=name)
     else:
-        # each document is split once; its sentences are held for the build pass
+        # each document is split once; the sentence texts are held for the
+        # build pass and tokenized by the worker
         items = list(
-            iter_sentence_records(args.input, config.input_mode, name, _guards(config))
+            iter_sentence_texts(args.input, config.input_mode, name, _guards(config))
         )
         total = len(items)
         worker = _text_pairs
@@ -396,12 +406,11 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     with _output_files(out_dir, [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]) as files:
         sinks = dict(zip(SPLIT_NAMES, files))
-        for index, lines in enumerate(_map_records(worker, items, config.workers)):
+        for index, (pairs, block) in enumerate(_map_records(worker, items, config.workers)):
             split = SPLIT_NAMES[assignment[index]]
             sentence_counts[split] += 1
-            for line in lines:
-                sinks[split].write(line + "\n")
-            pair_counts[split] += len(lines)
+            sinks[split].write(block)
+            pair_counts[split] += pairs
 
     row = DatasetStats(sentence_counts)
     print(format_stats_table([(name, row)]))
@@ -440,9 +449,7 @@ def _nsp_records(
         if isinstance(built, Skip):
             records.append(("skip", built.reason.value))
             continue
-        prompt, target = serialize_nsp(built)
-        record = {"id": sentence_id, "input": prompt, "target": target}
-        records.append(("ok", _json_line(record)))
+        records.append(("ok", _record_line(sentence_id, *serialize_nsp(built))))
     return records
 
 
@@ -511,7 +518,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if config.input_mode == "treebank":
             records = read_treebank(path)
         else:
-            records = iter_sentence_records(path, config.input_mode, name, guards)
+            records = iter_sentence_texts(path, config.input_mode, name, guards)
         total = sum(1 for _ in records)
         assignment = assign_splits(total, config.ratios, config.seed)
         counts = {split: assignment.count(i) for i, split in enumerate(SPLIT_NAMES)}

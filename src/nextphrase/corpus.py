@@ -103,13 +103,6 @@ def detokenize(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
-    sentence_id: str
-    text: str
-    tokens: tuple[str, ...]
-
-
 def make_sentence_id(corpus: str, doc_index: int, sent_index: int) -> str:
     return f"{corpus}:{doc_index:06d}:{sent_index:04d}"
 
@@ -134,20 +127,17 @@ def iter_documents(path, mode: str) -> Iterator[tuple[int, str]]:
         raise ValueError(f"unknown input mode: {mode!r}")
 
 
-def iter_sentence_records(
+def iter_sentence_texts(
     path,
     mode: str,
     corpus_name: str | None = None,
     guards: Sequence[str] = DEFAULT_GUARDS,
-) -> Iterator[SentenceRecord]:
+) -> Iterator[tuple[str, str]]:
+    """(sentence id, text) of every sentence; each document is split once."""
     name = corpus_name if corpus_name is not None else Path(path).stem
     for doc_index, document in iter_documents(path, mode):
         for sent_index, sentence in enumerate(split_sentences(document, guards)):
-            yield SentenceRecord(
-                sentence_id=make_sentence_id(name, doc_index, sent_index),
-                text=sentence,
-                tokens=tuple(tokenize(sentence)),
-            )
+            yield make_sentence_id(name, doc_index, sent_index), sentence
 
 
 def _check_ratios(ratios: Sequence[float]) -> None:

@@ -11,14 +11,14 @@ VP nodes sit above one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .treebank import ConstituencyTree, Span
 
 PHRASE_TYPES = ("NP", "VP", "PP")
 
 
-@dataclass(frozen=True)
-class PhraseSpan:
+class PhraseSpan(NamedTuple):
     phrase_type: str
     start: int
     end: int

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
-from nextphrase.cli import _npp_record, _tree_pairs, main
-from nextphrase.instances import SkipReason, parse_prompt
+from nextphrase.cli import _npp_record, _pair_block, _record_line, _tree_pairs, main
+from nextphrase.corpus import detokenize, iter_sentence_texts, tokenize
+from nextphrase.instances import SkipReason, build_completion_pairs, parse_prompt
 
 from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
 
@@ -30,6 +31,14 @@ GENERATED_TREES = st.one_of(
 )
 
 SKIP_REASONS = {reason.value for reason in SkipReason}
+
+# characters that JSON escapes or that ensure_ascii=False writes as they
+# are: quote, backslash, control characters, a line separator, a
+# non-ASCII letter and a character outside the BMP
+ESCAPE_HEAVY = 'ab"\\\x00\x07\x1b\u2028\u00e9\U0001f600'
+ESCAPE_TEXT = st.text(ESCAPE_HEAVY)
+# sentence ids that need quoting themselves
+QUOTED_IDS = ESCAPE_TEXT.map(lambda text: 'q"' + text)
 
 
 def _write_trees(tmp_path, name="trees.txt"):
@@ -333,6 +342,58 @@ def test_build_pairs_counts_and_split(tmp_path, capsys):
     assert "#" in sample["id"]
 
 
+@given(QUOTED_IDS, st.lists(ESCAPE_TEXT, max_size=8))
+def test_pair_block_matches_json_dumps_of_each_pair(sentence_id, tokens):
+    pairs = build_completion_pairs(tokens, sentence_id)
+    expected = "".join(
+        json.dumps(
+            {
+                "id": f"{pair.sentence_id}#{pair.split_point}",
+                "p": detokenize(pair.p),
+                "q": detokenize(pair.q),
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for pair in pairs
+    )
+    assert _pair_block(sentence_id, tokens) == (len(pairs), expected)
+
+
+@given(QUOTED_IDS, ESCAPE_TEXT, ESCAPE_TEXT)
+def test_record_line_matches_json_dumps(sentence_id, prompt, target):
+    record = {"id": sentence_id, "input": prompt, "target": target}
+    assert _record_line(sentence_id, prompt, target) == json.dumps(
+        record, ensure_ascii=False
+    ) + "\n"
+
+
+def test_build_pairs_escape_heavy_tokens_round_trip(tmp_path):
+    docs = tmp_path / "docs.txt"
+    docs.write_text(
+        'She said "hi\\there" \x00\x07 caf\u00e9 \U0001f600 \x1b[0m today.\n'
+        'A \\" b\u00e9\\ "\x1b" \U0001f600\U0001f600 end\n',
+        encoding="utf-8",
+    )
+    name = 'q"b\\'
+    out = tmp_path / "out"
+    assert main(["build-pairs", str(docs), "--out", str(out), "--name", name]) == 0
+    tokens = {i: tokenize(text) for i, text in iter_sentence_texts(docs, "lines", name)}
+    seen = 0
+    for split in ("train", "dev", "test"):
+        # split on newlines only: str.splitlines would also cut at U+2028
+        for line in (out / f"pairs_{split}.jsonl").read_bytes().split(b"\n")[:-1]:
+            text = line.decode("utf-8")
+            record = json.loads(text)
+            assert text == json.dumps(record, ensure_ascii=False)
+            sentence_id, _, cut = record["id"].rpartition("#")
+            expected = tokens[sentence_id]
+            assert record["p"].split(" ") == expected[: int(cut)]
+            assert record["q"].split(" ") == expected[int(cut):]
+            seen += 1
+    assert seen == sum(len(t) - 1 for t in tokens.values()) > 0
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_build_pairs_splits_each_document_once(tmp_path, monkeypatch, workers):
     docs = _write_docs(tmp_path)
@@ -354,12 +415,7 @@ def test_build_pairs_reconstruction(tmp_path):
     docs = _write_docs(tmp_path)
     out = tmp_path / "out"
     assert main(["build-pairs", str(docs), "--out", str(out)]) == 0
-    from nextphrase.corpus import iter_sentence_records, tokenize
-
-    texts = {
-        r.sentence_id: list(r.tokens)
-        for r in iter_sentence_records(docs, "lines")
-    }
+    texts = {i: tokenize(text) for i, text in iter_sentence_texts(docs, "lines")}
     seen = 0
     for split in ("train", "dev", "test"):
         for record in _records(out / f"pairs_{split}.jsonl"):

@@ -11,7 +11,7 @@ from nextphrase.corpus import (
     detokenize,
     format_stats_table,
     iter_documents,
-    iter_sentence_records,
+    iter_sentence_texts,
     load_guard_list,
     partition,
     split_sentences,
@@ -197,17 +197,15 @@ def test_iter_documents_lines(tmp_path):
         list(iter_documents(path, "paragraphs"))
 
 
-def test_iter_sentence_records(tmp_path):
+def test_iter_sentence_texts(tmp_path):
     path = tmp_path / "docs.txt"
     path.write_text("It rains. We hide.\nDogs bark.\n", encoding="utf-8")
-    records = list(iter_sentence_records(path, "lines"))
-    assert [r.sentence_id for r in records] == [
-        "docs:000000:0000",
-        "docs:000000:0001",
-        "docs:000001:0000",
+    assert list(iter_sentence_texts(path, "lines")) == [
+        ("docs:000000:0000", "It rains."),
+        ("docs:000000:0001", "We hide."),
+        ("docs:000001:0000", "Dogs bark."),
     ]
-    assert records[0].tokens == ("It", "rains", ".")
-    assert records[2].text == "Dogs bark."
+    assert list(iter_sentence_texts(path, "lines", "web"))[2][0] == "web:000001:0000"
 
 
 def test_pair_recount_matches_token_lengths(tmp_path):
@@ -215,6 +213,6 @@ def test_pair_recount_matches_token_lengths(tmp_path):
 
     path = tmp_path / "docs.txt"
     path.write_text("It rains hard. We hide.\nDogs bark.\n", encoding="utf-8")
-    records = list(iter_sentence_records(path, "lines"))
-    total = sum(len(build_completion_pairs(r.tokens, r.sentence_id)) for r in records)
-    assert total == sum(len(r.tokens) - 1 for r in records)
+    records = [(i, tokenize(text)) for i, text in iter_sentence_texts(path, "lines")]
+    total = sum(len(build_completion_pairs(tokens, i)) for i, tokens in records)
+    assert total == sum(len(tokens) - 1 for _, tokens in records)

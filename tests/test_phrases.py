@@ -32,6 +32,15 @@ def test_np_chain_keeps_only_innermost():
     assert [(p.start, p.end) for p in groups.np] == [(0, 1)]
 
 
+def test_phrase_span_is_immutable():
+    span = extract_phrases(parse_ptb(EAT_PIE)).vp[0]
+    with pytest.raises(AttributeError):
+        span.start = 0
+    with pytest.raises(AttributeError):
+        span.text = "changed"
+    assert span.span == (3, 5)
+
+
 def test_different_types_may_overlap():
     groups = extract_phrases(parse_ptb(SHOP))
     pp = groups.pp[0]
