@@ -127,13 +127,16 @@ _CASTS = {"ratios": _parse_ratios, "input_mode": str, "guard_list": str}
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """CLI flag beats config file beats the PipelineConfig default."""
+    """CLI flag beats config file beats the PipelineConfig default.
+
+    A file key is known only when the subcommand has the matching flag.
+    """
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         file_cfg = load_config_file(args.config)
     known = PipelineConfig.__dataclass_fields__
     for key in file_cfg:
-        if key not in known:
+        if key not in known or not hasattr(args, key):
             raise UsageError(f"unknown config key: {key!r}")
     values = {}
     for key in known:
@@ -228,18 +231,21 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
 
 def _finish_build(
     out_dir: Path,
-    command: str,
+    args: argparse.Namespace,
     config: PipelineConfig,
     digests: dict[str, str],
     counts: dict,
     stats: dict,
     summary: str,
 ) -> int:
-    """Write stats.json and manifest.json, then log the summary line."""
+    """Write stats.json and manifest.json, then log the summary line.
+
+    The manifest's config lists the keys the subcommand has flags for.
+    """
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "config": asdict(config),
+        "config": {key: value for key, value in asdict(config).items() if hasattr(args, key)},
         "inputs": digests,
         "counts": counts,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -247,7 +253,7 @@ def _finish_build(
     with _output_files(out_dir, ["stats.json", "manifest.json"]) as sinks:
         for sink, payload in zip(sinks, (stats, manifest)):
             sink.write(_json_text(payload))
-    log.info("%s: %s", command, summary)
+    log.info("%s: %s", args.command, summary)
     return EXIT_OK
 
 
@@ -353,7 +359,7 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
         f"instances ({sum(counts['skips'].values())} skipped)"
     )
     digests = input_digests(args.input, "file")
-    return _finish_build(out_dir, "build-npp", config, digests, counts, counts, summary)
+    return _finish_build(out_dir, args, config, digests, counts, counts, summary)
 
 
 def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
@@ -423,7 +429,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     stats = {"dataset": name, **counts, "total_sentences": row.total}
     summary = f"{total} sentences -> {counts['pairs_written']} pairs"
     digests = input_digests(args.input, config.input_mode)
-    return _finish_build(out_dir, "build-pairs", config, digests, counts, stats, summary)
+    return _finish_build(out_dir, args, config, digests, counts, stats, summary)
 
 
 # the reservoir pool's texts, installed once per process that builds NSP records
@@ -493,7 +499,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         f"instances ({sum(counts['skips'].values())} skipped)"
     )
     digests = input_digests(args.input, config.input_mode)
-    return _finish_build(out_dir, "build-nsp", config, digests, counts, counts, summary)
+    return _finish_build(out_dir, args, config, digests, counts, counts, summary)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -148,42 +148,25 @@ def _check_ratios(ratios: Sequence[float]) -> None:
         raise RatioSumInvalid(f"ratios sum to {sum(ratios)!r}, expected 1")
 
 
-def _split_positions(n: int, ratios: Sequence[float], seed: int) -> list[list[int]]:
-    """Positions 0..n-1 shuffled with the seed, cut into one contiguous
-    slice per ratio."""
-    _check_ratios(ratios)
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    # floor each share, leftover rows go to train
-    sizes = [int(n * r) for r in ratios]
-    sizes[0] += n - sum(sizes)
-    slices = []
-    at = 0
-    for size in sizes:
-        slices.append(order[at:at + size])
-        at += size
-    return slices
-
-
 def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
     """Split index (0=train, 1=dev, 2=test) per record position.
 
-    Matches partition(): shuffle positions with the seed, then cut the
-    shuffled order into contiguous train/dev/test slices.
+    Positions 0..n-1 are shuffled with the seed, and the shuffled order
+    is cut into one contiguous slice per ratio.  Each slice gets the
+    floor of its share; the leftover rows go to train.
     """
+    _check_ratios(ratios)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    sizes = [int(n * r) for r in ratios]
+    sizes[0] += n - sum(sizes)
     assignment = [0] * n
-    for split_index, positions in enumerate(_split_positions(n, ratios, seed)):
-        for position in positions:
+    at = 0
+    for split_index, size in enumerate(sizes):
+        for position in order[at:at + size]:
             assignment[position] = split_index
+        at += size
     return assignment
-
-
-def partition(
-    records: Sequence, ratios: Sequence[float], seed: int
-) -> tuple[list, list, list]:
-    """Deterministic shuffle then contiguous train/dev/test slices."""
-    slices = _split_positions(len(records), ratios, seed)
-    return tuple([records[i] for i in positions] for positions in slices)
 
 
 @dataclass(frozen=True)
@@ -193,10 +176,6 @@ class DatasetStats:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def compute_stats(splits: Mapping[str, Sequence]) -> DatasetStats:
-    return DatasetStats({name: len(records) for name, records in splits.items()})
 
 
 def format_stats_table(

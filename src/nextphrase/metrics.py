@@ -7,11 +7,13 @@ the exact-match variant (no stemming, no synonyms): F-mean
 10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3.  CIDEr is
 the plain tf-idf cosine form with idf log(|S|/(1+df)) taken from the
 reference corpus, averaged over n-gram orders 1..4 and scaled by 10.
-SPICE is not implemented.
+Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU
+and CIDEr both read those counts.  SPICE is not implemented.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter, defaultdict
@@ -38,6 +40,18 @@ class EvalSegment:
     candidate: tuple[str, ...]
     references: tuple[tuple[str, ...], ...]
 
+    @functools.cached_property
+    def ngrams(self) -> tuple[tuple[Counter, tuple[Counter, ...]], ...]:
+        """Per order 1..MAX_ORDER: the candidate's n-gram counts and one
+        Counter per reference, counted once for BLEU and CIDEr alike."""
+        return tuple(
+            (
+                _ngram_counts(self.candidate, n),
+                tuple(_ngram_counts(reference, n) for reference in self.references),
+            )
+            for n in range(1, MAX_ORDER + 1)
+        )
+
 
 def normalize(text: str) -> tuple[str, ...]:
     return tuple(tokenize(text.lower()))
@@ -61,21 +75,17 @@ class BleuResult:
     reference_length: int
 
 
-def _clipped_matches(
-    candidate: Sequence[str], references: Sequence[Sequence[str]], n: int
-) -> tuple[int, int]:
-    """(clipped matches, total) of the candidate's n-grams: each n-gram
-    counts at most as often as it occurs in any single reference."""
-    counts = _ngram_counts(candidate, n)
-    if not counts:
-        return 0, 0
-    ceiling: Counter = Counter()
-    for reference in references:
-        for gram, count in _ngram_counts(reference, n).items():
-            if count > ceiling[gram]:
-                ceiling[gram] = count
-    match = sum(min(count, ceiling[gram]) for gram, count in counts.items())
-    return match, sum(counts.values())
+def _clipped_matches(segment: EvalSegment) -> list[tuple[int, int]]:
+    """(clipped matches, total) of the candidate's n-grams, per order: each
+    n-gram counts at most as often as it occurs in any single reference."""
+    pairs = []
+    for candidate, references in segment.ngrams:
+        match = sum(
+            min(count, max(reference.get(gram, 0) for reference in references))
+            for gram, count in candidate.items()
+        )
+        pairs.append((match, sum(candidate.values())))
+    return pairs
 
 
 def _closest_reference_length(candidate_length: int, references) -> int:
@@ -85,25 +95,11 @@ def _closest_reference_length(candidate_length: int, references) -> int:
     )
 
 
-def corpus_bleu(segments: Sequence[EvalSegment], max_order: int = MAX_ORDER) -> BleuResult:
-    """Pooled modified n-gram precision BLEU, no smoothing."""
-    matches = [0] * max_order
-    totals = [0] * max_order
-    candidate_length = 0
-    reference_length = 0
-    for segment in segments:
-        candidate = segment.candidate
-        candidate_length += len(candidate)
-        reference_length += _closest_reference_length(
-            len(candidate), segment.references
-        )
-        for n in range(1, max_order + 1):
-            match, total = _clipped_matches(candidate, segment.references, n)
-            matches[n - 1] += match
-            totals[n - 1] += total
-    precisions = tuple(
-        m / t if t else 0.0 for m, t in zip(matches, totals)
-    )
+def _bleu(
+    precisions: Sequence[float], candidate_length: int, reference_length: int
+) -> BleuResult:
+    """Brevity penalty times the geometric mean of the precisions, x100."""
+    precisions = tuple(precisions)
     if candidate_length == 0:
         return BleuResult(0.0, precisions, 0.0, 0, reference_length)
     if candidate_length >= reference_length:
@@ -112,7 +108,7 @@ def corpus_bleu(segments: Sequence[EvalSegment], max_order: int = MAX_ORDER) -> 
         brevity_penalty = math.exp(1.0 - reference_length / candidate_length)
     if min(precisions) > 0.0:
         geometric = math.exp(
-            math.fsum(math.log(p) for p in precisions) / max_order
+            math.fsum(math.log(p) for p in precisions) / MAX_ORDER
         )
     else:
         geometric = 0.0
@@ -125,36 +121,35 @@ def corpus_bleu(segments: Sequence[EvalSegment], max_order: int = MAX_ORDER) -> 
     )
 
 
+def corpus_bleu(segments: Sequence[EvalSegment]) -> BleuResult:
+    """Pooled modified n-gram precision BLEU, no smoothing."""
+    matches = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
+    candidate_length = 0
+    reference_length = 0
+    for segment in segments:
+        length = len(segment.candidate)
+        candidate_length += length
+        reference_length += _closest_reference_length(length, segment.references)
+        for n, (match, total) in enumerate(_clipped_matches(segment)):
+            matches[n] += match
+            totals[n] += total
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+    return _bleu(precisions, candidate_length, reference_length)
+
+
 def bleu4(segments: Sequence[EvalSegment]) -> float:
     return corpus_bleu(segments).score
 
 
-def sentence_bleu(
-    candidate: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_order: int = MAX_ORDER,
-) -> float:
+def sentence_bleu(segment: EvalSegment) -> float:
     """Per-segment detail score, add-one smoothed for orders >= 2."""
-    if not candidate:
-        return 0.0
-    smoothed = []
-    for n in range(1, max_order + 1):
-        match, total = _clipped_matches(candidate, references, n)
-        if n == 1:
-            smoothed.append(match / total if total else 0.0)
-        else:
-            smoothed.append((match + 1.0) / (total + 1.0))
-    if smoothed[0] == 0.0:
-        return 0.0
-    reference_length = _closest_reference_length(len(candidate), references)
-    if len(candidate) >= reference_length:
-        brevity_penalty = 1.0
-    else:
-        brevity_penalty = math.exp(1.0 - reference_length / len(candidate))
-    geometric = math.exp(
-        math.fsum(math.log(p) for p in smoothed) / max_order
-    )
-    return 100.0 * brevity_penalty * geometric
+    (match, total), *higher = _clipped_matches(segment)
+    precisions = [match / total if total else 0.0]
+    precisions += [(m + 1.0) / (t + 1.0) for m, t in higher]
+    length = len(segment.candidate)
+    reference_length = _closest_reference_length(length, segment.references)
+    return _bleu(precisions, length, reference_length).score
 
 
 # -------------------------------------------------------------- METEOR
@@ -300,31 +295,23 @@ def meteor(segments: Sequence[EvalSegment]) -> float:
 # --------------------------------------------------------------- CIDEr
 
 
-def cider_scores(
-    segments: Sequence[EvalSegment], max_order: int = MAX_ORDER
-) -> tuple[float, list[float]]:
+def cider_scores(segments: Sequence[EvalSegment]) -> tuple[float, list[float]]:
     """(corpus score, per-segment scores)."""
     if len(segments) < 2:
         raise SingleSegmentCorpus(
             f"got {len(segments)} segment(s); idf needs a corpus of at least 2"
         )
     corpus_size = len(segments)
-    document_frequency: list[Counter] = [Counter() for _ in range(max_order)]
+    # per order: in how many segments' references each n-gram occurs
+    document_frequency: list[Counter] = [Counter() for _ in range(MAX_ORDER)]
     for segment in segments:
-        for n in range(1, max_order + 1):
-            seen: set = set()
-            for reference in segment.references:
-                seen.update(_ngram_counts(reference, n))
-            for gram in seen:
-                document_frequency[n - 1][gram] += 1
+        for frequency, (_, references) in zip(document_frequency, segment.ngrams):
+            frequency.update(set().union(*references))
 
-    def idf(gram, n: int) -> float:
-        return math.log(corpus_size / (1.0 + document_frequency[n - 1][gram]))
-
-    def vector(tokens, n: int) -> dict:
+    def vector(counts: Counter, frequency: Counter) -> dict:
         return {
-            gram: count * idf(gram, n)
-            for gram, count in _ngram_counts(tokens, n).items()
+            gram: count * math.log(corpus_size / (1.0 + frequency[gram]))
+            for gram, count in counts.items()
         }
 
     def cosine(a: dict, b: dict) -> float:
@@ -338,14 +325,11 @@ def cider_scores(
     per_segment: list[float] = []
     for segment in segments:
         order_scores = []
-        for n in range(1, max_order + 1):
-            cand_vec = vector(segment.candidate, n)
-            sims = [
-                cosine(cand_vec, vector(reference, n))
-                for reference in segment.references
-            ]
+        for frequency, (candidate, references) in zip(document_frequency, segment.ngrams):
+            cand_vec = vector(candidate, frequency)
+            sims = [cosine(cand_vec, vector(reference, frequency)) for reference in references]
             order_scores.append(math.fsum(sims) / len(sims))
-        per_segment.append(10.0 * math.fsum(order_scores) / max_order)
+        per_segment.append(10.0 * math.fsum(order_scores) / MAX_ORDER)
     corpus = math.fsum(per_segment) / len(per_segment)
     return corpus, per_segment
 
@@ -381,7 +365,7 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     detail = tuple(
         SegmentScores(
             index=i,
-            bleu4=sentence_bleu(s.candidate, s.references),
+            bleu4=sentence_bleu(s),
             meteor=meteor_stats[i].score,
             cider=cider_per_segment[i],
         )
@@ -404,12 +388,17 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     )
 
 
+def _read_lines(path) -> list[str]:
+    """Lines split at newlines only; text mode maps \\r\\n and \\r to \\n.
+    str.splitlines would also cut at U+2028, U+0085 and the like."""
+    with open(path, encoding="utf-8") as handle:
+        return [line.removesuffix("\n") for line in handle]
+
+
 def load_segments(candidates_path, references_path) -> list[EvalSegment]:
     """Read aligned plain-text files; tab separates multiple references."""
-    with open(candidates_path, encoding="utf-8") as handle:
-        candidates = handle.read().splitlines()
-    with open(references_path, encoding="utf-8") as handle:
-        references = handle.read().splitlines()
+    candidates = _read_lines(candidates_path)
+    references = _read_lines(references_path)
     if len(candidates) != len(references):
         raise CountMismatch(
             f"{len(candidates)} candidates vs {len(references)} references"

@@ -58,10 +58,9 @@ def _write_docs(tmp_path, name="docs.txt"):
 
 
 def _records(path):
-    return [
-        json.loads(line)
-        for line in path.read_text(encoding="utf-8").splitlines()
-    ]
+    # split on newlines only: str.splitlines would also cut at U+2028
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line.removesuffix("\n")) for line in handle]
 
 
 def _manifest(out_dir):
@@ -293,12 +292,21 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     trees = _write_trees(tmp_path)
     config = tmp_path / "run.cfg"
-    for line in ("sede=5", "template=lettered"):
+    out = tmp_path / "out"
+    build_npp = ["build-npp", str(trees), "--out", str(out)]
+    # a key is known only to a subcommand with the matching flag
+    for command, line in (
+        (build_npp, "sede=5"),
+        (build_npp, "template=lettered"),
+        (build_npp, "distractors=30"),
+        (build_npp, "ratios=0.5,0.5,0.5"),
+        (["stats", str(trees)], "workers=0"),
+    ):
         config.write_text(line + "\n", encoding="utf-8")
-        assert main(
-            ["build-npp", str(trees), "--out", str(tmp_path / "out"), "--config", str(config)]
-        ) == 1
-        assert line.partition("=")[0] in capsys.readouterr().err
+        assert main([*command, "--config", str(config)]) == 1, line
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown config key: {line.partition('=')[0]!r}"], line
+    assert not out.exists()
 
 
 def test_unknown_input_mode_in_config_exits_1(tmp_path, capsys):
@@ -502,6 +510,23 @@ def test_build_nsp_deterministic(tmp_path):
     assert (a / "instances.jsonl").read_bytes() == (b / "instances.jsonl").read_bytes()
 
 
+def test_build_nsp_line_separator_stays_inside_its_record(tmp_path):
+    # JSON leaves U+2028 unescaped; only "\\n" ends a record
+    docs = tmp_path / "docs.txt"
+    docs.write_text(
+        "The sky is blue. It rains\u2028often. We stay inside.\n"
+        "Dogs bark loudly. Cats nap all day. Birds sing at dawn.\n"
+        "Trains run late. Buses run early. Bikes are quick.\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["build-nsp", str(docs), "--out", str(out), "--distractors", "2"]) == 0
+    text = (out / "instances.jsonl").read_text(encoding="utf-8")
+    records = _records(out / "instances.jsonl")
+    assert len(records) == text.count("\n") == _manifest(out)["counts"]["instances_written"]
+    assert any("\u2028" in record["input"] + record["target"] for record in records)
+
+
 def test_build_nsp_workers_2_writes_the_same_bytes(tmp_path):
     # enough documents for several Pool chunks; a pool cap below the
     # sentence count leaves some documents with no sentence in the pool,
@@ -583,6 +608,18 @@ def test_evaluate_count_mismatch_exits_3(tmp_path):
         ["evaluate", "--candidates", str(cand), "--references", str(ref),
          "--report", str(tmp_path / "rep.txt")]
     ) == 3
+
+
+def test_evaluate_splits_inputs_at_newlines_only(tmp_path, capsys):
+    cand = tmp_path / "c.txt"
+    ref = tmp_path / "r.txt"
+    cand.write_text("the cat\u2028sat down\nthe dog ran\n", encoding="utf-8")
+    ref.write_text("the cat sat down\nthe dog ran\n", encoding="utf-8")
+    assert main(
+        ["evaluate", "--candidates", str(cand), "--references", str(ref),
+         "--report", str(tmp_path / "rep.txt")]
+    ) == 0
+    assert "segments: 2" in capsys.readouterr().out
 
 
 def test_evaluate_missing_file_exits_2(tmp_path):

@@ -7,13 +7,11 @@ from nextphrase.corpus import (
     DatasetStats,
     RatioSumInvalid,
     assign_splits,
-    compute_stats,
     detokenize,
     format_stats_table,
     iter_documents,
     iter_sentence_texts,
     load_guard_list,
-    partition,
     split_sentences,
     tokenize,
 )
@@ -108,59 +106,47 @@ def test_tokenize_detokenize_round_trip(tokens):
     assert tokenize(detokenize(tokens)) == tokens
 
 
+def _sizes(assignment):
+    return tuple(assignment.count(split) for split in range(3))
+
+
 def test_partition_sizes_floor_remainder_to_train():
-    records = list(range(10))
-    train, dev, test = partition(records, (0.8, 0.1, 0.1), seed=0)
-    assert (len(train), len(dev), len(test)) == (8, 1, 1)
-    assert sorted(train + dev + test) == records
+    assignment = assign_splits(10, (0.8, 0.1, 0.1), seed=0)
+    assert _sizes(assignment) == (8, 1, 1)
+    assert len(assignment) == 10
 
 
 def test_partition_remainder_goes_to_train():
-    train, dev, test = partition(list(range(6)), (0.8, 0.1, 0.1), seed=3)
-    assert (len(train), len(dev), len(test)) == (6, 0, 0)
+    assert _sizes(assign_splits(6, (0.8, 0.1, 0.1), seed=3)) == (6, 0, 0)
 
 
 def test_partition_deterministic():
-    records = list(range(50))
-    first = partition(records, (0.8, 0.1, 0.1), seed=9)
-    second = partition(records, (0.8, 0.1, 0.1), seed=9)
+    first = assign_splits(50, (0.8, 0.1, 0.1), seed=9)
+    second = assign_splits(50, (0.8, 0.1, 0.1), seed=9)
     assert first == second
-    other = partition(records, (0.8, 0.1, 0.1), seed=10)
+    other = assign_splits(50, (0.8, 0.1, 0.1), seed=10)
     assert first != other
 
 
 def test_partition_close_to_exact_products():
     n = 1000
-    train, dev, test = partition(list(range(n)), (0.8, 0.1, 0.1), seed=1)
-    for size, ratio in zip((len(train), len(dev), len(test)), (0.8, 0.1, 0.1)):
+    sizes = _sizes(assign_splits(n, (0.8, 0.1, 0.1), seed=1))
+    for size, ratio in zip(sizes, (0.8, 0.1, 0.1)):
         assert abs(size - n * ratio) < 1
 
 
 def test_partition_rejects_bad_ratios():
     with pytest.raises(RatioSumInvalid):
-        partition([1, 2, 3], (0.5, 0.2, 0.2), seed=0)
+        assign_splits(3, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError):
-        partition([1, 2, 3], (1.2, -0.1, -0.1), seed=0)
+        assign_splits(3, (1.2, -0.1, -0.1), seed=0)
     with pytest.raises(RatioSumInvalid):
-        partition([1, 2, 3], (float("nan"), 0.5, 0.5), seed=0)
-    partition([1, 2, 3], (0.8, 0.1, 0.1 + 1e-12), seed=0)
+        assign_splits(3, (float("nan"), 0.5, 0.5), seed=0)
+    assign_splits(3, (0.8, 0.1, 0.1 + 1e-12), seed=0)
 
 
-def test_assign_splits_agrees_with_partition():
-    records = list(range(37))
-    ratios = (0.6, 0.2, 0.2)
-    train, dev, test = partition(records, ratios, seed=4)
-    assignment = assign_splits(len(records), ratios, seed=4)
-    by_split = {0: set(), 1: set(), 2: set()}
-    for record, split in zip(records, assignment):
-        by_split[split].add(record)
-    assert by_split[0] == set(train)
-    assert by_split[1] == set(dev)
-    assert by_split[2] == set(test)
-
-
-def test_compute_stats_totals():
-    stats = compute_stats({"train": range(8), "dev": range(1), "test": range(1)})
+def test_dataset_stats_totals():
+    stats = DatasetStats({"train": 8, "dev": 1, "test": 1})
     assert stats.counts == {"train": 8, "dev": 1, "test": 1}
     assert stats.total == 10
 

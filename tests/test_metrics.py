@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import nextphrase.metrics
 from nextphrase.metrics import (
+    MAX_ORDER,
     CountMismatch,
     EvalSegment,
     SingleSegmentCorpus,
@@ -69,6 +71,7 @@ def test_bleu_zero_fourgram_overlap_scores_zero():
 def test_bleu_empty_candidate_is_zero_not_a_crash():
     empty = EvalSegment((), (("a", "b"),))
     assert bleu4([empty]) == 0.0
+    assert sentence_bleu(empty) == 0.0
     mixed = [empty] + IDENTITY
     assert 0.0 < bleu4(mixed) < 100.0
 
@@ -100,7 +103,7 @@ def test_bleu_pools_counts_instead_of_averaging():
         EvalSegment(("p", "q", "r", "s"), (("p", "q", "x", "s"),)),
     ]
     pooled = bleu4(segments)
-    averaged = sum(sentence_bleu(s.candidate, s.references) for s in segments) / 2
+    averaged = sum(sentence_bleu(s) for s in segments) / 2
     assert abs(pooled - bleu_oracle([(s.candidate, s.references) for s in segments])) < 1e-9
     assert abs(pooled - averaged) > 1.0
 
@@ -114,10 +117,10 @@ def test_bleu_matches_fraction_oracle_on_random_corpora():
 
 
 def test_sentence_bleu_identity_and_smoothing():
-    assert sentence_bleu(("a", "b", "c", "d"), [("a", "b", "c", "d")]) == 100.0
-    short = sentence_bleu(("a", "b"), [("a", "b")])
+    assert sentence_bleu(EvalSegment(("a", "b", "c", "d"), (("a", "b", "c", "d"),))) == 100.0
+    short = sentence_bleu(EvalSegment(("a", "b"), (("a", "b"),)))
     assert 0.0 < short <= 100.0
-    assert sentence_bleu(("z", "z"), [("a", "b")]) == 0.0
+    assert sentence_bleu(EvalSegment(("z", "z"), (("a", "b"),))) == 0.0
 
 
 # -------------------------------------------------------------- METEOR
@@ -356,3 +359,17 @@ def test_report_mentions_unimplemented_spice_and_variant():
     assert "exact-METEOR" in text
     assert len(report.segments) == len(IDENTITY)
     assert report.segments[0].bleu4 == 100.0
+
+
+def test_evaluate_counts_each_segment_once(monkeypatch):
+    # BLEU, the per-segment BLEU and CIDEr all read EvalSegment.ngrams
+    calls = []
+    count = nextphrase.metrics._ngram_counts
+    monkeypatch.setattr(
+        nextphrase.metrics,
+        "_ngram_counts",
+        lambda tokens, n: calls.append(n) or count(tokens, n),
+    )
+    segments = load_segments(DATA / "candidates.txt", DATA / "references.txt")
+    evaluate(segments)
+    assert len(calls) == sum(MAX_ORDER * (1 + len(s.references)) for s in segments)
