@@ -9,11 +9,13 @@
 
 Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
-histogram) into ``--out``.  Re-running with the same config and inputs
+histogram) into ``--out``, all renamed into place together at the end,
+the manifest last.  Re-running with the same config and inputs
 reproduces every output byte for byte; only the manifest timestamp
-moves.  A run that fails deletes the temporary files it opened in
-``--out``.  Exit codes: 0 ok, 1 usage or config error, 2 input I/O error,
-3 data contract violation (malformed tree, mismatched eval files).
+moves.  A run that fails leaves ``--out`` as it was and deletes the
+temporary files it opened there.  Exit codes: 0 ok, 1 usage or config
+error, 2 input I/O error, 3 data contract violation (malformed tree,
+mismatched eval files).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import __version__
 from .corpus import (
     DEFAULT_GUARDS,
-    DatasetStats,
     RatioSumInvalid,
     SPLIT_NAMES,
     assign_splits,
@@ -46,6 +47,7 @@ from .corpus import (
     iter_sentence_texts,
     load_guard_list,
     make_sentence_id,
+    split_counts,
     split_sentences,
     tokenize,
 )
@@ -184,13 +186,6 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def input_digests(path, mode: str) -> dict[str, str]:
-    root = Path(path)
-    if mode == "dir":
-        return {str(p): file_sha256(p) for p in sorted(root.glob("*.txt"))}
-    return {str(root): file_sha256(root)}
-
-
 # Every JSON-lines record is built with _quote, the string quoting of
 # json.dumps(..., ensure_ascii=False): it escapes character by character,
 # writes non-ASCII as it is and never touches a space.
@@ -211,50 +206,57 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
     """Open ``<name>.tmp`` in out_dir for each name, one sink per name.
 
     When the block completes the files move into place under their
-    names; when anything raises, every ``.tmp`` opened here is deleted.
+    names, in order; when anything raises, none moves and every ``.tmp``
+    opened here is deleted.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmps = [out_dir / (name + ".tmp") for name in names]
+    for name in names:
+        # a file cannot replace a directory: fail before any output moves
+        if (out_dir / name).is_dir():
+            raise IsADirectoryError(f"output is a directory: {out_dir / name}")
+    sinks: list[TextIO] = []
     try:
         with ExitStack() as stack:
-            yield [
-                stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n"))
-                for tmp in tmps
-            ]
-        for tmp, name in zip(tmps, names):
-            os.replace(tmp, out_dir / name)
+            for name in names:
+                tmp = out_dir / (name + ".tmp")
+                sinks.append(stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n")))
+            yield sinks
+        for sink, name in zip(sinks, names):
+            os.replace(sink.name, out_dir / name)
     except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        # sink.name is the path each .tmp was opened under
+        for sink in sinks:
+            Path(sink.name).unlink(missing_ok=True)
         raise
 
 
+# the last two outputs of every build; the manifest is renamed into place last
+_BUILD_META = ("stats.json", "manifest.json")
+
+
 def _finish_build(
-    out_dir: Path,
+    sinks: Sequence[TextIO],
     args: argparse.Namespace,
     config: PipelineConfig,
-    digests: dict[str, str],
     counts: dict,
     stats: dict,
-    summary: str,
-) -> int:
-    """Write stats.json and manifest.json, then log the summary line.
+) -> None:
+    """Write stats.json and manifest.json into the last two of a build's sinks.
 
     The manifest's config lists the keys the subcommand has flags for.
     """
+    root = Path(args.input)
+    inputs = sorted(root.glob("*.txt")) if config.input_mode == "dir" else [root]
     manifest = {
         "command": args.command,
         "version": __version__,
         "config": {key: value for key, value in asdict(config).items() if hasattr(args, key)},
-        "inputs": digests,
+        "inputs": {str(path): file_sha256(path) for path in inputs},
         "counts": counts,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    with _output_files(out_dir, ["stats.json", "manifest.json"]) as sinks:
-        for sink, payload in zip(sinks, (stats, manifest)):
-            sink.write(_json_text(payload))
-    log.info("%s: %s", args.command, summary)
-    return EXIT_OK
+    for sink, payload in zip(sinks[-2:], (stats, manifest)):
+        sink.write(_json_text(payload))
 
 
 def _map_records(
@@ -326,6 +328,14 @@ def _write_records(
             counts["instances_written"] += 1
 
 
+def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
+    """The summary line of a finished NPP or NSP build."""
+    log.info(
+        "%s: %d %s -> %d instances (%d skipped)", args.command, counts[read_key],
+        read_key.split("_")[0], counts["instances_written"], sum(counts["skips"].values()),
+    )
+
+
 def _npp_record(
     item: tuple[int, str], seed: int, min_size: int, name: str
 ) -> tuple[str, str]:
@@ -351,15 +361,12 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     worker = functools.partial(
         _npp_record, seed=config.seed, min_size=config.min_group_size, name=name
     )
-    out_dir = Path(args.out)
-    with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
-        _write_records(sink, _map_records(worker, items, config.workers), counts, "sentences_read")
-    summary = (
-        f"{counts['sentences_read']} sentences -> {counts['instances_written']} "
-        f"instances ({sum(counts['skips'].values())} skipped)"
-    )
-    digests = input_digests(args.input, "file")
-    return _finish_build(out_dir, args, config, digests, counts, counts, summary)
+    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
+        records = _map_records(worker, items, config.workers)
+        _write_records(sinks[0], records, counts, "sentences_read")
+        _finish_build(sinks, args, config, counts, counts)
+    _log_records(args, counts, "sentences_read")
+    return EXIT_OK
 
 
 def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
@@ -407,29 +414,25 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         total = len(items)
         worker = _text_pairs
     assignment = assign_splits(total, config.ratios, config.seed)
-    sentence_counts = {split: 0 for split in SPLIT_NAMES}
-    pair_counts = {split: 0 for split in SPLIT_NAMES}
-    out_dir = Path(args.out)
-    with _output_files(out_dir, [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]) as files:
-        sinks = dict(zip(SPLIT_NAMES, files))
+    sentence_counts = split_counts(assignment)
+    pairs_per_split = [0] * len(SPLIT_NAMES)
+    names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
+    with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
         for index, (pairs, block) in enumerate(_map_records(worker, items, config.workers)):
-            split = SPLIT_NAMES[assignment[index]]
-            sentence_counts[split] += 1
+            split = assignment[index]
             sinks[split].write(block)
-            pair_counts[split] += pairs
-
-    row = DatasetStats(sentence_counts)
-    print(format_stats_table([(name, row)]))
-    counts = {
-        "sentences_read": total,
-        "pairs_written": sum(pair_counts.values()),
-        "sentences": sentence_counts,
-        "pairs": pair_counts,
-    }
-    stats = {"dataset": name, **counts, "total_sentences": row.total}
-    summary = f"{total} sentences -> {counts['pairs_written']} pairs"
-    digests = input_digests(args.input, config.input_mode)
-    return _finish_build(out_dir, args, config, digests, counts, stats, summary)
+            pairs_per_split[split] += pairs
+        counts = {
+            "sentences_read": total,
+            "pairs_written": sum(pairs_per_split),
+            "sentences": sentence_counts,
+            "pairs": dict(zip(SPLIT_NAMES, pairs_per_split)),
+        }
+        stats = {"dataset": name, **counts, "total_sentences": total}
+        _finish_build(sinks, args, config, counts, stats)
+    print(format_stats_table([(name, sentence_counts)]))
+    log.info("%s: %d sentences -> %d pairs", args.command, total, counts["pairs_written"])
+    return EXIT_OK
 
 
 # the reservoir pool's texts, installed once per process that builds NSP records
@@ -485,21 +488,17 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     )
 
     counts: dict = {"contexts_read": 0, "instances_written": 0, "skips": {}}
-    out_dir = Path(args.out)
     per_document = _map_records(worker, items, config.workers, _install_nsp_pool, (texts,))
     try:
-        with _output_files(out_dir, ["instances.jsonl"]) as (sink,):
+        with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
             records = itertools.chain.from_iterable(per_document)
-            _write_records(sink, records, counts, "contexts_read")
+            _write_records(sinks[0], records, counts, "contexts_read")
+            _finish_build(sinks, args, config, counts, counts)
     finally:
         # a serial run installed the pool in this process; keep none between runs
         _install_nsp_pool(())
-    summary = (
-        f"{counts['contexts_read']} contexts -> {counts['instances_written']} "
-        f"instances ({sum(counts['skips'].values())} skipped)"
-    )
-    digests = input_digests(args.input, config.input_mode)
-    return _finish_build(out_dir, args, config, digests, counts, counts, summary)
+    _log_records(args, counts, "contexts_read")
+    return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -517,23 +516,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    names = [Path(path).stem for path in args.inputs]
+    for name in names:
+        # stats.json keys its rows by stem, so a shared stem would lose one
+        if names.count(name) > 1:
+            raise UsageError(f"two inputs share the file stem {name!r}")
     guards = _guards(config)
     rows = []
-    for path in args.inputs:
-        name = Path(path).stem
+    for path, name in zip(args.inputs, names):
         if config.input_mode == "treebank":
             records = read_treebank(path)
         else:
             records = iter_sentence_texts(path, config.input_mode, name, guards)
         total = sum(1 for _ in records)
-        assignment = assign_splits(total, config.ratios, config.seed)
-        counts = {split: assignment.count(i) for i, split in enumerate(SPLIT_NAMES)}
-        rows.append((name, DatasetStats(counts)))
+        rows.append((name, split_counts(assign_splits(total, config.ratios, config.seed))))
     print(format_stats_table(rows))
     if args.out:
         payload = {
-            name: {"counts": dict(stats.counts), "total": stats.total}
-            for name, stats in rows
+            name: {"counts": counts, "total": sum(counts.values())} for name, counts in rows
         }
         with _output_files(Path(args.out), ["stats.json"]) as (sink,):
             sink.write(_json_text(payload))

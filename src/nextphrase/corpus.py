@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -169,24 +168,20 @@ def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
     return assignment
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    counts: Mapping[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+def split_counts(assignment: Sequence[int]) -> dict[str, int]:
+    """Rows per split of an assign_splits result, in SPLIT_NAMES order."""
+    return {split: assignment.count(index) for index, split in enumerate(SPLIT_NAMES)}
 
 
 def format_stats_table(
-    rows: Sequence[tuple[str, DatasetStats]],
+    rows: Sequence[tuple[str, Mapping[str, int]]],
     split_names: Sequence[str] = SPLIT_NAMES,
 ) -> str:
     """Aligned table, one dataset per row, one column per split."""
     header = ["Dataset"] + [name.capitalize() for name in split_names]
     body = [
-        [name] + [str(stats.counts.get(split, 0)) for split in split_names]
-        for name, stats in rows
+        [name] + [str(counts.get(split, 0)) for split in split_names]
+        for name, counts in rows
     ]
     widths = [
         max(len(line[col]) for line in [header] + body)

@@ -104,7 +104,9 @@ def build_npp_instance(
 
     The answer may not start the sentence (the prefix would be empty),
     but sentence-initial phrases still appear among the choices.  A
-    group with more phrases than the template has letters is skipped.
+    group with more phrases than the template has letters is skipped,
+    and so is one in which two phrases have the same text, because it
+    would list two equal choices.
     """
     eligible = eligible_groups(groups, min_size)
     if not eligible:
@@ -115,6 +117,8 @@ def build_npp_instance(
     candidates = [s for s in spans if s.start != 0]
     if not candidates:
         return Skip(SkipReason.ANSWER_AT_SENTENCE_START)
+    if len({s.text for s in spans}) < len(spans):
+        return Skip(SkipReason.AMBIGUOUS_CHOICES)
     answer_span = candidates[rng.randrange(len(candidates))]
     shuffled, order = _shuffled(spans, rng)
     answer_index = order.index(spans.index(answer_span))

@@ -20,19 +20,23 @@ from nextphrase.cli import main
 from conftest import DOG, EAT_PIE, SHOP, random_sentence, random_tree_text
 
 NPP_FILES = {
-    "instances.jsonl": "7a2879c1c781a5b7ea12cbd133fc5da0fe95657b5dd61084e964dacf6fdc261c",
-    "stats.json": "912b60fc52321880aa007e2f481810d5c71dddfc25e340887169a28dcfe29b3a",
+    "instances.jsonl": "7be8d6629dd8bfd0fd729642978ccf40fedf0b82893bb7b20a89eb53fe5c477c",
+    "stats.json": "0605396c9683e1a9b870a33d318e26d36b7ee5d465667f29c5f53674b5afc66b",
 }
-NPP_COUNTS = {"sentences_read": 103, "instances_written": 64, "skips": {"no_eligible_group": 39}}
+NPP_COUNTS = {
+    "sentences_read": 103,
+    "instances_written": 56,
+    "skips": {"no_eligible_group": 39, "ambiguous_choices": 8},
+}
 
 NPP_SAMPLE_FILES = {
-    "instances.jsonl": "0e42282cb0814a8c4f51f250546e7751ca6ce83bc90792b7f7a3b92f1eb04c29",
-    "stats.json": "3d5741cc8b7f81dc4fc116aa51adbb94b78a78bcd621c3c95afda29fdf860794",
+    "instances.jsonl": "f5573b4031749f278e2bb95cbe4d299ffbf3e03e319275b3789476426748402b",
+    "stats.json": "097d92983a03caa68395a87ec49e00e6c56f6a9dd83e875a51fb6cb0d41cf9b5",
 }
 NPP_SAMPLE_COUNTS = {
     "sentences_read": 20,
-    "instances_written": 13,
-    "skips": {"no_eligible_group": 7},
+    "instances_written": 12,
+    "skips": {"ambiguous_choices": 1, "no_eligible_group": 7},
     "sentences_scanned": 103,
 }
 

@@ -176,7 +176,9 @@ def test_npp_record_writes_or_names_a_skip(text, seed):
     if kind == "ok":
         record = json.loads(payload)
         assert record["id"] == "t:00000000"
-        assert record["target"] in parse_prompt(record["input"])[2]
+        choices = parse_prompt(record["input"])[2]
+        assert record["target"] in choices
+        assert len(set(choices)) == len(choices)
     else:
         assert kind == "skip"
         assert payload in SKIP_REASONS
@@ -248,6 +250,44 @@ def test_missing_input_exits_2(tmp_path):
     assert main(
         ["build-npp", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "out")]
     ) == 2
+
+
+def _files_under(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
+
+FAILED_RERUN_BUILDS = {
+    "build-npp": (_write_trees, []),
+    "build-pairs": (_write_trees, ["--input-mode", "treebank"]),
+    "build-nsp": (_write_docs, []),
+}
+
+
+# a directory in the way of the manifest: its temp file cannot be opened,
+# or the finished manifest cannot be renamed over it
+@pytest.mark.parametrize("blocked", ["manifest.json.tmp", "manifest.json"])
+@pytest.mark.parametrize("command", sorted(FAILED_RERUN_BUILDS))
+def test_failed_rerun_leaves_out_as_it_was(tmp_path, command, blocked):
+    write_input, options = FAILED_RERUN_BUILDS[command]
+    source = write_input(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, str(source), "--out", str(out), *options]) == 0
+    (out / blocked).unlink(missing_ok=True)
+    (out / blocked).mkdir()
+    before = _files_under(out)
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    source.write_text("".join(reversed(lines)), encoding="utf-8")
+    # unblocked, the rerun's input writes other data bytes
+    fresh = tmp_path / "fresh"
+    assert main([command, str(source), "--out", str(fresh), *options]) == 0
+    data = [name for name in before if name.endswith(".jsonl")]
+    assert any((fresh / name).read_bytes() != before[name] for name in data)
+    assert main([command, str(source), "--out", str(out), *options]) == 2
+    assert _files_under(out) == before
 
 
 def test_usage_error_exits_1(tmp_path, capsys):
@@ -647,6 +687,20 @@ def test_stats_table_and_sidecar(tmp_path, capsys):
     sidecar = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert sidecar["docs"]["total"] == 6
     assert sidecar["more"]["total"] == 3
+
+
+def test_stats_inputs_sharing_a_stem_exit_1(tmp_path, capsys):
+    # stats.json keys its rows by stem: two "x" rows would keep only one
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(str(_write_docs(tmp_path / folder, "x.txt")))
+    out = tmp_path / "out"
+    assert main(["stats", *paths, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: two inputs share the file stem 'x'"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_stats_bad_ratios_exit_1(tmp_path, capsys):

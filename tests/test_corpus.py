@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nextphrase.corpus import (
-    DatasetStats,
     RatioSumInvalid,
+    SPLIT_NAMES,
     assign_splits,
     detokenize,
     format_stats_table,
     iter_documents,
     iter_sentence_texts,
     load_guard_list,
+    split_counts,
     split_sentences,
     tokenize,
 )
@@ -146,15 +147,17 @@ def test_partition_rejects_bad_ratios():
 
 
 def test_dataset_stats_totals():
-    stats = DatasetStats({"train": 8, "dev": 1, "test": 1})
-    assert stats.counts == {"train": 8, "dev": 1, "test": 1}
-    assert stats.total == 10
+    counts = split_counts([0, 2, 0, 0, 1, 0, 0, 0, 0, 0])
+    assert counts == {"train": 8, "dev": 1, "test": 1}
+    assert list(counts) == list(SPLIT_NAMES)
+    assert split_counts([]) == {"train": 0, "dev": 0, "test": 0}
+    assert split_counts(assign_splits(10, (0.8, 0.1, 0.1), seed=4)) == counts
 
 
 def test_stats_table_shape():
     rows = [
-        ("emails", DatasetStats({"train": 156998, "dev": 13474, "test": 15030})),
-        ("reviews", DatasetStats({"train": 74010, "dev": 9283, "test": 9317})),
+        ("emails", {"train": 156998, "dev": 13474, "test": 15030}),
+        ("reviews", {"train": 74010, "dev": 9283, "test": 9317}),
     ]
     table = format_stats_table(rows)
     lines = table.splitlines()
