@@ -21,20 +21,17 @@ mismatched eval files).
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import functools
 import hashlib
 import itertools
 import json
-import logging
 import os
 import random
 import sys
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
@@ -73,8 +70,6 @@ from .metrics import (
 from .phrases import extract_phrases
 from .treebank import ConstituencyTree, TreebankError, parse_ptb, read_treebank
 
-log = logging.getLogger("nextphrase")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -87,8 +82,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     seed: int = 0
     min_group_size: int = 2
     distractors: int = 1
@@ -136,7 +130,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         file_cfg = load_config_file(args.config)
-    known = PipelineConfig.__dataclass_fields__
+    known = PipelineConfig._fields
     for key in file_cfg:
         if key not in known or not hasattr(args, key):
             raise UsageError(f"unknown config key: {key!r}")
@@ -245,15 +239,17 @@ def _finish_build(
 
     The manifest's config lists the keys the subcommand has flags for.
     """
+    import datetime  # only a finished build stamps the time
+
     root = Path(args.input)
     inputs = sorted(root.glob("*.txt")) if config.input_mode == "dir" else [root]
     manifest = {
         "command": args.command,
         "version": __version__,
-        "config": {key: value for key, value in asdict(config).items() if hasattr(args, key)},
+        "config": {key: value for key, value in config._asdict().items() if hasattr(args, key)},
         "inputs": {str(path): file_sha256(path) for path in inputs},
         "counts": counts,
-        "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     for sink, payload in zip(sinks[-2:], (stats, manifest)):
         sink.write(_json_text(payload))
@@ -328,11 +324,15 @@ def _write_records(
             counts["instances_written"] += 1
 
 
+def _info(message: str) -> None:
+    print(f"INFO {message}", file=sys.stderr)
+
+
 def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
     """The summary line of a finished NPP or NSP build."""
-    log.info(
-        "%s: %d %s -> %d instances (%d skipped)", args.command, counts[read_key],
-        read_key.split("_")[0], counts["instances_written"], sum(counts["skips"].values()),
+    _info(
+        f"{args.command}: {counts[read_key]} {read_key.split('_')[0]} -> "
+        f"{counts['instances_written']} instances ({sum(counts['skips'].values())} skipped)"
     )
 
 
@@ -431,7 +431,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         stats = {"dataset": name, **counts, "total_sentences": total}
         _finish_build(sinks, args, config, counts, stats)
     print(format_stats_table([(name, sentence_counts)]))
-    log.info("%s: %d sentences -> %d pairs", args.command, total, counts["pairs_written"])
+    _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
     return EXIT_OK
 
 
@@ -525,7 +525,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rows = []
     for path, name in zip(args.inputs, names):
         if config.input_mode == "treebank":
-            records = read_treebank(path)
+            # the non-blank lines build-pairs splits; no tree is parsed
+            records = _iter_tree_lines(path)
         else:
             records = iter_sentence_texts(path, config.input_mode, name, guards)
         total = sum(1 for _ in records)
@@ -622,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

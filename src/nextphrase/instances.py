@@ -18,10 +18,8 @@ import bisect
 import enum
 import hashlib
 import random
-import re
 import string
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import detokenize
 from .phrases import PhraseGroups, eligible_groups
@@ -49,13 +47,11 @@ class SkipReason(enum.Enum):
     AMBIGUOUS_CHOICES = "ambiguous_choices"
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(NamedTuple):
     reason: SkipReason
 
 
-@dataclass(frozen=True)
-class NppInstance:
+class NppInstance(NamedTuple):
     sentence_id: str
     phrase_type: str
     partial_query: tuple[str, ...]
@@ -64,8 +60,7 @@ class NppInstance:
     answer_index: int
 
 
-@dataclass(frozen=True)
-class NspInstance:
+class NspInstance(NamedTuple):
     sentence_id: str
     context: str
     choices: tuple[str, ...]
@@ -73,8 +68,7 @@ class NspInstance:
     answer_index: int
 
 
-@dataclass(frozen=True)
-class CompletionPair:
+class CompletionPair(NamedTuple):
     sentence_id: str
     split_point: int
     p: tuple[str, ...]
@@ -212,30 +206,6 @@ def render_prompt(prefix: str, query: str, choices: Sequence[str]) -> str:
         for letter, text in zip(string.ascii_uppercase, choices)
     )
     return f"{prefix} {query}{_SEPARATOR}{lettered}"
-
-
-def parse_prompt(prompt: str) -> tuple[str, str, list[str]]:
-    """Inverse of render_prompt: (prefix, query, choices)."""
-    head, sep, options = prompt.partition(_SEPARATOR)
-    if not sep:
-        raise ValueError("prompt has no choice separator")
-    match = re.match(r"(.*?:) (.*)", head)
-    if not match:
-        raise ValueError("prompt has no task prefix")
-    prefix, query = match.group(1), match.group(2)
-    choices: list[str] = []
-    if not options.startswith("(A) "):
-        raise ValueError("choices do not start at (A)")
-    at = 4
-    for pos in range(1, len(string.ascii_uppercase) + 1):
-        marker = f" ({string.ascii_uppercase[pos]}) " if pos < 26 else None
-        cut = options.find(marker, at) if marker else -1
-        if cut < 0:
-            choices.append(options[at:])
-            break
-        choices.append(options[at:cut])
-        at = cut + len(marker)
-    return prefix, query, choices
 
 
 def serialize_npp(instance: NppInstance) -> tuple[str, str]:

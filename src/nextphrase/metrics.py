@@ -13,12 +13,10 @@ and CIDEr both read those counts.  SPICE is not implemented.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import tokenize
 
@@ -35,22 +33,46 @@ class SingleSegmentCorpus(ValueError):
     """CIDEr idf is degenerate without at least two segments."""
 
 
-@dataclass(frozen=True)
 class EvalSegment:
-    candidate: tuple[str, ...]
-    references: tuple[tuple[str, ...], ...]
+    """One tokenized candidate and its references.
 
-    @functools.cached_property
+    Equality, hash and repr go by ``(candidate, references)``; the
+    n-gram counts are filled in on first use.
+    """
+
+    __slots__ = ("candidate", "references", "_ngrams")
+
+    def __init__(
+        self, candidate: tuple[str, ...], references: tuple[tuple[str, ...], ...]
+    ) -> None:
+        self.candidate = candidate
+        self.references = references
+        self._ngrams = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.candidate, self.references) == (other.candidate, other.references)
+
+    def __hash__(self) -> int:
+        return hash((self.candidate, self.references))
+
+    def __repr__(self) -> str:
+        return f"EvalSegment(candidate={self.candidate!r}, references={self.references!r})"
+
+    @property
     def ngrams(self) -> tuple[tuple[Counter, tuple[Counter, ...]], ...]:
         """Per order 1..MAX_ORDER: the candidate's n-gram counts and one
         Counter per reference, counted once for BLEU and CIDEr alike."""
-        return tuple(
-            (
-                _ngram_counts(self.candidate, n),
-                tuple(_ngram_counts(reference, n) for reference in self.references),
+        if self._ngrams is None:
+            self._ngrams = tuple(
+                (
+                    _ngram_counts(self.candidate, n),
+                    tuple(_ngram_counts(reference, n) for reference in self.references),
+                )
+                for n in range(1, MAX_ORDER + 1)
             )
-            for n in range(1, MAX_ORDER + 1)
-        )
+        return self._ngrams
 
 
 def normalize(text: str) -> tuple[str, ...]:
@@ -66,8 +88,7 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 # ---------------------------------------------------------------- BLEU
 
 
-@dataclass(frozen=True)
-class BleuResult:
+class BleuResult(NamedTuple):
     score: float
     precisions: tuple[float, ...]
     brevity_penalty: float
@@ -155,8 +176,7 @@ def sentence_bleu(segment: EvalSegment) -> float:
 # -------------------------------------------------------------- METEOR
 
 
-@dataclass(frozen=True)
-class MeteorStats:
+class MeteorStats(NamedTuple):
     matches: int
     chunks: int
     candidate_length: int
@@ -341,16 +361,14 @@ def cider(segments: Sequence[EvalSegment]) -> float:
 # -------------------------------------------------------------- report
 
 
-@dataclass(frozen=True)
-class SegmentScores:
+class SegmentScores(NamedTuple):
     index: int
     bleu4: float
     meteor: float
     cider: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     bleu4: float
     meteor: float
     cider: float

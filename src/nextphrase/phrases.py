@@ -10,7 +10,6 @@ VP nodes sit above one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .treebank import ConstituencyTree, Span
@@ -29,8 +28,7 @@ class PhraseSpan(NamedTuple):
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class PhraseGroups:
+class PhraseGroups(NamedTuple):
     np: tuple[PhraseSpan, ...]
     vp: tuple[PhraseSpan, ...]
     pp: tuple[PhraseSpan, ...]

@@ -12,16 +12,14 @@ rather than crashing, so the parser can be pointed at untrusted text.
 
 A parsed tree is a span table, not a node graph: its tokens plus one
 ``(label, start, end)`` row per constituent, in pre-order.  That is all
-phrase extraction and the builders read, so parsing builds no ``Node``.
-``ConstituencyTree.root`` rebuilds the Node tree from the table on first
-use, for callers that walk or print constituents.
+phrase extraction and the builders read, so parsing builds no node
+objects.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class TreebankError(ValueError):
@@ -45,31 +43,7 @@ _WRAPPER_LABELS = ("ROOT", "TOP")
 Span = tuple[str, int, int]  # label, start, end
 
 
-@dataclass(frozen=True)
-class Node:
-    """One constituent.  Leaves carry a token, internal nodes children.
-
-    ``start``/``end`` are a half-open token index range; a node's range
-    always equals the union of its children's ranges.
-    """
-
-    label: str
-    children: tuple["Node", ...]
-    token: str | None
-    start: int
-    end: int
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-
-@dataclass(frozen=True)
-class ConstituencyTree:
+class ConstituencyTree(NamedTuple):
     """One parsed sentence: its tokens and its constituents' span table.
 
     ``spans`` has one ``(label, start, end)`` row per constituent, leaves
@@ -78,29 +52,10 @@ class ConstituencyTree:
     range and every constituent covers at least one token, so a row's
     subtree is the block of rows right after it that start before its
     end, and a row is a leaf exactly when the next row does not.
-    ``root`` is the same tree as ``Node`` objects, built on first use.
     """
 
     tokens: tuple[str, ...]
     spans: tuple[Span, ...]
-
-    @functools.cached_property
-    def root(self) -> Node:
-        """The tree as Node objects, built from the span table."""
-        spans = self.spans
-        # built nodes no parent has claimed yet, the leftmost last; a
-        # backward scan meets every child before its parent
-        free: list[Node] = []
-        for index in range(len(spans) - 1, -1, -1):
-            label, start, end = spans[index]
-            if index + 1 == len(spans) or spans[index + 1][1] >= end:
-                free.append(Node(label, (), self.tokens[start], start, end))
-                continue
-            children = []
-            while free and free[-1].start < end:
-                children.append(free.pop())
-            free.append(Node(label, tuple(children), None, start, end))
-        return free[0]
 
 
 def normalize_label(label: str) -> str:
@@ -200,40 +155,6 @@ def parse_ptb(text: str) -> ConstituencyTree:
     if len(rows) > 1 and rows[0][0] in _WRAPPER_LABELS and rows[1][2] == rows[0][2]:
         del rows[0]
     return ConstituencyTree(tuple(tokens), tuple(map(tuple, rows)))
-
-
-def iter_nodes(node: Node) -> Iterator[Node]:
-    """Pre-order (document order) traversal."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        stack.extend(reversed(cur.children))
-
-
-def to_bracketed(node: Node) -> str:
-    """Canonical single-space bracketed form, re-parsable by parse_ptb."""
-    out: list[str] = []
-    close = ")"
-    stack: list[object] = [node]
-    while stack:
-        item = stack.pop()
-        if item is close:
-            out.append(close)
-            continue
-        assert isinstance(item, Node)
-        if item.is_leaf:
-            out.append(f"({item.label} {item.token})")
-        else:
-            out.append(f"({item.label}")
-            stack.append(close)
-            stack.extend(reversed(item.children))
-    text: list[str] = []
-    for piece in out:
-        if text and piece != close:
-            text.append(" ")
-        text.append(piece)
-    return "".join(text)
 
 
 def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:

@@ -2,16 +2,118 @@
 
 import math
 import re
+import string
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nextphrase.treebank import (
     EmptyConstituent,
     MalformedLabel,
-    Node,
     UnbalancedBrackets,
-    iter_nodes,
     normalize_label,
 )
+
+
+@dataclass(frozen=True)
+class Node:
+    """One constituent.  Leaves carry a token, internal nodes children.
+
+    ``start``/``end`` are a half-open token index range; a node's range
+    always equals the union of its children's ranges.
+    """
+
+    label: str
+    children: tuple["Node", ...]
+    token: str | None
+    start: int
+    end: int
+
+    @property
+    def span(self):
+        return (self.start, self.end)
+
+    @property
+    def is_leaf(self):
+        return self.token is not None
+
+
+def tree_root(tree):
+    """A parsed tree as Node objects, built from its span table."""
+    spans = tree.spans
+    # built nodes no parent has claimed yet, the leftmost last; a
+    # backward scan meets every child before its parent
+    free = []
+    for index in range(len(spans) - 1, -1, -1):
+        label, start, end = spans[index]
+        if index + 1 == len(spans) or spans[index + 1][1] >= end:
+            free.append(Node(label, (), tree.tokens[start], start, end))
+            continue
+        children = []
+        while free and free[-1].start < end:
+            children.append(free.pop())
+        free.append(Node(label, tuple(children), None, start, end))
+    return free[0]
+
+
+def iter_nodes(node):
+    """Pre-order (document order) traversal."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        stack.extend(reversed(cur.children))
+
+
+def to_bracketed(node):
+    """Canonical single-space bracketed form, re-parsable by parse_ptb."""
+    out = []
+    close = ")"
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if item is close:
+            out.append(close)
+            continue
+        if item.is_leaf:
+            out.append(f"({item.label} {item.token})")
+        else:
+            out.append(f"({item.label}")
+            stack.append(close)
+            stack.extend(reversed(item.children))
+    text = []
+    for piece in out:
+        if text and piece != close:
+            text.append(" ")
+        text.append(piece)
+    return "".join(text)
+
+
+# the literal backslash-n between a prompt's query and its choices
+_SEPARATOR = " \\n "
+
+
+def parse_prompt(prompt):
+    """Inverse of render_prompt: (prefix, query, choices)."""
+    head, sep, options = prompt.partition(_SEPARATOR)
+    if not sep:
+        raise ValueError("prompt has no choice separator")
+    match = re.match(r"(.*?:) (.*)", head)
+    if not match:
+        raise ValueError("prompt has no task prefix")
+    prefix, query = match.group(1), match.group(2)
+    choices = []
+    if not options.startswith("(A) "):
+        raise ValueError("choices do not start at (A)")
+    at = 4
+    for pos in range(1, len(string.ascii_uppercase) + 1):
+        marker = f" ({string.ascii_uppercase[pos]}) " if pos < 26 else None
+        cut = options.find(marker, at) if marker else -1
+        if cut < 0:
+            choices.append(options[at:])
+            break
+        choices.append(options[at:cut])
+        at = cut + len(marker)
+    return prefix, query, choices
 
 
 def normalize_label_oracle(label):
@@ -93,7 +195,7 @@ def yield_tokens(node):
 
 def nodes_with_label(tree, label):
     """All nodes carrying the given base label, in document order."""
-    return [n for n in iter_nodes(tree.root) if n.label == label]
+    return [n for n in iter_nodes(tree_root(tree)) if n.label == label]
 
 
 def descendants(node):
@@ -109,7 +211,7 @@ def descendants(node):
 def brute_force_phrases(tree):
     """Keep every NP/VP/PP node without a same-label strict descendant."""
     kept = {"NP": [], "VP": [], "PP": []}
-    pending = [tree.root]
+    pending = [tree_root(tree)]
     order = []
     while pending:
         cur = pending.pop()

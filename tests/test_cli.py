@@ -10,11 +10,20 @@ from hypothesis import given, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
-from nextphrase.cli import _npp_record, _pair_block, _record_line, _tree_pairs, main
+from nextphrase.cli import (
+    PipelineConfig,
+    _npp_record,
+    _pair_block,
+    _record_line,
+    _tree_pairs,
+    main,
+)
 from nextphrase.corpus import detokenize, iter_sentence_texts, tokenize
-from nextphrase.instances import SkipReason, build_completion_pairs, parse_prompt
+from nextphrase.instances import SkipReason, build_completion_pairs
 
+import oracles
 from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
+from oracles import parse_prompt, tree_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,9 +197,9 @@ def test_tree_records_build_no_nodes(monkeypatch):
     def no_node(*args):
         raise AssertionError("a Node was built")
 
-    monkeypatch.setattr(nextphrase.treebank, "Node", no_node)
+    monkeypatch.setattr(oracles, "Node", no_node)
     with pytest.raises(AssertionError, match="a Node was built"):
-        nextphrase.treebank.parse_ptb(DOG).root
+        tree_root(nextphrase.treebank.parse_ptb(DOG))
     kinds = []
     for index, text in enumerate((SHOP, EAT_PIE, DOG, f"(ROOT {SHOP})", list_tree(3))):
         kind, _ = _npp_record((index, text), seed=3, min_size=2, name="t")
@@ -232,10 +241,13 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
     assert list(out.glob("*.tmp")) == []
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    # only a build with --workers above 1 needs a Pool
+@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "logging", "datetime"])
+def test_importing_the_cli_does_not_load(module):
+    # only a build with --workers above 1 needs a Pool, and only a finished
+    # build reads the clock; records are named tuples and the summary line
+    # is a plain print, so start-up runs no dataclass or logging set-up
     src = str(Path(nextphrase.corpus.__file__).parents[1])
-    code = "import sys, nextphrase.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, nextphrase.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -244,6 +256,42 @@ def test_importing_the_cli_loads_no_multiprocessing():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_build_summary_lines(tmp_path, capsys):
+    trees = tmp_path / "one.txt"
+    trees.write_text(f"{EAT_PIE}\n", encoding="utf-8")
+    assert main(["build-npp", str(trees), "--out", str(tmp_path / "npp")]) == 0
+    assert capsys.readouterr().err == "INFO build-npp: 1 sentences -> 1 instances (0 skipped)\n"
+    argv = ["build-pairs", str(trees), "--input-mode", "treebank", "--out", str(tmp_path / "pairs")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "INFO build-pairs: 1 sentences -> 5 pairs\n"
+    docs = _write_docs(tmp_path)
+    assert main(["build-nsp", str(docs), "--out", str(tmp_path / "nsp")]) == 0
+    assert capsys.readouterr().err == "INFO build-nsp: 4 contexts -> 4 instances (0 skipped)\n"
+
+
+def test_manifest_config_is_the_pipeline_config(tmp_path):
+    defaults = PipelineConfig()._asdict()
+    assert list(defaults) == [
+        "seed", "min_group_size", "distractors", "ratios", "input_mode",
+        "guard_list", "sample", "workers", "pool_cap",
+    ]
+    # as the manifest writes them: JSON has no tuples
+    defaults = json.loads(json.dumps(defaults))
+    trees = _write_trees(tmp_path)
+    docs = _write_docs(tmp_path)
+    seen = set()
+    for command, source in (("build-npp", trees), ("build-pairs", docs), ("build-nsp", docs)):
+        out = tmp_path / command
+        assert main([command, str(source), "--out", str(out)]) == 0
+        config = _manifest(out)["config"]
+        assert list(config.items()) == [
+            (key, value) for key, value in defaults.items() if key in config
+        ], command
+        seen.update(config)
+    # every field is a flag of some build
+    assert seen == set(defaults)
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -687,6 +735,40 @@ def test_stats_table_and_sidecar(tmp_path, capsys):
     sidecar = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert sidecar["docs"]["total"] == 6
     assert sidecar["more"]["total"] == 3
+
+
+def test_stats_and_build_pairs_split_a_treebank_alike(tmp_path, capsys):
+    rng = random.Random(3)
+    lines = []
+    for index in range(30):
+        lines.append(random_tree_text(rng))
+        if index % 4 == 0:
+            lines.append("  \t")  # a blank line is no sentence
+    trees = tmp_path / "trees.txt"
+    trees.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["stats", str(trees), "--input-mode", "treebank", "--seed", "5"]) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(
+        ["build-pairs", str(trees), "--input-mode", "treebank", "--seed", "5", "--out", str(out)]
+    ) == 0
+    assert capsys.readouterr().out == table
+    row = table.splitlines()[1].split()
+    assert row[0] == "trees"
+    assert sum(int(count) for count in row[1:]) == 30
+    assert _manifest(out)["counts"]["sentences_read"] == 30
+
+
+def test_stats_counts_a_malformed_tree_line(tmp_path, capsys):
+    # stats counts non-blank lines and parses no tree, so it takes a line
+    # that build-npp rejects
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(NN dog)\n\n(S\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["stats", str(trees), "--input-mode", "treebank", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "stats.json").read_text(encoding="utf-8"))["trees"]["total"] == 2
+    assert main(["build-npp", str(trees), "--out", str(tmp_path / "npp")]) == 3
 
 
 def test_stats_inputs_sharing_a_stem_exit_1(tmp_path, capsys):

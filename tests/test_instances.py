@@ -14,7 +14,6 @@ from nextphrase.instances import (
     build_completion_pairs,
     build_npp_instance,
     build_nsp_instance,
-    parse_prompt,
     record_rng,
     render_prompt,
     serialize_npp,
@@ -24,6 +23,7 @@ from nextphrase.phrases import extract_phrases
 from nextphrase.treebank import parse_ptb
 
 from conftest import DOG, SHOP, list_tree, random_sentence
+from oracles import parse_prompt
 
 
 def _shop():

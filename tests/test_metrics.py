@@ -373,3 +373,18 @@ def test_evaluate_counts_each_segment_once(monkeypatch):
     segments = load_segments(DATA / "candidates.txt", DATA / "references.txt")
     evaluate(segments)
     assert len(calls) == sum(MAX_ORDER * (1 + len(s.references)) for s in segments)
+
+
+def test_eval_segment_fills_ngrams_once_and_compares_by_value():
+    segment = EvalSegment(("a", "b"), (("a", "b", "c"), ("b",)))
+    first = segment.ngrams
+    assert segment.ngrams is first
+    assert first[0][0] == {("a",): 1, ("b",): 1}
+    twin = EvalSegment(("a", "b"), (("a", "b", "c"), ("b",)))
+    assert twin == segment
+    assert hash(twin) == hash(segment)
+    assert twin != EvalSegment(("a",), twin.references)
+    assert twin != (twin.candidate, twin.references)
+    assert repr(segment) == (
+        "EvalSegment(candidate=('a', 'b'), references=(('a', 'b', 'c'), ('b',)))"
+    )

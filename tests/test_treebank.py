@@ -9,18 +9,19 @@ from nextphrase.treebank import (
     MalformedLabel,
     TreebankError,
     UnbalancedBrackets,
-    iter_nodes,
     normalize_label,
     parse_ptb,
     read_treebank,
-    to_bracketed,
 )
 
 from conftest import EAT_PIE, random_tree_text
 from oracles import (
+    iter_nodes,
     nodes_with_label,
     normalize_label_oracle,
     parse_ptb_oracle,
+    to_bracketed,
+    tree_root,
     yield_tokens,
 )
 
@@ -28,8 +29,9 @@ from oracles import (
 def test_single_leaf_tree():
     tree = parse_ptb("(NN dog)")
     assert tree.tokens == ("dog",)
-    assert tree.root.is_leaf
-    assert tree.root.span == (0, 1)
+    root = tree_root(tree)
+    assert root.is_leaf
+    assert root.span == (0, 1)
 
 
 def test_eat_pie_tokens():
@@ -62,16 +64,17 @@ def test_functional_tags_stripped():
 def test_escaped_brackets_preserved():
     tree = parse_ptb("(NP (-LRB- -LRB-) (NN x) (-RRB- -RRB-))")
     assert tree.tokens == ("-LRB-", "x", "-RRB-")
-    assert tree.root.children[0].label == "-LRB-"
+    assert tree_root(tree).children[0].label == "-LRB-"
     assert normalize_label("-NONE-") == "-NONE-"
 
 
 def test_spans_are_half_open_and_nested():
     tree = parse_ptb("(S (NP (DT the) (NN dog)) (VP (VBZ naps)))")
-    np, vp = tree.root.children
+    root = tree_root(tree)
+    np, vp = root.children
     assert np.span == (0, 2)
     assert vp.span == (2, 3)
-    assert tree.root.span == (0, 3)
+    assert root.span == (0, 3)
     assert np.children[0].span == (0, 1)
 
 
@@ -102,13 +105,13 @@ def test_round_trip_on_random_trees():
     rng = random.Random(11)
     for _ in range(300):
         tree = parse_ptb(random_tree_text(rng))
-        assert parse_ptb(to_bracketed(tree.root)) == tree
+        assert parse_ptb(to_bracketed(tree_root(tree))) == tree
 
 
 def test_serialization_is_canonical():
     messy = "(S   (NP-TMP (DT the)\t(NN dog))  (VP (VBZ naps)))"
     tree = parse_ptb(messy)
-    assert to_bracketed(tree.root) == "(S (NP (DT the) (NN dog)) (VP (VBZ naps)))"
+    assert to_bracketed(tree_root(tree)) == "(S (NP (DT the) (NN dog)) (VP (VBZ naps)))"
 
 
 @given(st.text(alphabet="() SNPVx-", max_size=80))
@@ -136,16 +139,17 @@ def test_token_count_matches_root_span():
     rng = random.Random(5)
     for _ in range(100):
         tree = parse_ptb(random_tree_text(rng))
-        assert tree.root.start == 0
-        assert tree.root.end == len(tree.tokens)
-        assert tuple(yield_tokens(tree.root)) == tree.tokens
+        root = tree_root(tree)
+        assert root.start == 0
+        assert root.end == len(tree.tokens)
+        assert tuple(yield_tokens(root)) == tree.tokens
 
 
 def test_span_union_invariant():
     rng = random.Random(6)
     for _ in range(100):
         tree = parse_ptb(random_tree_text(rng))
-        for node in iter_nodes(tree.root):
+        for node in iter_nodes(tree_root(tree)):
             if node.children:
                 assert node.start == node.children[0].start
                 assert node.end == node.children[-1].end
@@ -160,8 +164,8 @@ def test_deep_input_does_not_hit_recursion_limit():
     text = "".join("(S " for _ in range(depth)) + "(NN x)" + ")" * depth
     tree = parse_ptb(text)
     assert tree.tokens == ("x",)
-    printed = to_bracketed(tree.root)
-    assert to_bracketed(parse_ptb(printed).root) == printed
+    printed = to_bracketed(tree_root(tree))
+    assert to_bracketed(tree_root(parse_ptb(printed))) == printed
     chain = "".join("(VP " for _ in range(depth)) + "(VB x)" + ")" * depth
     groups = extract_phrases(parse_ptb(chain))
     assert [p.span for p in groups.vp] == [(0, 1)]
@@ -193,7 +197,7 @@ def _outcome(parse, text):
         tree = parse(text)
     except TreebankError as exc:
         return ("error", type(exc), str(exc))
-    return ("tree", tree.tokens, list(tree.spans), tree.root)
+    return ("tree", tree.tokens, list(tree.spans), tree_root(tree))
 
 
 def _oracle_outcome(text):
