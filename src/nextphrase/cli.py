@@ -53,6 +53,7 @@ from .instances import (
     MoreChoicesThanLetters,
     PoolView,
     Skip,
+    SkipReason,
     build_npp_instance,
     build_nsp_instance,
     record_rng,
@@ -416,15 +417,19 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     assignment = assign_splits(total, config.ratios, config.seed)
     sentence_counts = split_counts(assignment)
     pairs_per_split = [0] * len(SPLIT_NAMES)
+    # a sentence without pairs keeps its split slot, so the splits stay as assigned
+    too_short = 0
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
         for index, (pairs, block) in enumerate(_map_records(worker, items, config.workers)):
             split = assignment[index]
             sinks[split].write(block)
             pairs_per_split[split] += pairs
+            too_short += not pairs
         counts = {
             "sentences_read": total,
             "pairs_written": sum(pairs_per_split),
+            "skips": {SkipReason.TOO_SHORT.value: too_short} if too_short else {},
             "sentences": sentence_counts,
             "pairs": dict(zip(SPLIT_NAMES, pairs_per_split)),
         }

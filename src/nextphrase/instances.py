@@ -45,6 +45,8 @@ class SkipReason(enum.Enum):
     POOL_TOO_SMALL = "pool_too_small"
     TOO_MANY_CHOICES = "too_many_choices"
     AMBIGUOUS_CHOICES = "ambiguous_choices"
+    # build-pairs: fewer than two tokens, so no cut leaves both sides non-empty
+    TOO_SHORT = "too_short"
 
 
 class Skip(NamedTuple):

@@ -7,8 +7,9 @@ the exact-match variant (no stemming, no synonyms): F-mean
 10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3.  CIDEr is
 the plain tf-idf cosine form with idf log(|S|/(1+df)) taken from the
 reference corpus, averaged over n-gram orders 1..4 and scaled by 10.
-Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU
-and CIDEr both read those counts.  SPICE is not implemented.
+Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU,
+CIDEr and the METEOR reference bound read those counts.  SPICE is not
+implemented.
 """
 
 from __future__ import annotations
@@ -283,16 +284,60 @@ def align(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]
     return total, min(states.values())
 
 
+def _overlap(candidate: Counter, reference: Counter) -> int:
+    """Clipped match count: each n-gram counts at most as often as it
+    occurs in the other segment."""
+    return sum(
+        min(count, reference[gram]) for gram, count in candidate.items() if gram in reference
+    )
+
+
 def meteor_segment(
-    candidate: Sequence[str], references: Sequence[Sequence[str]]
+    candidate: Sequence[str],
+    references: Sequence[Sequence[str]],
+    ngrams: Sequence[tuple[Counter, Sequence[Counter]]] | None = None,
 ) -> MeteorStats:
-    """Stats against the best-scoring reference."""
-    best: MeteorStats | None = None
-    for reference in references:
-        matches, chunks = align(candidate, reference)
-        stats = MeteorStats(matches, chunks, len(candidate), len(reference))
-        if best is None or stats.score > best.score:
-            best = stats
+    """Stats against the first reference with the highest score.
+
+    ``ngrams`` is the segment's ``EvalSegment.ngrams`` when the caller
+    has counted them; otherwise the unigrams and bigrams are counted here.
+
+    A reference is aligned only if an upper bound on its score can beat
+    the best score found so far.  ``align`` returns ``matches``, the
+    clipped unigram match count, exactly.  Its chunk count is ``matches``
+    minus the links, a link being two matches adjacent in both the
+    candidate and the reference.  A link spends one candidate bigram and
+    one equal reference bigram, each used by no other link, so there are
+    at most as many links as clipped bigram matches, and ``chunks >=
+    max(1, matches - bigram matches)`` when ``matches > 0``; the beam can
+    only overcount chunks.  Every float operation of ``MeteorStats.score``
+    is monotone, so the stats with that chunk bound score at least as
+    high as the aligned ones.  References are visited by falling bound,
+    the earlier first among equals; the first whose ``(bound, -index)``
+    cannot beat the best ``(score, -index)`` ends the search, because no
+    later one can either.
+    """
+    if ngrams is None:
+        ngrams = [
+            (_ngram_counts(candidate, n), [_ngram_counts(r, n) for r in references])
+            for n in (1, 2)
+        ]
+    (unigrams, reference_unigrams), (bigrams, reference_bigrams) = ngrams[:2]
+    order = []
+    for index, reference in enumerate(references):
+        matches = _overlap(unigrams, reference_unigrams[index])
+        chunks = max(1, matches - _overlap(bigrams, reference_bigrams[index]))
+        bound = MeteorStats(matches, chunks, len(candidate), len(reference)).score
+        order.append((-bound, index))
+    best = None
+    best_key = (-1.0, 0)  # (score, -index) of the best so far; scores are >= 0
+    for negated, index in sorted(order):
+        if (-negated, -index) <= best_key:
+            break
+        reference = references[index]
+        stats = MeteorStats(*align(candidate, reference), len(candidate), len(reference))
+        if (stats.score, -index) > best_key:
+            best, best_key = stats, (stats.score, -index)
     assert best is not None
     return best
 
@@ -309,7 +354,7 @@ def _pooled(stats: Sequence[MeteorStats]) -> MeteorStats:
 
 def meteor(segments: Sequence[EvalSegment]) -> float:
     """Corpus score: sum matches/chunks/lengths, then apply the formulas."""
-    return _pooled([meteor_segment(s.candidate, s.references) for s in segments]).score
+    return _pooled([meteor_segment(s.candidate, s.references, s.ngrams) for s in segments]).score
 
 
 # --------------------------------------------------------------- CIDEr
@@ -378,7 +423,7 @@ class EvalReport(NamedTuple):
 
 def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     corpus = corpus_bleu(segments)
-    meteor_stats = [meteor_segment(s.candidate, s.references) for s in segments]
+    meteor_stats = [meteor_segment(s.candidate, s.references, s.ngrams) for s in segments]
     cider_corpus, cider_per_segment = cider_scores(segments)
     detail = tuple(
         SegmentScores(

@@ -6,6 +6,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
+from nextphrase.metrics import MeteorStats, align
 from nextphrase.treebank import (
     EmptyConstituent,
     MalformedLabel,
@@ -337,3 +338,16 @@ def align_oracle(candidate, reference):
 
     walk(0, frozenset(), None, 0, 0)
     return best[0], -best[1]
+
+
+def meteor_segment_oracle(candidate, references):
+    """METEOR stats against the first reference with the highest score:
+    every reference aligned, in order, and kept only when strictly better."""
+    best = None
+    for reference in references:
+        matches, chunks = align(candidate, reference)
+        stats = MeteorStats(matches, chunks, len(candidate), len(reference))
+        if best is None or stats.score > best.score:
+            best = stats
+    assert best is not None
+    return best

@@ -44,11 +44,12 @@ PAIRS_TREEBANK_FILES = {
     "pairs_train.jsonl": "a5759beb3bfd45fcfce1d881505c419c67e7aa9d95375ab90353c585551a6f53",
     "pairs_dev.jsonl": "b54f9ac234eea5e28f71e2b4974a85a2f138d42db9a6a68b1ad7022769b753d3",
     "pairs_test.jsonl": "91e848a2ecbd3be9911963800215740a129e2d7381fe48edd82a1b7af9879367",
-    "stats.json": "a151ac3537deda6ad4ff2375c424f9a4d2ca8a8a20b99b6a895270d640ee6541",
+    "stats.json": "44071fc496b8eb09e68114f52bf559f31edc7585d4aee853a4c7e1a2abe495ac",
 }
 PAIRS_TREEBANK_COUNTS = {
     "sentences_read": 103,
     "pairs_written": 7675,
+    "skips": {"too_short": 31},
     "sentences": {"train": 83, "dev": 10, "test": 10},
     "pairs": {"train": 6025, "dev": 665, "test": 985},
 }
@@ -57,11 +58,12 @@ PAIRS_LINES_FILES = {
     "pairs_train.jsonl": "a9be09e320324261f4c719f7334f751011a47a985b2f5e6b0cdb7982e85da5ca",
     "pairs_dev.jsonl": "0f3d748301ffb80ce7b3e51bda504e79c21c4ac2ef5ae1ed2e5837aacd64832e",
     "pairs_test.jsonl": "1548e01d770a09be98b13807f9f17bc1c460bf50adda49bfea42d1c355636e05",
-    "stats.json": "a2903d0ef45f6d4156f71444477a7b3979801e697818847e8a2796b56d299608",
+    "stats.json": "772fd80272eefb7a8ff59ecaf1df1669d24bf6bca73514ecccee901ef717c76c",
 }
 PAIRS_LINES_COUNTS = {
     "sentences_read": 75,
     "pairs_written": 525,
+    "skips": {},
     "sentences": {"train": 61, "dev": 7, "test": 7},
     "pairs": {"train": 423, "dev": 46, "test": 56},
 }

@@ -3,10 +3,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
@@ -532,6 +533,44 @@ def test_build_pairs_from_treebank(tmp_path):
     counts = _manifest(out)["counts"]
     assert counts["sentences_read"] == 3
     assert counts["pairs_written"] == 11 + 5 + 3
+
+
+def test_build_pairs_names_sentences_without_pairs(tmp_path, capsys):
+    docs = tmp_path / "docs.txt"
+    docs.write_text("Hello\nThe cat sat.\nOk\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build-pairs", str(docs), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "INFO build-pairs: 3 sentences -> 3 pairs\n"
+    counts = _manifest(out)["counts"]
+    assert counts["sentences_read"] == 3
+    assert counts["pairs_written"] == 3
+    assert counts["skips"] == {"too_short": 2}
+    assert set(counts["skips"]) <= SKIP_REASONS
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert stats["skips"] == {"too_short": 2}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["Ok", "cat", "sat", "."]), max_size=5).map(" ".join),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_build_pairs_accounts_for_every_sentence(lines):
+    with tempfile.TemporaryDirectory() as scratch:
+        docs = Path(scratch) / "docs.txt"
+        docs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = Path(scratch) / "out"
+        assert main(["build-pairs", str(docs), "--out", str(out)]) == 0
+        counts = _manifest(out)["counts"]
+        sentences_with_pairs = len({
+            record["id"].rpartition("#")[0]
+            for split in ("train", "dev", "test")
+            for record in _records(out / f"pairs_{split}.jsonl")
+        })
+        assert counts["sentences_read"] == sentences_with_pairs + sum(counts["skips"].values())
 
 
 def test_build_nsp_distractors_cross_documents(tmp_path):

@@ -29,7 +29,7 @@ from nextphrase.metrics import (
 )
 
 from conftest import WORDS, random_sentence
-from oracles import align_oracle, bleu_oracle, cider_oracle
+from oracles import align_oracle, bleu_oracle, cider_oracle, meteor_segment_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,6 +193,63 @@ def test_meteor_picks_best_reference():
     )
     assert stats.matches == 4
     assert stats.reference_length == 5
+
+
+def test_meteor_ties_go_to_the_first_reference():
+    # both references score 0.0; the pooled corpus METEOR sums the
+    # winner's reference length, so the first one must win
+    assert meteor_segment(("a",), [("b",), ("c", "d")]).reference_length == 1
+
+
+def test_meteor_aligns_only_references_that_can_win(monkeypatch):
+    calls = []
+    counted = nextphrase.metrics.align
+    monkeypatch.setattr(
+        nextphrase.metrics,
+        "align",
+        lambda candidate, reference: calls.append(reference) or counted(candidate, reference),
+    )
+    candidate = ("the", "cat", "sat", "on", "the", "mat")
+    references = [candidate, ("the", "cat", "sat"), ("a", "cat", "sat", "on", "a", "mat"), ()]
+    stats = meteor_segment(candidate, references)
+    assert calls == [candidate]
+    assert stats == (6, 1, 6, 6)
+
+
+@st.composite
+def meteor_cases(draw):
+    """A candidate of up to 12 tokens over 1-4 words and 1-5 references,
+    drawn with repeats from a few sentences, the candidate and ()."""
+    words = st.sampled_from("abcd"[: draw(st.integers(1, 4))])
+    sentence = st.lists(words, max_size=12).map(tuple)
+    candidate = draw(sentence)
+    pool = draw(st.lists(sentence, min_size=1, max_size=5)) + [candidate, ()]
+    references = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    return candidate, references
+
+
+@given(meteor_cases())
+def test_meteor_segment_matches_in_order_oracle(case):
+    candidate, references = case
+    expected = meteor_segment_oracle(candidate, references)
+    assert meteor_segment(candidate, references) == expected
+    counts = EvalSegment(candidate, tuple(references)).ngrams
+    assert meteor_segment(candidate, references, counts) == expected
+
+
+def test_meteor_segment_matches_in_order_oracle_on_seeded_fuzz():
+    rng = random.Random(19)
+    for _ in range(3_000):
+        vocabulary = "abcd"[: rng.randint(1, 4)]
+
+        def sentence():
+            return tuple(rng.choice(vocabulary) for _ in range(rng.randint(0, 12)))
+
+        candidate = sentence()
+        pool = [sentence() for _ in range(rng.randint(1, 5))] + [candidate, ()]
+        references = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        expected = meteor_segment_oracle(candidate, references)
+        assert meteor_segment(candidate, references) == expected, (candidate, references)
 
 
 def test_meteor_corpus_aggregates_counts():
