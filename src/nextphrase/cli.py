@@ -69,7 +69,7 @@ from .metrics import (
     report_to_json,
 )
 from .phrases import extract_phrases
-from .treebank import ConstituencyTree, TreebankError, parse_ptb, read_treebank
+from .treebank import ConstituencyTree, TreebankError, iter_tree_lines, parse_ptb, read_treebank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,13 +277,6 @@ def _map_records(
         yield from pool.imap(fn, items, chunksize=32)
 
 
-def _iter_tree_lines(path) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            if line.strip():
-                yield index, line
-
-
 def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
     """k items drawn uniformly from items, and how many items there were."""
     chosen: list = []
@@ -353,7 +346,7 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = Path(args.input).stem
     counts: dict = {"sentences_read": 0, "instances_written": 0, "skips": {}}
-    items: Iterable[tuple[int, str]] = _iter_tree_lines(args.input)
+    items: Iterable[tuple[int, str]] = iter_tree_lines(args.input)
     if config.sample is not None:
         picked, counts["sentences_scanned"] = _reservoir(
             items, config.sample, random.Random(config.seed)
@@ -403,8 +396,8 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     items: Iterable
     if config.input_mode == "treebank":
         # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
-        total = sum(1 for _ in _iter_tree_lines(args.input))
-        items = _iter_tree_lines(args.input)
+        total = sum(1 for _ in iter_tree_lines(args.input))
+        items = iter_tree_lines(args.input)
         worker = functools.partial(_tree_pairs, name=name)
     else:
         # each document is split once; the sentence texts are held for the
@@ -414,8 +407,8 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         )
         total = len(items)
         worker = _text_pairs
+    sentence_counts = split_counts(total, config.ratios)
     assignment = assign_splits(total, config.ratios, config.seed)
-    sentence_counts = split_counts(assignment)
     pairs_per_split = [0] * len(SPLIT_NAMES)
     # a sentence without pairs keeps its split slot, so the splits stay as assigned
     too_short = 0
@@ -531,11 +524,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for path, name in zip(args.inputs, names):
         if config.input_mode == "treebank":
             # the non-blank lines build-pairs splits; no tree is parsed
-            records = _iter_tree_lines(path)
+            records = iter_tree_lines(path)
         else:
             records = iter_sentence_texts(path, config.input_mode, name, guards)
         total = sum(1 for _ in records)
-        rows.append((name, split_counts(assign_splits(total, config.ratios, config.seed))))
+        rows.append((name, split_counts(total, config.ratios)))
     print(format_stats_table(rows))
     if args.out:
         payload = {
@@ -563,20 +556,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--seed", type=int, help="global random seed (default 0)")
-
-
 def _add_build(
     sub, command: str, func, help_text: str, input_help: str | None = None
 ) -> argparse.ArgumentParser:
-    """Subparser of a build command: one input, --out, --workers."""
+    """Subparser of a build command: one input, --out, --workers, --seed, --config."""
     p = sub.add_parser(command, help=help_text)
     p.add_argument("input", help=input_help)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--workers", type=int, help="parallel workers (default 1)")
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="global random seed (default 0)")
+    p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.set_defaults(func=func)
     return p
 
@@ -617,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-mode", dest="input_mode", choices=INPUT_MODES)
     p.add_argument("--guard-list", dest="guard_list", metavar="FILE")
     p.add_argument("--out", metavar="DIR", help="also write stats.json here")
-    _add_common(p)
+    p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("debug-phrases", help="dump extracted phrases as TSV")

@@ -139,26 +139,30 @@ def iter_sentence_texts(
             yield make_sentence_id(name, doc_index, sent_index), sentence
 
 
-def _check_ratios(ratios: Sequence[float]) -> None:
+def split_counts(n: int, ratios: Sequence[float]) -> dict[str, int]:
+    """Rows per split, in SPLIT_NAMES order, of n rows cut by ratios.
+
+    Each split gets the floor of its share; the leftover rows go to train.
+    """
     # written as negations so that NaN fails them too
     if any(not r > 0 for r in ratios):
         raise RatioSumInvalid(f"ratios must be positive, got {tuple(ratios)}")
     if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise RatioSumInvalid(f"ratios sum to {sum(ratios)!r}, expected 1")
+    sizes = [int(n * r) for r in ratios]
+    sizes[0] += n - sum(sizes)
+    return dict(zip(SPLIT_NAMES, sizes))
 
 
 def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
     """Split index (0=train, 1=dev, 2=test) per record position.
 
     Positions 0..n-1 are shuffled with the seed, and the shuffled order
-    is cut into one contiguous slice per ratio.  Each slice gets the
-    floor of its share; the leftover rows go to train.
+    is cut into one contiguous slice per split, sized by split_counts.
     """
-    _check_ratios(ratios)
+    sizes = split_counts(n, ratios).values()
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    sizes = [int(n * r) for r in ratios]
-    sizes[0] += n - sum(sizes)
     assignment = [0] * n
     at = 0
     for split_index, size in enumerate(sizes):
@@ -168,19 +172,11 @@ def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
     return assignment
 
 
-def split_counts(assignment: Sequence[int]) -> dict[str, int]:
-    """Rows per split of an assign_splits result, in SPLIT_NAMES order."""
-    return {split: assignment.count(index) for index, split in enumerate(SPLIT_NAMES)}
-
-
-def format_stats_table(
-    rows: Sequence[tuple[str, Mapping[str, int]]],
-    split_names: Sequence[str] = SPLIT_NAMES,
-) -> str:
+def format_stats_table(rows: Sequence[tuple[str, Mapping[str, int]]]) -> str:
     """Aligned table, one dataset per row, one column per split."""
-    header = ["Dataset"] + [name.capitalize() for name in split_names]
+    header = ["Dataset"] + [name.capitalize() for name in SPLIT_NAMES]
     body = [
-        [name] + [str(counts.get(split, 0)) for split in split_names]
+        [name] + [str(counts.get(split, 0)) for split in SPLIT_NAMES]
         for name, counts in rows
     ]
     widths = [

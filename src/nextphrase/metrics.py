@@ -8,12 +8,13 @@ the exact-match variant (no stemming, no synonyms): F-mean
 the plain tf-idf cosine form with idf log(|S|/(1+df)) taken from the
 reference corpus, averaged over n-gram orders 1..4 and scaled by 10.
 Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU,
-CIDEr and the METEOR reference bound read those counts.  SPICE is not
-implemented.
+CIDEr and the METEOR reference bound read those counts, and every scorer
+takes the ``EvalSegment``.  SPICE is not implemented.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter, defaultdict
@@ -34,46 +35,27 @@ class SingleSegmentCorpus(ValueError):
     """CIDEr idf is degenerate without at least two segments."""
 
 
-class EvalSegment:
-    """One tokenized candidate and its references.
+class _Segment(NamedTuple):
+    candidate: tuple[str, ...]
+    references: tuple[tuple[str, ...], ...]
 
-    Equality, hash and repr go by ``(candidate, references)``; the
-    n-gram counts are filled in on first use.
-    """
 
-    __slots__ = ("candidate", "references", "_ngrams")
+class EvalSegment(_Segment):
+    """One tokenized candidate and its references, with n-gram counts
+    cached on first use (hence the subclass: a NamedTuple has no
+    ``__dict__`` to cache them in)."""
 
-    def __init__(
-        self, candidate: tuple[str, ...], references: tuple[tuple[str, ...], ...]
-    ) -> None:
-        self.candidate = candidate
-        self.references = references
-        self._ngrams = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.candidate, self.references) == (other.candidate, other.references)
-
-    def __hash__(self) -> int:
-        return hash((self.candidate, self.references))
-
-    def __repr__(self) -> str:
-        return f"EvalSegment(candidate={self.candidate!r}, references={self.references!r})"
-
-    @property
+    @functools.cached_property
     def ngrams(self) -> tuple[tuple[Counter, tuple[Counter, ...]], ...]:
         """Per order 1..MAX_ORDER: the candidate's n-gram counts and one
-        Counter per reference, counted once for BLEU and CIDEr alike."""
-        if self._ngrams is None:
-            self._ngrams = tuple(
-                (
-                    _ngram_counts(self.candidate, n),
-                    tuple(_ngram_counts(reference, n) for reference in self.references),
-                )
-                for n in range(1, MAX_ORDER + 1)
+        Counter per reference, counted once for BLEU, METEOR and CIDEr."""
+        return tuple(
+            (
+                _ngram_counts(self.candidate, n),
+                tuple(_ngram_counts(reference, n) for reference in self.references),
             )
-        return self._ngrams
+            for n in range(1, MAX_ORDER + 1)
+        )
 
 
 def normalize(text: str) -> tuple[str, ...]:
@@ -292,15 +274,8 @@ def _overlap(candidate: Counter, reference: Counter) -> int:
     )
 
 
-def meteor_segment(
-    candidate: Sequence[str],
-    references: Sequence[Sequence[str]],
-    ngrams: Sequence[tuple[Counter, Sequence[Counter]]] | None = None,
-) -> MeteorStats:
+def meteor_segment(segment: EvalSegment) -> MeteorStats:
     """Stats against the first reference with the highest score.
-
-    ``ngrams`` is the segment's ``EvalSegment.ngrams`` when the caller
-    has counted them; otherwise the unigrams and bigrams are counted here.
 
     A reference is aligned only if an upper bound on its score can beat
     the best score found so far.  ``align`` returns ``matches``, the
@@ -317,12 +292,8 @@ def meteor_segment(
     cannot beat the best ``(score, -index)`` ends the search, because no
     later one can either.
     """
-    if ngrams is None:
-        ngrams = [
-            (_ngram_counts(candidate, n), [_ngram_counts(r, n) for r in references])
-            for n in (1, 2)
-        ]
-    (unigrams, reference_unigrams), (bigrams, reference_bigrams) = ngrams[:2]
+    candidate, references = segment
+    (unigrams, reference_unigrams), (bigrams, reference_bigrams) = segment.ngrams[:2]
     order = []
     for index, reference in enumerate(references):
         matches = _overlap(unigrams, reference_unigrams[index])
@@ -354,7 +325,7 @@ def _pooled(stats: Sequence[MeteorStats]) -> MeteorStats:
 
 def meteor(segments: Sequence[EvalSegment]) -> float:
     """Corpus score: sum matches/chunks/lengths, then apply the formulas."""
-    return _pooled([meteor_segment(s.candidate, s.references, s.ngrams) for s in segments]).score
+    return _pooled([meteor_segment(s) for s in segments]).score
 
 
 # --------------------------------------------------------------- CIDEr
@@ -423,7 +394,7 @@ class EvalReport(NamedTuple):
 
 def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     corpus = corpus_bleu(segments)
-    meteor_stats = [meteor_segment(s.candidate, s.references, s.ngrams) for s in segments]
+    meteor_stats = [meteor_segment(s) for s in segments]
     cider_corpus, cider_per_segment = cider_scores(segments)
     detail = tuple(
         SegmentScores(
@@ -496,14 +467,6 @@ def report_to_json(report: EvalReport) -> str:
         "cider": report.cider,
         "spice": "not implemented",
         "metadata": report.metadata,
-        "segments": [
-            {
-                "index": s.index,
-                "bleu4": s.bleu4,
-                "meteor": s.meteor,
-                "cider": s.cider,
-            }
-            for s in report.segments
-        ],
+        "segments": [s._asdict() for s in report.segments],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -157,13 +157,18 @@ def parse_ptb(text: str) -> ConstituencyTree:
     return ConstituencyTree(tuple(tokens), tuple(map(tuple, rows)))
 
 
-def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:
-    """Yield (line_index, tree) for each non-blank line of a treebank file."""
+def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
+    """(line_index, line) of each non-blank line of a treebank file, unparsed."""
     with open(path, encoding="utf-8") as handle:
         for index, line in enumerate(handle):
-            if not line.strip():
-                continue
-            try:
-                yield index, parse_ptb(line)
-            except TreebankError as exc:
-                raise type(exc)(f"line {index + 1}: {exc}") from None
+            if line.strip():
+                yield index, line
+
+
+def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:
+    """Yield (line_index, tree) for each non-blank line of a treebank file."""
+    for index, line in iter_tree_lines(path):
+        try:
+            yield index, parse_ptb(line)
+        except TreebankError as exc:
+            raise type(exc)(f"line {index + 1}: {exc}") from None

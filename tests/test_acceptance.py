@@ -127,11 +127,11 @@ def test_5_metric_identities_and_hand_values():
         assert abs(cider(IDENTITY) - 10.0) < 1e-9
         for m in range(1, 11):
             tokens = tuple(f"w{i}" for i in range(m))
-            stats = meteor_segment(tokens, [tokens])
+            stats = meteor_segment(EvalSegment(tokens, (tokens,)))
             assert abs(stats.score - (1.0 - 0.5 * (1.0 / m) ** 3)) < 1e-12
         clipped = corpus_bleu([EvalSegment(("the", "the", "the"), (("the", "cat"),))])
         assert abs(clipped.precisions[0] - 1.0 / 3.0) < 1e-9
-        hand = meteor_segment(("the", "cat", "sat"), [("the", "cat", "napped")])
+        hand = meteor_segment(EvalSegment(("the", "cat", "sat"), (("the", "cat", "napped"),)))
         assert abs(hand.score - 0.625) < 1e-9
 
 

@@ -352,6 +352,8 @@ def test_usage_error_exits_1(tmp_path, capsys):
         ["build-npp", str(trees), "--out", out, "--sample", "0"],
         ["build-npp", str(trees), "--out", out, "--sample", "-3"],
         ["build-nsp", str(docs), "--out", out, "--pool-cap", "0"],
+        # the split sizes take no seed, so stats has no --seed
+        ["stats", str(docs), "--seed", "5"],
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err.splitlines()
@@ -390,6 +392,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
         (build_npp, "distractors=30"),
         (build_npp, "ratios=0.5,0.5,0.5"),
         (["stats", str(trees)], "workers=0"),
+        (["stats", str(trees)], "seed=5"),
     ):
         config.write_text(line + "\n", encoding="utf-8")
         assert main([*command, "--config", str(config)]) == 1, line
@@ -785,17 +788,20 @@ def test_stats_and_build_pairs_split_a_treebank_alike(tmp_path, capsys):
             lines.append("  \t")  # a blank line is no sentence
     trees = tmp_path / "trees.txt"
     trees.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["stats", str(trees), "--input-mode", "treebank", "--seed", "5"]) == 0
+    assert main(["stats", str(trees), "--input-mode", "treebank"]) == 0
     table = capsys.readouterr().out
-    out = tmp_path / "out"
-    assert main(
-        ["build-pairs", str(trees), "--input-mode", "treebank", "--seed", "5", "--out", str(out)]
-    ) == 0
-    assert capsys.readouterr().out == table
+    # the split sizes do not depend on the seed, only which sentence lands where
+    for seed in ("5", "6"):
+        out = tmp_path / f"out{seed}"
+        assert main(
+            ["build-pairs", str(trees), "--input-mode", "treebank", "--seed", seed,
+             "--out", str(out)]
+        ) == 0
+        assert capsys.readouterr().out == table
+        assert _manifest(out)["counts"]["sentences_read"] == 30
     row = table.splitlines()[1].split()
     assert row[0] == "trees"
     assert sum(int(count) for count in row[1:]) == 30
-    assert _manifest(out)["counts"]["sentences_read"] == 30
 
 
 def test_stats_counts_a_malformed_tree_line(tmp_path, capsys):

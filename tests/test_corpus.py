@@ -146,12 +146,26 @@ def test_partition_rejects_bad_ratios():
     assign_splits(3, (0.8, 0.1, 0.1 + 1e-12), seed=0)
 
 
-def test_dataset_stats_totals():
-    counts = split_counts([0, 2, 0, 0, 1, 0, 0, 0, 0, 0])
+def test_split_counts_floor_each_share_and_give_train_the_rest():
+    counts = split_counts(10, (0.8, 0.1, 0.1))
     assert counts == {"train": 8, "dev": 1, "test": 1}
     assert list(counts) == list(SPLIT_NAMES)
-    assert split_counts([]) == {"train": 0, "dev": 0, "test": 0}
-    assert split_counts(assign_splits(10, (0.8, 0.1, 0.1), seed=4)) == counts
+    assert split_counts(0, (0.8, 0.1, 0.1)) == {"train": 0, "dev": 0, "test": 0}
+    assert split_counts(6, (0.8, 0.1, 0.1)) == {"train": 6, "dev": 0, "test": 0}
+    assert split_counts(7, (0.5, 0.25, 0.25)) == {"train": 5, "dev": 1, "test": 1}
+    with pytest.raises(RatioSumInvalid):
+        split_counts(3, (0.5, 0.2, 0.2))
+
+
+RATIOS = st.sampled_from(
+    [(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.34, 0.33, 0.33), (0.9, 0.05, 0.05)]
+)
+
+
+@given(st.integers(0, 500), st.integers(0, 2**32), RATIOS)
+def test_assign_splits_cuts_by_split_counts(n, seed, ratios):
+    sizes = _sizes(assign_splits(n, ratios, seed))
+    assert sizes == tuple(split_counts(n, ratios).values())
 
 
 def test_stats_table_shape():

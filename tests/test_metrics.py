@@ -129,21 +129,21 @@ def test_sentence_bleu_identity_and_smoothing():
 def test_meteor_identity_segment_formula():
     for m in range(1, 11):
         tokens = tuple(f"w{i}" for i in range(m))
-        stats = meteor_segment(tokens, [tokens])
+        stats = meteor_segment(EvalSegment(tokens, (tokens,)))
         assert stats.matches == m
         assert stats.chunks == 1
         assert abs(stats.score - (1.0 - 0.5 * (1.0 / m) ** 3)) < 1e-12
 
 
 def test_meteor_hand_case():
-    stats = meteor_segment(("the", "cat", "sat"), [("the", "cat", "napped")])
+    stats = meteor_segment(EvalSegment(("the", "cat", "sat"), (("the", "cat", "napped"),)))
     assert stats.matches == 2
     assert stats.chunks == 1
     assert abs(stats.score - 0.625) < 1e-9
 
 
 def test_meteor_zero_overlap():
-    assert meteor_segment(("a", "b"), [("c", "d")]).score == 0.0
+    assert meteor_segment(EvalSegment(("a", "b"), (("c", "d"),))).score == 0.0
     assert meteor([EvalSegment(("a", "b"), (("c", "d"),))]) == 0.0
 
 
@@ -188,8 +188,10 @@ def test_align_matches_exhaustive_oracle(candidate, reference):
 
 def test_meteor_picks_best_reference():
     stats = meteor_segment(
-        ("a", "quick", "brown", "fox"),
-        [("the", "quick", "brown", "fox", "jumps"), ("a", "quick", "brown", "fox", "runs")],
+        EvalSegment(
+            ("a", "quick", "brown", "fox"),
+            (("the", "quick", "brown", "fox", "jumps"), ("a", "quick", "brown", "fox", "runs")),
+        )
     )
     assert stats.matches == 4
     assert stats.reference_length == 5
@@ -198,7 +200,7 @@ def test_meteor_picks_best_reference():
 def test_meteor_ties_go_to_the_first_reference():
     # both references score 0.0; the pooled corpus METEOR sums the
     # winner's reference length, so the first one must win
-    assert meteor_segment(("a",), [("b",), ("c", "d")]).reference_length == 1
+    assert meteor_segment(EvalSegment(("a",), (("b",), ("c", "d")))).reference_length == 1
 
 
 def test_meteor_aligns_only_references_that_can_win(monkeypatch):
@@ -210,8 +212,8 @@ def test_meteor_aligns_only_references_that_can_win(monkeypatch):
         lambda candidate, reference: calls.append(reference) or counted(candidate, reference),
     )
     candidate = ("the", "cat", "sat", "on", "the", "mat")
-    references = [candidate, ("the", "cat", "sat"), ("a", "cat", "sat", "on", "a", "mat"), ()]
-    stats = meteor_segment(candidate, references)
+    references = (candidate, ("the", "cat", "sat"), ("a", "cat", "sat", "on", "a", "mat"), ())
+    stats = meteor_segment(EvalSegment(candidate, references))
     assert calls == [candidate]
     assert stats == (6, 1, 6, 6)
 
@@ -232,9 +234,7 @@ def meteor_cases(draw):
 def test_meteor_segment_matches_in_order_oracle(case):
     candidate, references = case
     expected = meteor_segment_oracle(candidate, references)
-    assert meteor_segment(candidate, references) == expected
-    counts = EvalSegment(candidate, tuple(references)).ngrams
-    assert meteor_segment(candidate, references, counts) == expected
+    assert meteor_segment(EvalSegment(candidate, tuple(references))) == expected
 
 
 def test_meteor_segment_matches_in_order_oracle_on_seeded_fuzz():
@@ -249,7 +249,8 @@ def test_meteor_segment_matches_in_order_oracle_on_seeded_fuzz():
         pool = [sentence() for _ in range(rng.randint(1, 5))] + [candidate, ()]
         references = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         expected = meteor_segment_oracle(candidate, references)
-        assert meteor_segment(candidate, references) == expected, (candidate, references)
+        segment = EvalSegment(candidate, tuple(references))
+        assert meteor_segment(segment) == expected, segment
 
 
 def test_meteor_corpus_aggregates_counts():
@@ -441,7 +442,19 @@ def test_eval_segment_fills_ngrams_once_and_compares_by_value():
     assert twin == segment
     assert hash(twin) == hash(segment)
     assert twin != EvalSegment(("a",), twin.references)
-    assert twin != (twin.candidate, twin.references)
+    # a named tuple, so it equals the plain tuple of its fields
+    assert twin == (twin.candidate, twin.references)
     assert repr(segment) == (
         "EvalSegment(candidate=('a', 'b'), references=(('a', 'b', 'c'), ('b',)))"
     )
+
+
+def test_eval_segment_fields_are_read_only():
+    # the n-gram counts are cached, so a reassigned field would score stale counts
+    segment = EvalSegment(("a", "b"), (("a", "b"),))
+    assert sentence_bleu(segment) == 100.0
+    with pytest.raises(AttributeError):
+        segment.candidate = ("x", "y")
+    with pytest.raises(AttributeError):
+        segment.references = (("x", "y"),)
+    assert segment.candidate == ("a", "b")
