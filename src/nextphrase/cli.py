@@ -13,7 +13,8 @@ histogram) into ``--out``, all renamed into place together at the end,
 the manifest last.  Re-running with the same config and inputs
 reproduces every output byte for byte; only the manifest timestamp
 moves.  A run that fails leaves ``--out`` as it was and deletes the
-temporary files it opened there.  Exit codes: 0 ok, 1 usage or config
+temporary files it opened there, the part files of its Pool workers
+included.  Exit codes: 0 ok, 1 usage or config
 error, 2 input I/O error, 3 data contract violation (malformed tree,
 mismatched eval files).
 """
@@ -31,7 +32,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
@@ -48,6 +49,7 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
+from .fanout import RangeCounts, fan_out, open_sink, remove_parts
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
@@ -69,7 +71,8 @@ from .metrics import (
     report_to_json,
 )
 from .phrases import extract_phrases
-from .treebank import ConstituencyTree, TreebankError, iter_tree_lines, parse_ptb, read_treebank
+# parse_ptb is not called here; perfbench's recorder test reads it as cli.parse_ptb
+from .treebank import TreebankError, iter_tree_lines, parse_ptb, parse_tree_line, read_treebank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,7 +205,9 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
 
     When the block completes the files move into place under their
     names, in order; when anything raises, none moves and every ``.tmp``
-    opened here is deleted.
+    opened here is deleted.  Either way every part file
+    ``<name>.tmp.<task>`` in out_dir is deleted last, after the block
+    has ended any Pool that wrote one.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -214,7 +219,7 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
         with ExitStack() as stack:
             for name in names:
                 tmp = out_dir / (name + ".tmp")
-                sinks.append(stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n")))
+                sinks.append(stack.enter_context(open_sink(tmp)))
             yield sinks
         for sink, name in zip(sinks, names):
             os.replace(sink.name, out_dir / name)
@@ -223,6 +228,8 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
         for sink in sinks:
             Path(sink.name).unlink(missing_ok=True)
         raise
+    finally:
+        remove_parts(out_dir, [name + ".tmp" for name in names])
 
 
 # the last two outputs of every build; the manifest is renamed into place last
@@ -256,27 +263,6 @@ def _finish_build(
         sink.write(_json_text(payload))
 
 
-def _map_records(
-    fn, items: Iterable, workers: int, initializer=None, initargs: tuple = ()
-) -> Iterator:
-    """Apply fn to each item, in order; fan out when workers > 1.
-
-    ``initializer(*initargs)`` runs once in every process that calls fn:
-    this one when serial, each Pool worker otherwise.
-    """
-    if workers <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        for item in items:
-            yield fn(item)
-        return
-    # imported here: a serial run, the common case, never starts a Pool
-    from multiprocessing import Pool
-
-    with Pool(workers, initializer, initargs) as pool:
-        yield from pool.imap(fn, items, chunksize=32)
-
-
 def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
     """k items drawn uniformly from items, and how many items there were."""
     chosen: list = []
@@ -291,31 +277,25 @@ def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
     return chosen, seen
 
 
-def _parse_tree_line(item: tuple[int, str], name: str) -> tuple[str, ConstituencyTree]:
-    """Sentence id and tree of one treebank line; a parse error names the line."""
-    line_index, line = item
-    try:
-        tree = parse_ptb(line)
-    except TreebankError as exc:
-        raise type(exc)(f"line {line_index + 1}: {exc}") from None
-    return f"{name}:{line_index:08d}", tree
+def _tree_id(name: str, line_index: int) -> str:
+    return f"{name}:{line_index:08d}"
 
 
 # ---------------------------------------------------------- subcommands
 
 
-def _write_records(
-    sink: TextIO, results: Iterable[tuple[str, str]], counts: dict, read_key: str
-) -> None:
-    """Write each ("ok", line) result; count every result under read_key
-    and each ("skip", reason) under its reason."""
+def _record_range(sink: TextIO, results: Iterable[tuple[str, str]]) -> RangeCounts:
+    """Write each ("ok", line) result to sink and count each ("skip", reason)."""
+    read = written = 0
+    skips: dict[str, int] = {}
     for kind, payload in results:
-        counts[read_key] += 1
+        read += 1
         if kind == "skip":
-            counts["skips"][payload] = counts["skips"].get(payload, 0) + 1
+            skips[payload] = skips.get(payload, 0) + 1
         else:
             sink.write(payload)
-            counts["instances_written"] += 1
+            written += 1
+    return RangeCounts(read, (written,), skips)
 
 
 def _info(message: str) -> None:
@@ -333,7 +313,9 @@ def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
 def _npp_record(
     item: tuple[int, str], seed: int, min_size: int, name: str
 ) -> tuple[str, str]:
-    sentence_id, tree = _parse_tree_line(item, name)
+    line_index, line = item
+    tree = parse_tree_line(line_index, line)
+    sentence_id = _tree_id(name, line_index)
     groups = extract_phrases(tree)
     rng = record_rng(seed, sentence_id)
     built = build_npp_instance(tree, groups, rng, sentence_id, min_size)
@@ -342,22 +324,33 @@ def _npp_record(
     return "ok", _record_line(sentence_id, *serialize_npp(built))
 
 
+def _npp_range(
+    records: Iterable[tuple[int, str]], sinks: Sequence[TextIO], *, seed: int, min_size: int, name: str
+) -> RangeCounts:
+    return _record_range(sinks[0], (_npp_record(item, seed, min_size, name) for item in records))
+
+
 def cmd_build_npp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = Path(args.input).stem
-    counts: dict = {"sentences_read": 0, "instances_written": 0, "skips": {}}
+    sampled: dict = {}
     items: Iterable[tuple[int, str]] = iter_tree_lines(args.input)
     if config.sample is not None:
-        picked, counts["sentences_scanned"] = _reservoir(
+        picked, sampled["sentences_scanned"] = _reservoir(
             items, config.sample, random.Random(config.seed)
         )
         items = sorted(picked)
-    worker = functools.partial(
-        _npp_record, seed=config.seed, min_size=config.min_group_size, name=name
+    build = functools.partial(
+        _npp_range, seed=config.seed, min_size=config.min_group_size, name=name
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        records = _map_records(worker, items, config.workers)
-        _write_records(sinks[0], records, counts, "sentences_read")
+        built = fan_out(build, items, sinks[:1], config.workers)
+        counts = {
+            "sentences_read": built.read,
+            "instances_written": built.written[0],
+            "skips": built.skips,
+            **sampled,
+        }
         _finish_build(sinks, args, config, counts, counts)
     _log_records(args, counts, "sentences_read")
     return EXIT_OK
@@ -381,13 +374,33 @@ def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
 
 
 def _tree_pairs(item: tuple[int, str], name: str) -> tuple[int, str]:
-    sentence_id, tree = _parse_tree_line(item, name)
-    return _pair_block(sentence_id, tree.tokens)
+    line_index, line = item
+    return _pair_block(_tree_id(name, line_index), parse_tree_line(line_index, line).tokens)
 
 
 def _text_pairs(item: tuple[str, str]) -> tuple[int, str]:
     sentence_id, text = item
     return _pair_block(sentence_id, tokenize(text))
+
+
+def _pairs_range(
+    records: Iterable[tuple[int, object]], sinks: Sequence[TextIO], *, pairs_of: Callable
+) -> RangeCounts:
+    """Write the pairs of each (split, sentence) record to its split's sink.
+
+    A sentence without pairs keeps its split slot, so the splits stay as
+    assigned; it is counted as too_short.
+    """
+    written = [0] * len(sinks)
+    read = too_short = 0
+    for split, item in records:
+        pairs, block = pairs_of(item)
+        sinks[split].write(block)
+        written[split] += pairs
+        too_short += not pairs
+        read += 1
+    skips = {SkipReason.TOO_SHORT.value: too_short} if too_short else {}
+    return RangeCounts(read, tuple(written), skips)
 
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
@@ -398,7 +411,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
         total = sum(1 for _ in iter_tree_lines(args.input))
         items = iter_tree_lines(args.input)
-        worker = functools.partial(_tree_pairs, name=name)
+        pairs_of = functools.partial(_tree_pairs, name=name)
     else:
         # each document is split once; the sentence texts are held for the
         # build pass and tokenized by the worker
@@ -406,25 +419,19 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
             iter_sentence_texts(args.input, config.input_mode, name, _guards(config))
         )
         total = len(items)
-        worker = _text_pairs
+        pairs_of = _text_pairs
     sentence_counts = split_counts(total, config.ratios)
-    assignment = assign_splits(total, config.ratios, config.seed)
-    pairs_per_split = [0] * len(SPLIT_NAMES)
-    # a sentence without pairs keeps its split slot, so the splits stay as assigned
-    too_short = 0
+    records = zip(assign_splits(total, config.ratios, config.seed), items)
+    build = functools.partial(_pairs_range, pairs_of=pairs_of)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
-        for index, (pairs, block) in enumerate(_map_records(worker, items, config.workers)):
-            split = assignment[index]
-            sinks[split].write(block)
-            pairs_per_split[split] += pairs
-            too_short += not pairs
+        built = fan_out(build, records, sinks[: len(names)], config.workers)
         counts = {
             "sentences_read": total,
-            "pairs_written": sum(pairs_per_split),
-            "skips": {SkipReason.TOO_SHORT.value: too_short} if too_short else {},
+            "pairs_written": sum(built.written),
+            "skips": built.skips,
             "sentences": sentence_counts,
-            "pairs": dict(zip(SPLIT_NAMES, pairs_per_split)),
+            "pairs": dict(zip(SPLIT_NAMES, built.written)),
         }
         stats = {"dataset": name, **counts, "total_sentences": total}
         _finish_build(sinks, args, config, counts, stats)
@@ -460,6 +467,20 @@ def _nsp_records(
     return records
 
 
+def _nsp_range(
+    records: Iterable[tuple[int, list[str], list[int]]],
+    sinks: Sequence[TextIO],
+    *,
+    seed: int,
+    distractors: int,
+    name: str,
+) -> RangeCounts:
+    results = itertools.chain.from_iterable(
+        _nsp_records(item, seed, distractors, name) for item in records
+    )
+    return _record_range(sinks[0], results)
+
+
 def cmd_build_nsp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.input_mode not in ("lines", "dir"):
@@ -481,16 +502,20 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     for position, (doc_index, _) in enumerate(pool):
         own.setdefault(doc_index, []).append(position)
     items = ((d, sentences, own.get(d, [])) for d, sentences in documents)
-    worker = functools.partial(
-        _nsp_records, seed=config.seed, distractors=config.distractors, name=name
+    build = functools.partial(
+        _nsp_range, seed=config.seed, distractors=config.distractors, name=name
     )
-
-    counts: dict = {"contexts_read": 0, "instances_written": 0, "skips": {}}
-    per_document = _map_records(worker, items, config.workers, _install_nsp_pool, (texts,))
     try:
         with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-            records = itertools.chain.from_iterable(per_document)
-            _write_records(sinks[0], records, counts, "contexts_read")
+            built = fan_out(
+                build, items, sinks[:1], config.workers,
+                _install_nsp_pool, (texts,),
+            )
+            counts = {
+                "contexts_read": built.read,
+                "instances_written": built.written[0],
+                "skips": built.skips,
+            }
             _finish_build(sinks, args, config, counts, counts)
     finally:
         # a serial run installed the pool in this process; keep none between runs

@@ -165,10 +165,19 @@ def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
                 yield index, line
 
 
+def parse_tree_line(line_index: int, line: str) -> ConstituencyTree:
+    """Parse the treebank line at 0-based line_index.
+
+    A parse error keeps its type and gains a ``line N:`` prefix, N
+    counted from 1.
+    """
+    try:
+        return parse_ptb(line)
+    except TreebankError as exc:
+        raise type(exc)(f"line {line_index + 1}: {exc}") from None
+
+
 def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:
     """Yield (line_index, tree) for each non-blank line of a treebank file."""
     for index, line in iter_tree_lines(path):
-        try:
-            yield index, parse_ptb(line)
-        except TreebankError as exc:
-            raise type(exc)(f"line {index + 1}: {exc}") from None
+        yield index, parse_tree_line(index, line)

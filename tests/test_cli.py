@@ -176,7 +176,7 @@ def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
             argv = [*command, str(trees), "--out", str(out), "--workers", workers]
             assert main(argv) == 3, argv
             assert "error: line 2:" in capsys.readouterr().err, argv
-            assert list(out.glob("*.tmp")) == [], argv
+            assert list(out.glob("*.tmp*")) == [], argv
             assert list(out.glob("pairs_*.jsonl")) == [], argv
 
 
@@ -336,6 +336,29 @@ def test_failed_rerun_leaves_out_as_it_was(tmp_path, command, blocked):
     data = [name for name in before if name.endswith(".jsonl")]
     assert any((fresh / name).read_bytes() != before[name] for name in data)
     assert main([command, str(source), "--out", str(out), *options]) == 2
+    assert _files_under(out) == before
+
+
+# the name of the first part file a Pool worker writes for each build
+FIRST_PART = {
+    "build-npp": "instances.jsonl.tmp.0",
+    "build-pairs": "pairs_train.jsonl.tmp.0",
+    "build-nsp": "instances.jsonl.tmp.0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_RERUN_BUILDS))
+def test_a_directory_named_like_a_part_file_is_left_alone(tmp_path, command):
+    write_input, options = FAILED_RERUN_BUILDS[command]
+    source = write_input(tmp_path)
+    out = tmp_path / "out"
+    (out / FIRST_PART[command]).mkdir(parents=True)
+    # one worker writes no part: the build finishes and keeps the directory
+    assert main([command, str(source), "--out", str(out), *options]) == 0
+    assert (out / FIRST_PART[command]).is_dir()
+    before = _files_under(out)
+    # two workers cannot open the first part: the build fails as I/O
+    assert main([command, str(source), "--out", str(out), *options, "--workers", "2"]) == 2
     assert _files_under(out) == before
 
 

@@ -1,0 +1,168 @@
+"""The builders' fan-out: at --workers 2 every build writes the bytes of
+--workers 1, whatever the Pool's start method, and a failure inside the
+Pool leaves --out as it was."""
+
+import itertools
+import json
+import multiprocessing
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import nextphrase.corpus
+from nextphrase import fanout
+from nextphrase.cli import main
+
+from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
+
+SRC = str(Path(nextphrase.corpus.__file__).parents[1])
+
+# a tree with no eligible NPP group, and one token so no completion pair
+ONE_TOKEN = "(S (NN x))"
+# trees whose skip reason the property appends to the end of a corpus,
+# so that its first occurrence can fall in the last range
+LATE_SKIPS = (ONE_TOKEN, list_tree(27))
+
+# ranges this short cut the small inputs below into many ranges
+SHORT_RANGE = 5
+
+# python -c has no main module that spawn or forkserver would re-import
+WITH_START_METHOD = (
+    "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+    "from nextphrase import fanout; fanout.RANGE_RECORDS = int(sys.argv[2]); "
+    "from nextphrase.cli import main; sys.exit(main(sys.argv[3:]))"
+)
+
+
+def _written(out: Path) -> dict:
+    """Every file a build wrote, with its bytes; of the manifest only its counts,
+    since its config names the worker count and its timestamp moves."""
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    files["manifest.json"] = json.loads(files["manifest.json"])["counts"]
+    return files
+
+
+def _tree_file(path: Path, texts) -> Path:
+    path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
+    return path
+
+
+def _inputs(tmp_path: Path) -> tuple[Path, Path]:
+    """A treebank and a document file, each long enough for seven short ranges."""
+    rng = random.Random(7)
+    texts = [random_tree_text(rng, 5, 4) for _ in range(30)] + [SHOP, EAT_PIE, DOG, *LATE_SKIPS]
+    lines = []
+    for _ in range(40):
+        sentences = [
+            " ".join(random_sentence(rng, 1, 8)).capitalize() + "."
+            for _ in range(rng.randint(1, 4))
+        ]
+        lines.append(" ".join(sentences))
+    docs = tmp_path / "docs.txt"
+    docs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return _tree_file(tmp_path / "trees.txt", texts), docs
+
+
+def _builds(trees: Path, docs: Path) -> dict[str, list[str]]:
+    return {
+        "npp": ["build-npp", str(trees)],
+        "pairs-treebank": ["build-pairs", str(trees), "--input-mode", "treebank"],
+        "pairs-lines": ["build-pairs", str(docs)],
+        "nsp": ["build-nsp", str(docs), "--distractors", "3", "--pool-cap", "40"],
+    }
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_every_start_method_writes_the_bytes_of_one_worker(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    for label, argv in _builds(*_inputs(tmp_path)).items():
+        serial = tmp_path / f"{label}-1"
+        assert main([*argv, "--out", str(serial), "--seed", "3"]) == 0
+        pooled = tmp_path / f"{label}-2"
+        subprocess.run(
+            [
+                sys.executable, "-c", WITH_START_METHOD, method, str(SHORT_RANGE),
+                *argv, "--out", str(pooled), "--seed", "3", "--workers", "2",
+            ],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            # a Pool that loses a worker waits forever; fail instead
+            timeout=120,
+        )
+        assert _written(pooled) == _written(serial), label
+
+
+TREE_BUILDS = {"build-npp": [], "build-pairs": ["--input-mode", "treebank"]}
+
+
+@pytest.mark.parametrize("command", sorted(TREE_BUILDS))
+def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
+    rng = random.Random(9)
+    texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
+    trees = _tree_file(tmp_path / "trees.txt", texts)
+    out = tmp_path / "out"
+    argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # 40 trees make 8 ranges of 5: line 40 is in the last, whose worker has
+    # opened its part files when the parse fails
+    _tree_file(trees, [*texts[:-1], "(S (NP"])
+    assert main(argv) == 3
+    assert "error: line 40:" in capsys.readouterr().err
+    assert list(out.glob("*.tmp*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_ranges_have_a_fixed_size_and_are_read_as_asked_for(monkeypatch):
+    monkeypatch.setattr(fanout, "RANGE_RECORDS", 3)
+    endless = itertools.count()
+    ranges = fanout._ranges(endless)
+    assert next(ranges) == (0, [0, 1, 2])
+    # nothing past the range handed out has been read
+    assert next(endless) == 3
+    assert next(ranges) == (1, [4, 5, 6])
+    assert list(fanout._ranges(range(4))) == [(0, [0, 1, 2]), (1, [3])]
+    assert list(fanout._ranges([])) == []
+
+
+# at most 5 levels and 4 children, so at most 256 tokens: the pairs of a
+# tree grow with the square of its length
+GENERATED = st.integers(0, 2**32 - 1).map(lambda seed: random_tree_text(random.Random(seed), 5, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(
+        st.lists(GENERATED, min_size=1, max_size=39),
+        st.lists(st.sampled_from(LATE_SKIPS), max_size=1),
+    ),
+    st.integers(0, 2**16),
+)
+# no_eligible_group first, in the first range; too_many_choices and
+# too_short first in the last range
+@example(([DOG] + [SHOP, EAT_PIE] * 10 + [ONE_TOKEN], [list_tree(27)]), 0)
+def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
+    head, tail = corpus
+    # ranges of 3 cut the corpus into up to 14
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fanout, "RANGE_RECORDS", 3)
+        trees = _tree_file(Path(scratch) / "trees.txt", head + tail)
+        for command, options in TREE_BUILDS.items():
+            written = []
+            for workers in ("1", "2"):
+                out = Path(scratch) / f"{command}-{workers}"
+                argv = [command, str(trees), *options, "--seed", str(seed), "--workers", workers]
+                assert main([*argv, "--out", str(out)]) == 0
+                written.append(_written(out))
+            # equal dicts may differ in key order: compare the skips' order too
+            skips = [list(w["manifest.json"]["skips"]) for w in written]
+            assert written[0] == written[1] and skips[0] == skips[1], command
