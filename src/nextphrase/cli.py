@@ -13,7 +13,7 @@ histogram) into ``--out``, all renamed into place together at the end,
 the manifest last.  Re-running with the same config and inputs
 reproduces every output byte for byte; only the manifest timestamp
 moves.  A run that fails leaves ``--out`` as it was and deletes the
-temporary files it opened there, the part files of its Pool workers
+temporary files it opened there, the part files of its worker processes
 included.  Exit codes: 0 ok, 1 usage or config
 error, 2 input I/O error, 3 data contract violation (malformed tree,
 mismatched eval files).
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -32,7 +31,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
@@ -49,7 +48,7 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
-from .fanout import RangeCounts, fan_out, open_sink, remove_parts
+from .fanout import fan_out, open_sink, remove_parts
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
@@ -207,7 +206,7 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
     names, in order; when anything raises, none moves and every ``.tmp``
     opened here is deleted.  Either way every part file
     ``<name>.tmp.<task>`` in out_dir is deleted last, after the block
-    has ended any Pool that wrote one.
+    has stopped the worker processes that wrote them.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
@@ -284,20 +283,6 @@ def _tree_id(name: str, line_index: int) -> str:
 # ---------------------------------------------------------- subcommands
 
 
-def _record_range(sink: TextIO, results: Iterable[tuple[str, str]]) -> RangeCounts:
-    """Write each ("ok", line) result to sink and count each ("skip", reason)."""
-    read = written = 0
-    skips: dict[str, int] = {}
-    for kind, payload in results:
-        read += 1
-        if kind == "skip":
-            skips[payload] = skips.get(payload, 0) + 1
-        else:
-            sink.write(payload)
-            written += 1
-    return RangeCounts(read, (written,), skips)
-
-
 def _info(message: str) -> None:
     print(f"INFO {message}", file=sys.stderr)
 
@@ -310,9 +295,8 @@ def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
     )
 
 
-def _npp_record(
-    item: tuple[int, str], seed: int, min_size: int, name: str
-) -> tuple[str, str]:
+def _npp_outcomes(item: tuple[int, str], seed: int, min_size: int, name: str) -> Iterator:
+    """The one outcome of a tree line: its NPP record, or its skip reason."""
     line_index, line = item
     tree = parse_tree_line(line_index, line)
     sentence_id = _tree_id(name, line_index)
@@ -320,14 +304,9 @@ def _npp_record(
     rng = record_rng(seed, sentence_id)
     built = build_npp_instance(tree, groups, rng, sentence_id, min_size)
     if isinstance(built, Skip):
-        return "skip", built.reason.value
-    return "ok", _record_line(sentence_id, *serialize_npp(built))
-
-
-def _npp_range(
-    records: Iterable[tuple[int, str]], sinks: Sequence[TextIO], *, seed: int, min_size: int, name: str
-) -> RangeCounts:
-    return _record_range(sinks[0], (_npp_record(item, seed, min_size, name) for item in records))
+        yield built.reason.value
+    else:
+        yield 0, 1, (_record_line(sentence_id, *serialize_npp(built)),)
 
 
 def cmd_build_npp(args: argparse.Namespace) -> int:
@@ -340,11 +319,11 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
             items, config.sample, random.Random(config.seed)
         )
         items = sorted(picked)
-    build = functools.partial(
-        _npp_range, seed=config.seed, min_size=config.min_group_size, name=name
+    outcomes_of = functools.partial(
+        _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(build, items, sinks[:1], config.workers)
+        built = fan_out(outcomes_of, items, sinks[:1], config.workers)
         counts = {
             "sentences_read": built.read,
             "instances_written": built.written[0],
@@ -356,8 +335,8 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
-    """How many completion pairs a sentence has, and all of them as JSON lines.
+def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
+    """How many completion pairs a sentence has, and a generator of their JSON lines.
 
     Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
     "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
@@ -366,41 +345,29 @@ def _pair_block(sentence_id: str, tokens: Sequence[str]) -> tuple[int, str]:
     """
     body = [_quote(token)[1:-1] for token in tokens]
     head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
-    lines = [
+    lines = (
         f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
         for k in range(1, len(body))
-    ]
-    return len(lines), "".join(lines)
+    )
+    return max(len(body) - 1, 0), lines
 
 
-def _tree_pairs(item: tuple[int, str], name: str) -> tuple[int, str]:
-    line_index, line = item
-    return _pair_block(_tree_id(name, line_index), parse_tree_line(line_index, line).tokens)
+def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple:
+    """The one outcome of a sentence: its pairs for its split's sink, or
+    too_short; a sentence without pairs still keeps its split slot."""
+    pairs, lines = _pair_lines(sentence_id, tokens)
+    return ((split, pairs, lines) if pairs else SkipReason.TOO_SHORT.value,)
 
 
-def _text_pairs(item: tuple[str, str]) -> tuple[int, str]:
-    sentence_id, text = item
-    return _pair_block(sentence_id, tokenize(text))
+def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], name: str) -> tuple:
+    split, (line_index, line) = record
+    tokens = parse_tree_line(line_index, line).tokens
+    return _pair_outcomes(split, _tree_id(name, line_index), tokens)
 
 
-def _pairs_range(
-    records: Iterable[tuple[int, object]], sinks: Sequence[TextIO], *, pairs_of: Callable
-) -> RangeCounts:
-    """Write the pairs of each (split, sentence) record to its split's sink.
-
-    A sentence without pairs keeps its split slot, so the splits stay as
-    assigned; it is counted as too_short.
-    """
-    written = [0] * len(sinks)
-    read = too_short = 0
-    for split, item in records:
-        pairs, block = pairs_of(item)
-        sinks[split].write(block)
-        written[split] += pairs
-        too_short += not pairs
-        read += 1
-    skips = {SkipReason.TOO_SHORT.value: too_short} if too_short else {}
-    return RangeCounts(read, tuple(written), skips)
+def _text_pair_outcomes(record: tuple[int, tuple[str, str]]) -> tuple:
+    split, (sentence_id, text) = record
+    return _pair_outcomes(split, sentence_id, tokenize(text))
 
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
@@ -411,7 +378,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
         total = sum(1 for _ in iter_tree_lines(args.input))
         items = iter_tree_lines(args.input)
-        pairs_of = functools.partial(_tree_pairs, name=name)
+        outcomes_of = functools.partial(_tree_pair_outcomes, name=name)
     else:
         # each document is split once; the sentence texts are held for the
         # build pass and tokenized by the worker
@@ -419,13 +386,12 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
             iter_sentence_texts(args.input, config.input_mode, name, _guards(config))
         )
         total = len(items)
-        pairs_of = _text_pairs
+        outcomes_of = _text_pair_outcomes
     sentence_counts = split_counts(total, config.ratios)
     records = zip(assign_splits(total, config.ratios, config.seed), items)
-    build = functools.partial(_pairs_range, pairs_of=pairs_of)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
-        built = fan_out(build, records, sinks[: len(names)], config.workers)
+        built = fan_out(outcomes_of, records, sinks[: len(names)], config.workers)
         counts = {
             "sentences_read": total,
             "pairs_written": sum(built.written),
@@ -449,36 +415,20 @@ def _install_nsp_pool(texts: Sequence[str]) -> None:
     _nsp_pool = texts
 
 
-def _nsp_records(
+def _nsp_outcomes(
     item: tuple[int, list[str], list[int]], seed: int, distractors: int, name: str
-) -> list[tuple[str, str]]:
-    """One document's NSP records; ``own`` lists its sentences' pool positions."""
+) -> Iterator:
+    """A document's outcomes, one per context; ``own`` lists its pool positions."""
     doc_index, sentences, own = item
     others = PoolView(_nsp_pool, own)
-    records = []
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
         built = build_nsp_instance(sentences, position, others, rng, sentence_id, distractors)
         if isinstance(built, Skip):
-            records.append(("skip", built.reason.value))
-            continue
-        records.append(("ok", _record_line(sentence_id, *serialize_nsp(built))))
-    return records
-
-
-def _nsp_range(
-    records: Iterable[tuple[int, list[str], list[int]]],
-    sinks: Sequence[TextIO],
-    *,
-    seed: int,
-    distractors: int,
-    name: str,
-) -> RangeCounts:
-    results = itertools.chain.from_iterable(
-        _nsp_records(item, seed, distractors, name) for item in records
-    )
-    return _record_range(sinks[0], results)
+            yield built.reason.value
+        else:
+            yield 0, 1, (_record_line(sentence_id, *serialize_nsp(built)),)
 
 
 def cmd_build_nsp(args: argparse.Namespace) -> int:
@@ -502,13 +452,13 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     for position, (doc_index, _) in enumerate(pool):
         own.setdefault(doc_index, []).append(position)
     items = ((d, sentences, own.get(d, [])) for d, sentences in documents)
-    build = functools.partial(
-        _nsp_range, seed=config.seed, distractors=config.distractors, name=name
+    outcomes_of = functools.partial(
+        _nsp_outcomes, seed=config.seed, distractors=config.distractors, name=name
     )
     try:
         with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
             built = fan_out(
-                build, items, sinks[:1], config.workers,
+                outcomes_of, items, sinks[:1], config.workers,
                 _install_nsp_pool, (texts,),
             )
             counts = {

@@ -1,10 +1,17 @@
-"""The builders' fan-out: contiguous ranges of input records, built in
-this process or by a Pool into part files that are appended in input
-order, so the output bytes and counts do not depend on the worker count.
+"""The builders' fan-out and their one write-and-count loop.
+
+A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
+each input item's outcomes.  An outcome is either a skip reason (a
+``str``) or a ``(sink index, records written, lines)`` triple whose
+lines go to that sink; each outcome counts as one record read.
+Contiguous ranges of items are built in this process or by a process
+pool into part files that are appended in input order, so the output
+bytes and counts do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -13,10 +20,10 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-# a Pool task is a contiguous range of this many input records (the last
-# range may be shorter): the parent and each worker hold a few ranges at
-# a time, so their memory does not grow with the input, while each range
-# still costs one task and one part file per output
+# a worker task is a contiguous range of this many input records (the
+# last range may be shorter): the parent and each worker hold a few
+# ranges at a time, so their memory does not grow with the input, while
+# each range still costs one task and one part file per output
 RANGE_RECORDS = 256
 
 
@@ -53,6 +60,23 @@ def remove_parts(directory: Path, tmp_names: Iterable[str]) -> None:
             path.unlink(missing_ok=True)
 
 
+def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextIO]) -> RangeCounts:
+    """Write the outcomes of each record to sinks and count them."""
+    read = 0
+    written = [0] * len(sinks)
+    skips: dict[str, int] = {}
+    for record in records:
+        for outcome in outcomes_of(record):
+            read += 1
+            if isinstance(outcome, str):
+                skips[outcome] = skips.get(outcome, 0) + 1
+            else:
+                sink, count, lines = outcome
+                sinks[sink].writelines(lines)
+                written[sink] += count
+    return RangeCounts(read, tuple(written), skips)
+
+
 def _ranges(items: Iterable) -> Iterator[tuple[int, list]]:
     """(task, records) of each contiguous range of RANGE_RECORDS items, read
     from items only as they are asked for."""
@@ -64,12 +88,27 @@ def _ranges(items: Iterable) -> Iterator[tuple[int, list]]:
         yield task, records
 
 
-def _build_part(build: Callable, tmp_names: Sequence[str], task: tuple[int, list]) -> RangeCounts:
-    """Build one range into the part files ``<tmp name>.<task>``."""
-    index, records = task
+def _build_part(
+    outcomes_of: Callable, tmp_names: Sequence[str], task: int, records: list
+) -> RangeCounts:
+    """Write one range into the part files ``<tmp name>.<task>``."""
     with ExitStack() as stack:
-        parts = [stack.enter_context(open_sink(f"{name}.{index}")) for name in tmp_names]
-        return build(records, parts)
+        parts = [stack.enter_context(open_sink(f"{name}.{task}")) for name in tmp_names]
+        return _write_range(outcomes_of, records, parts)
+
+
+def _in_task_order(pool, build: Callable, ranges: Iterator, ahead: int) -> Iterator[tuple]:
+    """(task, future) of each range submitted to pool, in task order.
+
+    At most ``ahead`` ranges are submitted and not yet handed out, so the
+    ranges are read only as the workers need them.
+    """
+    window: collections.deque = collections.deque()
+    for task, records in ranges:
+        window.append((task, pool.submit(build, task, records)))
+        if len(window) == ahead:
+            yield window.popleft()
+    yield from window
 
 
 def _append_part(sink: TextIO, path: str) -> None:
@@ -81,35 +120,42 @@ def _append_part(sink: TextIO, path: str) -> None:
 
 
 def fan_out(
-    build: Callable,
+    outcomes_of: Callable,
     items: Iterable,
     sinks: Sequence[TextIO],
     workers: int,
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> RangeCounts:
-    """Build the items into sinks; bytes and counts do not depend on workers.
+    """Write the outcomes of the items to sinks; bytes and counts do not depend on workers.
 
-    ``build(records, sinks)`` writes a contiguous range of records to one
-    sink per data output and returns its RangeCounts; it must be a
-    module-level function or a partial of one, so that a Pool can pickle
-    it.  ``initializer(*initargs)`` runs once in every process that
-    builds.  A failed Pool run can leave part files behind: the caller
-    deletes them with ``remove_parts`` once this returns or raises.
+    ``outcomes_of(item)`` gives an item's outcomes (see the module
+    docstring); it must be a module-level function or a partial of one,
+    so that a worker process can unpickle it.  ``initializer(*initargs)``
+    runs once in every process that builds.  A worker that dies fails
+    the build with ``BrokenProcessPool``.  A failed run can leave part
+    files behind: the caller deletes them with ``remove_parts`` once
+    this returns or raises.
     """
     if workers == 1:
         if initializer is not None:
             initializer(*initargs)
-        return build(items, sinks)
-    # imported here: a serial run, the common case, never starts a Pool
-    from multiprocessing import Pool
+        return _write_range(outcomes_of, items, sinks)
+    # imported here: a serial run, the common case, never starts a pool
+    from concurrent.futures import ProcessPoolExecutor
 
-    tmp_names = [sink.name for sink in sinks]
-    task = functools.partial(_build_part, build, tmp_names)
+    build = functools.partial(_build_part, outcomes_of, [sink.name for sink in sinks])
     counts = RangeCounts(0, (0,) * len(sinks), {})
-    with Pool(workers, initializer, initargs) as pool:
-        for index, part_counts in enumerate(pool.imap(task, _ranges(items))):
-            for sink in sinks:
-                _append_part(sink, f"{sink.name}.{index}")
-            counts = add_counts(counts, part_counts)
+    with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
+        try:
+            for task, future in _in_task_order(pool, build, _ranges(items), 2 * workers):
+                # the result comes first: the parts are whole once it is in
+                counts = add_counts(counts, future.result())
+                for sink in sinks:
+                    _append_part(sink, f"{sink.name}.{task}")
+        except BaseException:
+            # drop the queued ranges; the with block waits for the running
+            # ones, so none writes a part after the caller's remove_parts
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
     return counts

@@ -13,10 +13,10 @@ import nextphrase.corpus
 import nextphrase.treebank
 from nextphrase.cli import (
     PipelineConfig,
-    _npp_record,
-    _pair_block,
+    _npp_outcomes,
+    _pair_lines,
     _record_line,
-    _tree_pairs,
+    _tree_pair_outcomes,
     main,
 )
 from nextphrase.corpus import detokenize, iter_sentence_texts, tokenize
@@ -182,16 +182,19 @@ def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
 
 @given(GENERATED_TREES, st.integers(0, 2**16))
 def test_npp_record_writes_or_names_a_skip(text, seed):
-    kind, payload = _npp_record((0, text), seed=seed, min_size=2, name="t")
-    if kind == "ok":
-        record = json.loads(payload)
+    (outcome,) = _npp_outcomes((0, text), seed=seed, min_size=2, name="t")
+    if isinstance(outcome, tuple):
+        sink, written, lines = outcome
+        assert (sink, written) == (0, 1)
+        (line,) = lines
+        record = json.loads(line)
         assert record["id"] == "t:00000000"
         choices = parse_prompt(record["input"])[2]
         assert record["target"] in choices
         assert len(set(choices)) == len(choices)
     else:
-        assert kind == "skip"
-        assert payload in SKIP_REASONS
+        assert isinstance(outcome, str)
+        assert outcome in SKIP_REASONS
 
 
 def test_tree_records_build_no_nodes(monkeypatch):
@@ -201,12 +204,12 @@ def test_tree_records_build_no_nodes(monkeypatch):
     monkeypatch.setattr(oracles, "Node", no_node)
     with pytest.raises(AssertionError, match="a Node was built"):
         tree_root(nextphrase.treebank.parse_ptb(DOG))
-    kinds = []
+    outcomes = []
     for index, text in enumerate((SHOP, EAT_PIE, DOG, f"(ROOT {SHOP})", list_tree(3))):
-        kind, _ = _npp_record((index, text), seed=3, min_size=2, name="t")
-        kinds.append(kind)
-        assert _tree_pairs((index, text), name="t")
-    assert "ok" in kinds
+        outcomes += _npp_outcomes((index, text), seed=3, min_size=2, name="t")
+        ((_, pairs, lines),) = _tree_pair_outcomes((0, (index, text)), name="t")
+        assert pairs and "".join(lines)
+    assert any(isinstance(outcome, tuple) for outcome in outcomes)
 
 
 def test_build_npp_accounts_for_every_generated_tree(tmp_path):
@@ -480,7 +483,8 @@ def test_pair_block_matches_json_dumps_of_each_pair(sentence_id, tokens):
         + "\n"
         for pair in pairs
     )
-    assert _pair_block(sentence_id, tokens) == (len(pairs), expected)
+    count, lines = _pair_lines(sentence_id, tokens)
+    assert (count, "".join(lines)) == (len(pairs), expected)
 
 
 @given(QUOTED_IDS, ESCAPE_TEXT, ESCAPE_TEXT)

@@ -1,7 +1,9 @@
 """The builders' fan-out: at --workers 2 every build writes the bytes of
---workers 1, whatever the Pool's start method, and a failure inside the
-Pool leaves --out as it was."""
+--workers 1, whatever the start method of the worker processes; a
+failure in a worker, even its death, leaves --out as it was; and the one
+write-and-count loop counts a range in parts as it counts it whole."""
 
+import io
 import itertools
 import json
 import multiprocessing
@@ -10,6 +12,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
 from nextphrase import fanout
-from nextphrase.cli import main
+from nextphrase.cli import _text_pair_outcomes, main
+from nextphrase.instances import SkipReason
 
 from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
 
@@ -94,7 +98,7 @@ def test_every_start_method_writes_the_bytes_of_one_worker(tmp_path, method):
             check=True,
             capture_output=True,
             env={**os.environ, "PYTHONPATH": SRC},
-            # a Pool that loses a worker waits forever; fail instead
+            # fail instead of waiting should a build hang
             timeout=120,
         )
         assert _written(pooled) == _written(serial), label
@@ -166,3 +170,100 @@ def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
             # equal dicts may differ in key order: compare the skips' order too
             skips = [list(w["manifest.json"]["skips"]) for w in written]
             assert written[0] == written[1] and skips[0] == skips[1], command
+
+
+# imported, it makes build-npp's outcomes end the worker process that
+# reaches tree line 22; a worker unpickling dying.outcomes imports it too
+DYING = """
+import os
+from nextphrase import cli
+
+original = cli._npp_outcomes
+
+
+def outcomes(item, **options):
+    if item[0] == 22:
+        os._exit(1)
+    return original(item, **options)
+
+
+cli._npp_outcomes = outcomes
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    (tmp_path / "dying.py").write_text(DYING, encoding="utf-8")
+    rng = random.Random(5)
+    trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
+    out = tmp_path / "out"
+    argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    # 40 trees make 8 ranges of 5: the worker dies in the fifth, after
+    # earlier ranges have been appended to the .tmp files
+    done = subprocess.run(
+        [
+            sys.executable, "-c", "import dying; " + WITH_START_METHOD,
+            method, str(SHORT_RANGE), *argv,
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)])},
+        # a pool that waits for a dead worker would hang the build
+        timeout=60,
+    )
+    assert done.returncode != 0
+    assert "BrokenProcessPool" in done.stderr
+    assert list(out.glob("*.tmp*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_long_sentence_is_written_one_pair_at_a_time():
+    # 2,000 tokens of 5 characters: each pair line is about 12 kB and all
+    # 1,999 of them about 24 MB, so the bound fails when they are joined
+    text = " ".join(f"w{i:04d}" for i in range(2000))
+    record = (0, ("doc:0", text))
+    with fanout.open_sink(os.devnull) as sink:
+        tracemalloc.start()
+        try:
+            counts = fanout._write_range(_text_pair_outcomes, [record], [sink])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert counts == fanout.RangeCounts(1, (1999,), {})
+    assert peak < 2 * 2**20
+
+
+SKIP_REASON = st.sampled_from([reason.value for reason in SkipReason])
+# (sink index, records written, lines) for one of two sinks
+WRITTEN = st.tuples(
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.lists(st.text(max_size=4).map(lambda text: text + "\n"), max_size=3),
+)
+# an item's outcomes: one, as for a tree or a sentence, or several, as
+# for an NSP document
+ITEMS = st.lists(st.lists(st.one_of(SKIP_REASON, WRITTEN), max_size=4), max_size=12)
+
+
+@given(ITEMS, st.data())
+def test_counts_of_two_halves_add_up_to_the_counts_of_the_whole(items, data):
+    cut = data.draw(st.integers(0, len(items)))
+
+    def write(records):
+        sinks = [io.StringIO(), io.StringIO()]
+        counts = fanout._write_range(iter, records, sinks)
+        return counts, [sink.getvalue() for sink in sinks]
+
+    whole, whole_text = write(items)
+    head, head_text = write(items[:cut])
+    tail, tail_text = write(items[cut:])
+    added = fanout.add_counts(head, tail)
+    assert added == whole
+    # equal dicts may differ in key order: compare the skips' order too
+    assert list(added.skips) == list(whole.skips)
+    assert [a + b for a, b in zip(head_text, tail_text)] == whole_text
+    assert whole.read == sum(map(len, items))
