@@ -16,14 +16,14 @@ moves.  A run that fails leaves ``--out`` as it was and deletes the
 temporary files it opened there, the part files of its worker processes
 included.  Exit codes: 0 ok, 1 usage or config
 error, 2 input I/O error, 3 data contract violation (malformed tree,
-mismatched eval files).
+mismatched eval files), 4 a worker process died, for example when it
+was killed or ran out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import random
@@ -48,7 +48,7 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
-from .fanout import fan_out, open_sink, remove_parts
+from .fanout import WorkerDied, fan_out, open_sink, remove_parts
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
@@ -64,8 +64,7 @@ from .instances import (
 from .metrics import (
     CountMismatch,
     SingleSegmentCorpus,
-    evaluate,
-    load_segments,
+    evaluate_files,
     render_report,
     report_to_json,
 )
@@ -77,6 +76,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
+EXIT_WORKER = 4
 
 INPUT_MODES = ("lines", "dir", "treebank")
 
@@ -176,6 +176,8 @@ def _guards(config: PipelineConfig) -> tuple[str, ...]:
 
 
 def file_sha256(path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which evaluate never needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
@@ -335,8 +337,14 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the pair lines of a sentence are written this many at a time: one write
+# for most sentences, and memory in proportion to the length of a long one
+_PAIRS_PER_WRITE = 32
+
+
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
-    """How many completion pairs a sentence has, and a generator of their JSON lines.
+    """How many completion pairs a sentence has, and a generator of their
+    JSON lines, joined _PAIRS_PER_WRITE at a time.
 
     Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
     "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
@@ -345,11 +353,14 @@ def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[
     """
     body = [_quote(token)[1:-1] for token in tokens]
     head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
-    lines = (
-        f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
-        for k in range(1, len(body))
+    chunks = (
+        "".join([
+            f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
+            for k in range(first, min(first + _PAIRS_PER_WRITE, len(body)))
+        ])
+        for first in range(1, len(body), _PAIRS_PER_WRITE)
     )
-    return max(len(body) - 1, 0), lines
+    return max(len(body) - 1, 0), chunks
 
 
 def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple:
@@ -475,8 +486,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    segments = load_segments(args.candidates, args.references)
-    report = evaluate(segments)
+    report = evaluate_files(args.candidates, args.references)
     text = render_report(report)
     print(text)
     report_path = Path(args.report)
@@ -609,6 +619,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

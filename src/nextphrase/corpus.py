@@ -154,16 +154,21 @@ def split_counts(n: int, ratios: Sequence[float]) -> dict[str, int]:
     return dict(zip(SPLIT_NAMES, sizes))
 
 
-def assign_splits(n: int, ratios: Sequence[float], seed: int) -> list[int]:
+def assign_splits(n: int, ratios: Sequence[float], seed: int) -> bytearray:
     """Split index (0=train, 1=dev, 2=test) per record position.
 
     Positions 0..n-1 are shuffled with the seed, and the shuffled order
     is cut into one contiguous slice per split, sized by split_counts.
+    The order is an ``array`` and the result a ``bytearray``, a few bytes
+    per position where lists take a pointer and often an int object;
+    ``random.shuffle`` makes the same draws on any mutable sequence.
     """
+    from array import array  # an extension module; of the commands only build-pairs needs it
+
     sizes = split_counts(n, ratios).values()
-    order = list(range(n))
+    order = array("i", range(n))
     random.Random(seed).shuffle(order)
-    assignment = [0] * n
+    assignment = bytearray(n)
     at = 0
     for split_index, size in enumerate(sizes):
         for position in order[at:at + size]:

@@ -27,6 +27,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 RANGE_RECORDS = 256
 
 
+class WorkerDied(RuntimeError):
+    """A worker process ended before its range was built."""
+
+
 class RangeCounts(NamedTuple):
     """What building a contiguous range of input records wrote."""
 
@@ -133,7 +137,7 @@ def fan_out(
     docstring); it must be a module-level function or a partial of one,
     so that a worker process can unpickle it.  ``initializer(*initargs)``
     runs once in every process that builds.  A worker that dies fails
-    the build with ``BrokenProcessPool``.  A failed run can leave part
+    the build with ``WorkerDied``.  A failed run can leave part
     files behind: the caller deletes them with ``remove_parts`` once
     this returns or raises.
     """
@@ -143,6 +147,7 @@ def fan_out(
         return _write_range(outcomes_of, items, sinks)
     # imported here: a serial run, the common case, never starts a pool
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     build = functools.partial(_build_part, outcomes_of, [sink.name for sink in sinks])
     counts = RangeCounts(0, (0,) * len(sinks), {})
@@ -153,9 +158,11 @@ def fan_out(
                 counts = add_counts(counts, future.result())
                 for sink in sinks:
                     _append_part(sink, f"{sink.name}.{task}")
-        except BaseException:
+        except BaseException as exc:
             # drop the queued ranges; the with block waits for the running
             # ones, so none writes a part after the caller's remove_parts
             pool.shutdown(wait=False, cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise WorkerDied(f"a worker process died: {exc}") from exc
             raise
     return counts

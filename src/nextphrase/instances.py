@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import hashlib
 import random
 import string
 from typing import NamedTuple, Sequence
@@ -79,6 +78,8 @@ class CompletionPair(NamedTuple):
 
 def record_rng(global_seed: int, sentence_id: str) -> random.Random:
     """Random stream for one record, stable across runs and workers."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which evaluate never needs
+
     digest = hashlib.sha256(f"{global_seed}:{sentence_id}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 

@@ -10,6 +10,16 @@ reference corpus, averaged over n-gram orders 1..4 and scaled by 10.
 Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU,
 CIDEr and the METEOR reference bound read those counts, and every scorer
 takes the ``EvalSegment``.  SPICE is not implemented.
+
+CIDEr's document frequencies need every reference before any segment
+can be scored, so a report takes two passes.  The first builds the
+frequencies from each segment's set of distinct reference n-grams; the
+second scores one segment at a time and keeps only its scores.
+``evaluate_files`` streams both passes from the two files, so it never
+holds more than one segment, and that segment's ``ngrams`` are freed
+with it.  ``evaluate`` runs the same two passes over a list, and the
+corpus scorers (``corpus_bleu``, ``meteor``, ``cider_scores``) take a
+list too.
 """
 
 from __future__ import annotations
@@ -17,8 +27,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from collections import Counter, defaultdict
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import tokenize
 
@@ -125,21 +136,36 @@ def _bleu(
     )
 
 
-def corpus_bleu(segments: Sequence[EvalSegment]) -> BleuResult:
-    """Pooled modified n-gram precision BLEU, no smoothing."""
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    candidate_length = 0
-    reference_length = 0
-    for segment in segments:
-        length = len(segment.candidate)
-        candidate_length += length
-        reference_length += _closest_reference_length(length, segment.references)
-        for n, (match, total) in enumerate(_clipped_matches(segment)):
-            matches[n] += match
-            totals[n] += total
-    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+def _bleu_counts(segment: EvalSegment) -> list[int]:
+    """The segment's candidate length, closest reference length, and
+    clipped matches and total per order, in that order."""
+    length = len(segment.candidate)
+    counts = [length, _closest_reference_length(length, segment.references)]
+    for pair in _clipped_matches(segment):
+        counts += pair
+    return counts
+
+
+# the BLEU counts of no segment, where the corpus sums start
+_NO_BLEU_COUNTS = (0,) * (2 + 2 * MAX_ORDER)
+
+
+def _add_counts(sums: Sequence[int], counts: Sequence[int]) -> list[int]:
+    return [a + b for a, b in zip(sums, counts)]
+
+
+def _pooled_bleu(sums: Sequence[int]) -> BleuResult:
+    """Corpus BLEU of the segments whose ``_bleu_counts`` add up to sums."""
+    candidate_length, reference_length, *pairs = sums
+    precisions = [m / t if t else 0.0 for m, t in zip(pairs[::2], pairs[1::2])]
     return _bleu(precisions, candidate_length, reference_length)
+
+
+def corpus_bleu(segments: Iterable[EvalSegment]) -> BleuResult:
+    """Pooled modified n-gram precision BLEU, no smoothing."""
+    return _pooled_bleu(
+        functools.reduce(_add_counts, map(_bleu_counts, segments), _NO_BLEU_COUNTS)
+    )
 
 
 def bleu4(segments: Sequence[EvalSegment]) -> float:
@@ -148,11 +174,9 @@ def bleu4(segments: Sequence[EvalSegment]) -> float:
 
 def sentence_bleu(segment: EvalSegment) -> float:
     """Per-segment detail score, add-one smoothed for orders >= 2."""
-    (match, total), *higher = _clipped_matches(segment)
+    length, reference_length, match, total, *higher = _bleu_counts(segment)
     precisions = [match / total if total else 0.0]
-    precisions += [(m + 1.0) / (t + 1.0) for m, t in higher]
-    length = len(segment.candidate)
-    reference_length = _closest_reference_length(length, segment.references)
+    precisions += [(m + 1.0) / (t + 1.0) for m, t in zip(higher[::2], higher[1::2])]
     return _bleu(precisions, length, reference_length).score
 
 
@@ -331,43 +355,74 @@ def meteor(segments: Sequence[EvalSegment]) -> float:
 # --------------------------------------------------------------- CIDEr
 
 
+def _document_frequency(
+    references_per_segment: Iterable[Sequence[Sequence[str]]],
+) -> tuple[int, list[Counter]]:
+    """How many segments there are and, per order, in how many segments'
+    references each n-gram occurs.
+
+    Built from each segment's set of distinct reference n-grams: no
+    occurrence is counted, so ``EvalSegment.ngrams`` is neither read nor
+    filled.
+    """
+    frequency: list[Counter] = [Counter() for _ in range(MAX_ORDER)]
+    count = 0
+    for count, references in enumerate(references_per_segment, 1):
+        for n, counter in enumerate(frequency, 1):
+            counter.update(
+                {tuple(tokens[i:i + n]) for tokens in references for i in range(len(tokens) - n + 1)}
+            )
+    return count, frequency
+
+
+def _require_corpus(segments: int) -> None:
+    if segments < 2:
+        raise SingleSegmentCorpus(
+            f"got {segments} segment(s); idf needs a corpus of at least 2"
+        )
+
+
+def _tf_idf(counts: Counter, frequency: Counter, corpus_size: int) -> dict:
+    return {
+        gram: count * math.log(corpus_size / (1.0 + frequency[gram]))
+        for gram, count in counts.items()
+    }
+
+
+def _cosine(a: dict, b: dict) -> float:
+    norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
+    norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    dot = math.fsum(v * b[g] for g, v in a.items() if g in b)
+    return dot / (norm_a * norm_b)
+
+
+def _cider_segment(
+    segment: EvalSegment, corpus_size: int, document_frequency: Sequence[Counter]
+) -> float:
+    """One segment's CIDEr against the corpus's document frequencies."""
+    order_scores = []
+    for frequency, (candidate, references) in zip(document_frequency, segment.ngrams):
+        cand_vec = _tf_idf(candidate, frequency, corpus_size)
+        sims = [
+            _cosine(cand_vec, _tf_idf(reference, frequency, corpus_size))
+            for reference in references
+        ]
+        order_scores.append(math.fsum(sims) / len(sims))
+    return 10.0 * math.fsum(order_scores) / MAX_ORDER
+
+
+def _mean(scores: Sequence[float]) -> float:
+    return math.fsum(scores) / len(scores)
+
+
 def cider_scores(segments: Sequence[EvalSegment]) -> tuple[float, list[float]]:
     """(corpus score, per-segment scores)."""
-    if len(segments) < 2:
-        raise SingleSegmentCorpus(
-            f"got {len(segments)} segment(s); idf needs a corpus of at least 2"
-        )
-    corpus_size = len(segments)
-    # per order: in how many segments' references each n-gram occurs
-    document_frequency: list[Counter] = [Counter() for _ in range(MAX_ORDER)]
-    for segment in segments:
-        for frequency, (_, references) in zip(document_frequency, segment.ngrams):
-            frequency.update(set().union(*references))
-
-    def vector(counts: Counter, frequency: Counter) -> dict:
-        return {
-            gram: count * math.log(corpus_size / (1.0 + frequency[gram]))
-            for gram, count in counts.items()
-        }
-
-    def cosine(a: dict, b: dict) -> float:
-        norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
-        norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
-        if norm_a == 0.0 or norm_b == 0.0:
-            return 0.0
-        dot = math.fsum(v * b[g] for g, v in a.items() if g in b)
-        return dot / (norm_a * norm_b)
-
-    per_segment: list[float] = []
-    for segment in segments:
-        order_scores = []
-        for frequency, (candidate, references) in zip(document_frequency, segment.ngrams):
-            cand_vec = vector(candidate, frequency)
-            sims = [cosine(cand_vec, vector(reference, frequency)) for reference in references]
-            order_scores.append(math.fsum(sims) / len(sims))
-        per_segment.append(10.0 * math.fsum(order_scores) / MAX_ORDER)
-    corpus = math.fsum(per_segment) / len(per_segment)
-    return corpus, per_segment
+    corpus_size, frequency = _document_frequency(s.references for s in segments)
+    _require_corpus(corpus_size)
+    per_segment = [_cider_segment(s, corpus_size, frequency) for s in segments]
+    return _mean(per_segment), per_segment
 
 
 def cider(segments: Sequence[EvalSegment]) -> float:
@@ -392,19 +447,28 @@ class EvalReport(NamedTuple):
     metadata: dict
 
 
-def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
-    corpus = corpus_bleu(segments)
-    meteor_stats = [meteor_segment(s) for s in segments]
-    cider_corpus, cider_per_segment = cider_scores(segments)
-    detail = tuple(
-        SegmentScores(
-            index=i,
-            bleu4=sentence_bleu(s),
-            meteor=meteor_stats[i].score,
-            cider=cider_per_segment[i],
+def _score(
+    segments: Iterable[EvalSegment], corpus_size: int, document_frequency: Sequence[Counter]
+) -> EvalReport:
+    """The second pass: score each segment in turn and keep only its
+    scores and METEOR stats, so a segment and its ``ngrams`` are freed
+    when the next one comes."""
+    _require_corpus(corpus_size)
+    bleu_sums = _NO_BLEU_COUNTS
+    meteor_stats: list[MeteorStats] = []
+    detail: list[SegmentScores] = []
+    for index, segment in enumerate(segments):
+        bleu_sums = _add_counts(bleu_sums, _bleu_counts(segment))
+        stats = meteor_segment(segment)
+        meteor_stats.append(stats)
+        detail.append(
+            SegmentScores(
+                index=index,
+                bleu4=sentence_bleu(segment),
+                meteor=stats.score,
+                cider=_cider_segment(segment, corpus_size, document_frequency),
+            )
         )
-        for i, s in enumerate(segments)
-    )
     metadata = {
         "bleu4": "corpus pooled n-gram counts, unsmoothed; "
                  "per-segment detail add-one smoothed for n >= 2",
@@ -414,36 +478,66 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
         "spice": "not implemented",
     }
     return EvalReport(
-        bleu4=corpus.score,
+        bleu4=_pooled_bleu(bleu_sums).score,
         meteor=_pooled(meteor_stats).score,
-        cider=cider_corpus,
-        segments=detail,
+        cider=_mean([s.cider for s in detail]),
+        segments=tuple(detail),
         metadata=metadata,
     )
 
 
-def _read_lines(path) -> list[str]:
+def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
+    """The report of a list of segments: the two passes over the list."""
+    return _score(segments, *_document_frequency(s.references for s in segments))
+
+
+def _lines(path) -> Iterator[str]:
     """Lines split at newlines only; text mode maps \\r\\n and \\r to \\n.
     str.splitlines would also cut at U+2028, U+0085 and the like."""
     with open(path, encoding="utf-8") as handle:
-        return [line.removesuffix("\n") for line in handle]
+        for line in handle:
+            yield line.removesuffix("\n")
+
+
+def _references(line: str) -> tuple[tuple[str, ...], ...]:
+    """The normalized references of a line; tab separates them."""
+    return tuple(normalize(reference) for reference in line.split("\t"))
+
+
+def _segment(candidate: str, references: str) -> EvalSegment:
+    return EvalSegment(normalize(candidate), _references(references))
+
+
+def _check_counts(candidates: int, references: int) -> None:
+    if candidates != references:
+        raise CountMismatch(f"{candidates} candidates vs {references} references")
 
 
 def load_segments(candidates_path, references_path) -> list[EvalSegment]:
     """Read aligned plain-text files; tab separates multiple references."""
-    candidates = _read_lines(candidates_path)
-    references = _read_lines(references_path)
-    if len(candidates) != len(references):
-        raise CountMismatch(
-            f"{len(candidates)} candidates vs {len(references)} references"
-        )
-    return [
-        EvalSegment(
-            normalize(candidate),
-            tuple(normalize(r) for r in reference.split("\t")),
-        )
-        for candidate, reference in zip(candidates, references)
-    ]
+    candidates = list(_lines(candidates_path))
+    references = list(_lines(references_path))
+    _check_counts(len(candidates), len(references))
+    return list(map(_segment, candidates, references))
+
+
+def evaluate_files(candidates_path, references_path) -> EvalReport:
+    """The report of two aligned files, read twice and never held whole.
+
+    The first pass counts the lines of both files and builds the
+    document frequencies, so a count mismatch or a one-segment corpus
+    is raised before any segment is scored.  The second pass zips the
+    files again and scores one segment at a time.
+    """
+    candidates = sum(1 for _ in _lines(candidates_path))
+    references, frequency = _document_frequency(
+        # interned, the n-gram keys of the frequencies share one string per word
+        tuple(tuple(map(sys.intern, tokens)) for tokens in _references(line))
+        for line in _lines(references_path)
+    )
+    _check_counts(candidates, references)
+    segments = map(_segment, _lines(candidates_path), _lines(references_path))
+    return _score(segments, references, frequency)
 
 
 def render_report(report: EvalReport) -> str:

@@ -1,12 +1,26 @@
 """Slow reference implementations the fast code is tested against."""
 
 import math
+import random
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nextphrase.metrics import MeteorStats, align
+from nextphrase.corpus import split_counts
+from nextphrase.metrics import (
+    EvalReport,
+    MeteorStats,
+    SegmentScores,
+    _bleu,
+    _clipped_matches,
+    _closest_reference_length,
+    _pooled,
+    align,
+    meteor_segment,
+    sentence_bleu,
+)
 from nextphrase.treebank import (
     EmptyConstituent,
     MalformedLabel,
@@ -351,3 +365,92 @@ def meteor_segment_oracle(candidate, references):
             best = stats
     assert best is not None
     return best
+
+
+def evaluate_oracle(segments):
+    """The list-based report that held every segment and its n-gram counts
+    to the end: corpus BLEU and CIDEr each loop over the whole list, and
+    the document frequencies come from the cached reference counts.  Its
+    float operations are the library's, so its report has the same bytes."""
+    matches = [0] * 4
+    totals = [0] * 4
+    candidate_length = 0
+    reference_length = 0
+    for segment in segments:
+        length = len(segment.candidate)
+        candidate_length += length
+        reference_length += _closest_reference_length(length, segment.references)
+        for n, (match, total) in enumerate(_clipped_matches(segment)):
+            matches[n] += match
+            totals[n] += total
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+    corpus_bleu = _bleu(precisions, candidate_length, reference_length)
+
+    meteor_stats = [meteor_segment(s) for s in segments]
+
+    corpus_size = len(segments)
+    document_frequency = [Counter() for _ in range(4)]
+    for segment in segments:
+        for frequency, (_, references) in zip(document_frequency, segment.ngrams):
+            frequency.update(set().union(*references))
+
+    def vector(counts, frequency):
+        return {
+            gram: count * math.log(corpus_size / (1.0 + frequency[gram]))
+            for gram, count in counts.items()
+        }
+
+    def cosine(a, b):
+        norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
+        norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
+        if norm_a == 0.0 or norm_b == 0.0:
+            return 0.0
+        dot = math.fsum(v * b[g] for g, v in a.items() if g in b)
+        return dot / (norm_a * norm_b)
+
+    cider_per_segment = []
+    for segment in segments:
+        order_scores = []
+        for frequency, (candidate, references) in zip(document_frequency, segment.ngrams):
+            cand_vec = vector(candidate, frequency)
+            sims = [cosine(cand_vec, vector(reference, frequency)) for reference in references]
+            order_scores.append(math.fsum(sims) / len(sims))
+        cider_per_segment.append(10.0 * math.fsum(order_scores) / 4)
+
+    detail = tuple(
+        SegmentScores(
+            index=i,
+            bleu4=sentence_bleu(s),
+            meteor=meteor_stats[i].score,
+            cider=cider_per_segment[i],
+        )
+        for i, s in enumerate(segments)
+    )
+    metadata = {
+        "bleu4": "corpus pooled n-gram counts, unsmoothed; "
+                 "per-segment detail add-one smoothed for n >= 2",
+        "meteor": "exact-METEOR: fmean 10PR/(R+9P), "
+                  "penalty 0.5*(chunks/matches)^3",
+        "cider": "plain CIDEr, idf log(|S|/(1+df)) over the references",
+        "spice": "not implemented",
+    }
+    return EvalReport(
+        bleu4=corpus_bleu.score,
+        meteor=_pooled(meteor_stats).score,
+        cider=math.fsum(cider_per_segment) / len(cider_per_segment),
+        segments=detail,
+        metadata=metadata,
+    )
+
+
+def assign_splits_oracle(n, ratios, seed):
+    """The split index per position from a shuffled list, cut by split_counts."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    assignment = [0] * n
+    at = 0
+    for split_index, size in enumerate(split_counts(n, ratios).values()):
+        for position in order[at:at + size]:
+            assignment[position] = split_index
+        at += size
+    return assignment

@@ -245,7 +245,9 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
     assert list(out.glob("*.tmp")) == []
 
 
-@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "logging", "datetime"])
+@pytest.mark.parametrize(
+    "module", ["multiprocessing", "concurrent.futures", "dataclasses", "logging", "datetime"]
+)
 def test_importing_the_cli_does_not_load(module):
     # only a build with --workers above 1 needs a Pool, and only a finished
     # build reads the clock; records are named tuples and the summary line
@@ -485,6 +487,17 @@ def test_pair_block_matches_json_dumps_of_each_pair(sentence_id, tokens):
     )
     count, lines = _pair_lines(sentence_id, tokens)
     assert (count, "".join(lines)) == (len(pairs), expected)
+
+
+def test_pair_lines_of_a_long_sentence_are_joined_a_bounded_number_at_a_time():
+    tokens = [f"w{i}" for i in range(100)]
+    count, chunks = _pair_lines("doc:0", tokens)
+    chunks = list(chunks)
+    assert count == 99
+    assert [chunk.count("\n") for chunk in chunks] == [32, 32, 32, 3]
+    assert "".join(chunks).splitlines()[40] == json.dumps(
+        {"id": "doc:0#41", "p": " ".join(tokens[:41]), "q": " ".join(tokens[41:])}
+    )
 
 
 @given(QUOTED_IDS, ESCAPE_TEXT, ESCAPE_TEXT)
@@ -777,6 +790,32 @@ def test_evaluate_splits_inputs_at_newlines_only(tmp_path, capsys):
          "--report", str(tmp_path / "rep.txt")]
     ) == 0
     assert "segments: 2" in capsys.readouterr().out
+
+
+def test_evaluate_never_loads_openssl(tmp_path):
+    # hashlib loads OpenSSL's _hashlib, a few MiB of a small run's peak
+    # RSS; only the builds hash anything
+    code = (
+        "import sys; before = '_hashlib' in sys.modules; "
+        "from nextphrase.cli import main; code = main(sys.argv[1:]); "
+        "print(before, '_hashlib' in sys.modules, code)"
+    )
+    argv = [
+        "evaluate", "--candidates", str(DATA / "candidates.txt"),
+        "--references", str(DATA / "references.txt"), "--report", str(tmp_path / "rep.txt"),
+    ]
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, after, code = result.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("the interpreter loaded _hashlib before nextphrase")
+    assert (after, code) == ("False", "0")
 
 
 def test_evaluate_missing_file_exits_2(tmp_path):

@@ -17,6 +17,8 @@ from nextphrase.corpus import (
     tokenize,
 )
 
+from oracles import assign_splits_oracle
+
 
 def test_split_on_terminator_before_capital():
     assert split_sentences("The sky is blue. It rains.") == [
@@ -155,6 +157,14 @@ def test_split_counts_floor_each_share_and_give_train_the_rest():
     assert split_counts(7, (0.5, 0.25, 0.25)) == {"train": 5, "dev": 1, "test": 1}
     with pytest.raises(RatioSumInvalid):
         split_counts(3, (0.5, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, 12345])
+def test_assign_splits_in_arrays_matches_the_list_version(n):
+    # random.shuffle draws the same on an array as on a list
+    assignment = assign_splits(n, (0.8, 0.1, 0.1), seed=4)
+    assert isinstance(assignment, bytearray)
+    assert list(assignment) == assign_splits_oracle(n, (0.8, 0.1, 0.1), seed=4)
 
 
 RATIOS = st.sampled_from(

@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import random
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import nextphrase.metrics
 from nextphrase.metrics import (
@@ -19,6 +21,7 @@ from nextphrase.metrics import (
     cider_scores,
     corpus_bleu,
     evaluate,
+    evaluate_files,
     load_segments,
     meteor,
     meteor_segment,
@@ -29,7 +32,13 @@ from nextphrase.metrics import (
 )
 
 from conftest import WORDS, random_sentence
-from oracles import align_oracle, bleu_oracle, cider_oracle, meteor_segment_oracle
+from oracles import (
+    align_oracle,
+    bleu_oracle,
+    cider_oracle,
+    evaluate_oracle,
+    meteor_segment_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -420,7 +429,8 @@ def test_report_mentions_unimplemented_spice_and_variant():
 
 
 def test_evaluate_counts_each_segment_once(monkeypatch):
-    # BLEU, the per-segment BLEU and CIDEr all read EvalSegment.ngrams
+    # BLEU, the per-segment BLEU and CIDEr all read EvalSegment.ngrams; the
+    # document frequencies come from sets of reference n-grams, not counts
     calls = []
     count = nextphrase.metrics._ngram_counts
     monkeypatch.setattr(
@@ -458,3 +468,78 @@ def test_eval_segment_fields_are_read_only():
     with pytest.raises(AttributeError):
         segment.references = (("x", "y"),)
     assert segment.candidate == ("a", "b")
+
+
+def _write_eval_files(directory: Path, segments) -> tuple[Path, Path]:
+    """Candidate and reference files of (candidate, references) word tuples."""
+    candidates = directory / "candidates.txt"
+    references = directory / "references.txt"
+    candidates.write_text(
+        "".join(" ".join(candidate) + "\n" for candidate, _ in segments), encoding="utf-8"
+    )
+    references.write_text(
+        "".join("\t".join(" ".join(r) for r in refs) + "\n" for _, refs in segments),
+        encoding="utf-8",
+    )
+    return candidates, references
+
+
+EVAL_SENTENCES = st.lists(st.sampled_from(("a", "b", "c", "d")), max_size=7)
+EVAL_SEGMENTS = st.tuples(EVAL_SENTENCES, st.lists(EVAL_SENTENCES, min_size=1, max_size=3))
+# an empty candidate, an empty reference beside a full one, and "zebra",
+# whose n-grams only one reference in the corpus has
+EVAL_EDGES = [
+    ((), (("a", "b"),)),
+    (("a", "b", "c"), ((), ("a", "b", "d"))),
+    (("a", "zebra"), (("a", "zebra", "b"), ("a", "b"))),
+]
+
+
+@given(st.lists(EVAL_SEGMENTS, max_size=6), st.randoms(use_true_random=False))
+@example([], random.Random(0))
+def test_streamed_files_report_the_bytes_of_the_list_oracle(drawn, rng):
+    segments = drawn + EVAL_EDGES
+    rng.shuffle(segments)
+    with tempfile.TemporaryDirectory() as scratch:
+        candidates, references = _write_eval_files(Path(scratch), segments)
+        streamed = evaluate_files(candidates, references)
+        expected = evaluate_oracle(load_segments(candidates, references))
+        listed = evaluate(load_segments(candidates, references))
+    assert report_to_json(streamed) == report_to_json(expected) == report_to_json(listed)
+    assert render_report(streamed) == render_report(expected)
+
+
+def test_evaluate_files_checks_counts_before_the_corpus_size(tmp_path):
+    candidates, references = _write_eval_files(tmp_path, [(("a",), (("a",),))] * 2)
+    references.write_text("a\n", encoding="utf-8")
+    with pytest.raises(CountMismatch):
+        evaluate_files(candidates, references)
+    candidates.write_text("a\n", encoding="utf-8")
+    with pytest.raises(SingleSegmentCorpus):
+        evaluate_files(candidates, references)
+
+
+def test_evaluate_files_holds_one_segment_at_a_time(tmp_path):
+    # 2,000 segments of distinct words, two references each: a report that
+    # holds every segment with its n-gram counts peaks above 20 MiB here;
+    # streamed, only the document frequencies and one segment are held
+    rng = random.Random(3)
+    vocabulary = [f"w{i}" for i in range(5000)]
+    segments = []
+    for _ in range(2000):
+        candidate = rng.sample(vocabulary, rng.randint(4, 10))
+        references = []
+        for _ in range(2):
+            reference = list(candidate)
+            reference[rng.randrange(len(reference))] = rng.choice(vocabulary)
+            references.append(reference)
+        segments.append((candidate, references))
+    candidates, references = _write_eval_files(tmp_path, segments)
+    tracemalloc.start()
+    try:
+        report = evaluate_files(candidates, references)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.segments) == 2000
+    assert peak < 12 * 2**20
