@@ -9,15 +9,16 @@
 
 Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
-histogram) into ``--out``, all renamed into place together at the end,
-the manifest last.  Re-running with the same config and inputs
-reproduces every output byte for byte; only the manifest timestamp
-moves.  A run that fails leaves ``--out`` as it was and deletes the
-temporary files it opened there, the part files of its worker processes
-included.  Exit codes: 0 ok, 1 usage or config
-error, 2 input I/O error, 3 data contract violation (malformed tree,
-mismatched eval files), 4 a worker process died, for example when it
-was killed or ran out of memory.
+histogram) into a private ``.nextphrase-*`` directory inside ``--out``,
+where its worker processes write their part files too; at the end they
+are renamed into ``--out`` together, the manifest last.  Re-running with
+the same config and inputs reproduces every output byte for byte; only
+the manifest timestamp moves.  A run that fails leaves ``--out`` as it
+was, and every run deletes its private directory, so it deletes nothing
+it did not create.  Exit codes: 0 ok, 1 usage or config error, 2 input
+I/O error or an input that is not UTF-8, 3 data contract violation
+(malformed tree, mismatched eval files), 4 a worker process died, for
+example when it was killed or ran out of memory.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import json
 import os
 import random
+import shutil
 import sys
 from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring as _quote
@@ -48,7 +50,7 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
-from .fanout import WorkerDied, fan_out, open_sink, remove_parts
+from .fanout import WorkerDied, fan_out, open_sink
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
@@ -202,35 +204,29 @@ def _json_text(payload: dict) -> str:
 
 @contextmanager
 def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]:
-    """Open ``<name>.tmp`` in out_dir for each name, one sink per name.
+    """Open one sink per name in a new private directory inside out_dir.
 
-    When the block completes the files move into place under their
-    names, in order; when anything raises, none moves and every ``.tmp``
-    opened here is deleted.  Either way every part file
-    ``<name>.tmp.<task>`` in out_dir is deleted last, after the block
-    has stopped the worker processes that wrote them.
+    When the block completes the files move into out_dir under their
+    names, in order; when anything raises, none moves.  Either way the
+    staging directory goes last, with the part files the block's worker
+    processes wrote there, after the block has stopped them.  So a run
+    deletes nothing it did not create.
     """
+    import tempfile  # here, not at the top: only a command that writes needs it
+
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         # a file cannot replace a directory: fail before any output moves
         if (out_dir / name).is_dir():
             raise IsADirectoryError(f"output is a directory: {out_dir / name}")
-    sinks: list[TextIO] = []
+    staging = Path(tempfile.mkdtemp(prefix=".nextphrase-", dir=out_dir))
     try:
         with ExitStack() as stack:
-            for name in names:
-                tmp = out_dir / (name + ".tmp")
-                sinks.append(stack.enter_context(open_sink(tmp)))
-            yield sinks
-        for sink, name in zip(sinks, names):
-            os.replace(sink.name, out_dir / name)
-    except BaseException:
-        # sink.name is the path each .tmp was opened under
-        for sink in sinks:
-            Path(sink.name).unlink(missing_ok=True)
-        raise
+            yield [stack.enter_context(open_sink(staging / name)) for name in names]
+        for name in names:
+            os.replace(staging / name, out_dir / name)
     finally:
-        remove_parts(out_dir, [name + ".tmp" for name in names])
+        shutil.rmtree(staging)
 
 
 # the last two outputs of every build; the manifest is renamed into place last
@@ -616,7 +612,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TreebankError, CountMismatch, SingleSegmentCorpus, MoreChoicesThanLetters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
+    # UnicodeDecodeError is a ValueError: an input that is not UTF-8 fails as I/O
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except WorkerDied as exc:

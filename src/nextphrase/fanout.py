@@ -6,7 +6,8 @@ each input item's outcomes.  An outcome is either a skip reason (a
 lines go to that sink; each outcome counts as one record read.
 Contiguous ranges of items are built in this process or by a process
 pool into part files that are appended in input order, so the output
-bytes and counts do not depend on the worker count.
+bytes and counts do not depend on the worker count.  The part files are
+written next to the sinks, so the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import itertools
 import os
 import shutil
 from contextlib import ExitStack
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 # a worker task is a contiguous range of this many input records (the
@@ -53,17 +53,6 @@ def open_sink(path) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def remove_parts(directory: Path, tmp_names: Iterable[str]) -> None:
-    """Delete every part file ``<tmp name>.<task>`` in directory.
-
-    Only regular files go: anything else under such a name is not a part.
-    """
-    prefixes = tuple(f"{name}." for name in tmp_names)
-    for path in directory.iterdir():
-        if path.name.startswith(prefixes) and path.suffix[1:].isdigit() and path.is_file():
-            path.unlink(missing_ok=True)
-
-
 def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextIO]) -> RangeCounts:
     """Write the outcomes of each record to sinks and count them."""
     read = 0
@@ -93,11 +82,11 @@ def _ranges(items: Iterable) -> Iterator[tuple[int, list]]:
 
 
 def _build_part(
-    outcomes_of: Callable, tmp_names: Sequence[str], task: int, records: list
+    outcomes_of: Callable, sink_names: Sequence[str], task: int, records: list
 ) -> RangeCounts:
-    """Write one range into the part files ``<tmp name>.<task>``."""
+    """Write one range into the part files ``<sink name>.<task>``."""
     with ExitStack() as stack:
-        parts = [stack.enter_context(open_sink(f"{name}.{task}")) for name in tmp_names]
+        parts = [stack.enter_context(open_sink(f"{name}.{task}")) for name in sink_names]
         return _write_range(outcomes_of, records, parts)
 
 
@@ -137,9 +126,9 @@ def fan_out(
     docstring); it must be a module-level function or a partial of one,
     so that a worker process can unpickle it.  ``initializer(*initargs)``
     runs once in every process that builds.  A worker that dies fails
-    the build with ``WorkerDied``.  A failed run can leave part
-    files behind: the caller deletes them with ``remove_parts`` once
-    this returns or raises.
+    the build with ``WorkerDied``.  Workers write their part files
+    ``<sink name>.<task>`` next to the sinks, and a failed run can leave
+    some behind, so the sinks' directory must be the caller's own.
     """
     if workers == 1:
         if initializer is not None:
@@ -160,7 +149,7 @@ def fan_out(
                     _append_part(sink, f"{sink.name}.{task}")
         except BaseException as exc:
             # drop the queued ranges; the with block waits for the running
-            # ones, so none writes a part after the caller's remove_parts
+            # ones, so none writes a part once this has returned
             pool.shutdown(wait=False, cancel_futures=True)
             if isinstance(exc, BrokenProcessPool):
                 raise WorkerDied(f"a worker process died: {exc}") from exc

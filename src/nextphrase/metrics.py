@@ -9,7 +9,9 @@ the plain tf-idf cosine form with idf log(|S|/(1+df)) taken from the
 reference corpus, averaged over n-gram orders 1..4 and scaled by 10.
 Each segment's n-grams are counted once (``EvalSegment.ngrams``); BLEU,
 CIDEr and the METEOR reference bound read those counts, and every scorer
-takes the ``EvalSegment``.  SPICE is not implemented.
+takes the ``EvalSegment``.  BLEU's clipped matches are counted once too
+(``EvalSegment.bleu_counts``), for the corpus sums and the segment's
+score.  SPICE is not implemented.
 
 CIDEr's document frequencies need every reference before any segment
 can be scored, so a report takes two passes.  The first builds the
@@ -67,6 +69,17 @@ class EvalSegment(_Segment):
             )
             for n in range(1, MAX_ORDER + 1)
         )
+
+    @functools.cached_property
+    def bleu_counts(self) -> tuple[int, ...]:
+        """The candidate length, the closest reference length, and the
+        clipped matches and total per order, in that order: clipped once
+        for corpus BLEU and the segment's own BLEU."""
+        length = len(self.candidate)
+        counts = [length, _closest_reference_length(length, self.references)]
+        for pair in _clipped_matches(self):
+            counts += pair
+        return tuple(counts)
 
 
 def normalize(text: str) -> tuple[str, ...]:
@@ -136,16 +149,6 @@ def _bleu(
     )
 
 
-def _bleu_counts(segment: EvalSegment) -> list[int]:
-    """The segment's candidate length, closest reference length, and
-    clipped matches and total per order, in that order."""
-    length = len(segment.candidate)
-    counts = [length, _closest_reference_length(length, segment.references)]
-    for pair in _clipped_matches(segment):
-        counts += pair
-    return counts
-
-
 # the BLEU counts of no segment, where the corpus sums start
 _NO_BLEU_COUNTS = (0,) * (2 + 2 * MAX_ORDER)
 
@@ -155,7 +158,7 @@ def _add_counts(sums: Sequence[int], counts: Sequence[int]) -> list[int]:
 
 
 def _pooled_bleu(sums: Sequence[int]) -> BleuResult:
-    """Corpus BLEU of the segments whose ``_bleu_counts`` add up to sums."""
+    """Corpus BLEU of the segments whose ``bleu_counts`` add up to sums."""
     candidate_length, reference_length, *pairs = sums
     precisions = [m / t if t else 0.0 for m, t in zip(pairs[::2], pairs[1::2])]
     return _bleu(precisions, candidate_length, reference_length)
@@ -164,7 +167,7 @@ def _pooled_bleu(sums: Sequence[int]) -> BleuResult:
 def corpus_bleu(segments: Iterable[EvalSegment]) -> BleuResult:
     """Pooled modified n-gram precision BLEU, no smoothing."""
     return _pooled_bleu(
-        functools.reduce(_add_counts, map(_bleu_counts, segments), _NO_BLEU_COUNTS)
+        functools.reduce(_add_counts, (s.bleu_counts for s in segments), _NO_BLEU_COUNTS)
     )
 
 
@@ -174,7 +177,7 @@ def bleu4(segments: Sequence[EvalSegment]) -> float:
 
 def sentence_bleu(segment: EvalSegment) -> float:
     """Per-segment detail score, add-one smoothed for orders >= 2."""
-    length, reference_length, match, total, *higher = _bleu_counts(segment)
+    length, reference_length, match, total, *higher = segment.bleu_counts
     precisions = [match / total if total else 0.0]
     precisions += [(m + 1.0) / (t + 1.0) for m, t in zip(higher[::2], higher[1::2])]
     return _bleu(precisions, length, reference_length).score
@@ -337,19 +340,15 @@ def meteor_segment(segment: EvalSegment) -> MeteorStats:
     return best
 
 
-def _pooled(stats: Sequence[MeteorStats]) -> MeteorStats:
-    """Corpus stats: matches, chunks and lengths summed over segments."""
-    return MeteorStats(
-        sum(s.matches for s in stats),
-        sum(s.chunks for s in stats),
-        sum(s.candidate_length for s in stats),
-        sum(s.reference_length for s in stats),
-    )
+# the METEOR stats of no segment, where the corpus sums start
+_NO_METEOR_STATS = MeteorStats(0, 0, 0, 0)
 
 
-def meteor(segments: Sequence[EvalSegment]) -> float:
+def meteor(segments: Iterable[EvalSegment]) -> float:
     """Corpus score: sum matches/chunks/lengths, then apply the formulas."""
-    return _pooled([meteor_segment(s) for s in segments]).score
+    return MeteorStats(
+        *functools.reduce(_add_counts, map(meteor_segment, segments), _NO_METEOR_STATS)
+    ).score
 
 
 # --------------------------------------------------------------- CIDEr
@@ -450,17 +449,17 @@ class EvalReport(NamedTuple):
 def _score(
     segments: Iterable[EvalSegment], corpus_size: int, document_frequency: Sequence[Counter]
 ) -> EvalReport:
-    """The second pass: score each segment in turn and keep only its
-    scores and METEOR stats, so a segment and its ``ngrams`` are freed
-    when the next one comes."""
+    """The second pass: score each segment in turn, keep only its scores
+    and add its BLEU counts and METEOR stats to the corpus sums, so a
+    segment and its cached counts are freed when the next one comes."""
     _require_corpus(corpus_size)
     bleu_sums = _NO_BLEU_COUNTS
-    meteor_stats: list[MeteorStats] = []
+    meteor_sums = _NO_METEOR_STATS
     detail: list[SegmentScores] = []
     for index, segment in enumerate(segments):
-        bleu_sums = _add_counts(bleu_sums, _bleu_counts(segment))
+        bleu_sums = _add_counts(bleu_sums, segment.bleu_counts)
         stats = meteor_segment(segment)
-        meteor_stats.append(stats)
+        meteor_sums = _add_counts(meteor_sums, stats)
         detail.append(
             SegmentScores(
                 index=index,
@@ -479,7 +478,7 @@ def _score(
     }
     return EvalReport(
         bleu4=_pooled_bleu(bleu_sums).score,
-        meteor=_pooled(meteor_stats).score,
+        meteor=MeteorStats(*meteor_sums).score,
         cider=_mean([s.cider for s in detail]),
         segments=tuple(detail),
         metadata=metadata,

@@ -16,7 +16,6 @@ from nextphrase.metrics import (
     _bleu,
     _clipped_matches,
     _closest_reference_length,
-    _pooled,
     align,
     meteor_segment,
     sentence_bleu,
@@ -436,7 +435,8 @@ def evaluate_oracle(segments):
     }
     return EvalReport(
         bleu4=corpus_bleu.score,
-        meteor=_pooled(meteor_stats).score,
+        # its own field sums, not the library's fold
+        meteor=MeteorStats(*(sum(field) for field in zip(*meteor_stats))).score,
         cider=math.fsum(cider_per_segment) / len(cider_per_segment),
         segments=detail,
         metadata=metadata,

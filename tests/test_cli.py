@@ -176,7 +176,7 @@ def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
             argv = [*command, str(trees), "--out", str(out), "--workers", workers]
             assert main(argv) == 3, argv
             assert "error: line 2:" in capsys.readouterr().err, argv
-            assert list(out.glob("*.tmp*")) == [], argv
+            assert list(out.glob(".nextphrase-*")) == [], argv
             assert list(out.glob("pairs_*.jsonl")) == [], argv
 
 
@@ -242,7 +242,7 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
         counts["skips"].values()
     )
     assert [r["id"] for r in _records(out / "instances.jsonl")] == ["trees:00000000"]
-    assert list(out.glob("*.tmp")) == []
+    assert list(out.glob(".nextphrase-*")) == []
 
 
 @pytest.mark.parametrize(
@@ -321,50 +321,125 @@ FAILED_RERUN_BUILDS = {
 }
 
 
-# a directory in the way of the manifest: its temp file cannot be opened,
-# or the finished manifest cannot be renamed over it
-@pytest.mark.parametrize("blocked", ["manifest.json.tmp", "manifest.json"])
+# what fails the rerun: a directory in the way of the finished manifest,
+# or an input whose last line is not UTF-8, which build-npp reads after
+# it has written data into its staging directory
+@pytest.mark.parametrize("failure", ["not-utf-8", "manifest.json"])
 @pytest.mark.parametrize("command", sorted(FAILED_RERUN_BUILDS))
-def test_failed_rerun_leaves_out_as_it_was(tmp_path, command, blocked):
+def test_failed_rerun_leaves_out_as_it_was(tmp_path, command, failure):
     write_input, options = FAILED_RERUN_BUILDS[command]
     source = write_input(tmp_path)
     out = tmp_path / "out"
     assert main([command, str(source), "--out", str(out), *options]) == 0
-    (out / blocked).unlink(missing_ok=True)
-    (out / blocked).mkdir()
+    if failure == "manifest.json":
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").mkdir()
     before = _files_under(out)
     lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
-    source.write_text("".join(reversed(lines)), encoding="utf-8")
-    # unblocked, the rerun's input writes other data bytes
+    # more than one read buffer of input
+    source.write_text("".join(reversed(lines)) * 100, encoding="utf-8")
+    # without the failure, the rerun's input writes other data bytes
     fresh = tmp_path / "fresh"
     assert main([command, str(source), "--out", str(fresh), *options]) == 0
     data = [name for name in before if name.endswith(".jsonl")]
     assert any((fresh / name).read_bytes() != before[name] for name in data)
+    if failure == "not-utf-8":
+        with open(source, "ab") as handle:
+            handle.write(b"(S (NN \xff))\n")
     assert main([command, str(source), "--out", str(out), *options]) == 2
     assert _files_under(out) == before
 
 
-# the name of the first part file a Pool worker writes for each build
-FIRST_PART = {
-    "build-npp": "instances.jsonl.tmp.0",
-    "build-pairs": "pairs_train.jsonl.tmp.0",
-    "build-nsp": "instances.jsonl.tmp.0",
+# every output of each build, as named in --out
+BUILD_OUTPUTS = {
+    "build-npp": ["instances.jsonl", "stats.json", "manifest.json"],
+    "build-pairs": [f"pairs_{split}.jsonl" for split in ("train", "dev", "test")]
+    + ["stats.json", "manifest.json"],
+    "build-nsp": ["instances.jsonl", "stats.json", "manifest.json"],
 }
 
 
+def _plant_temp_names(directory, outputs):
+    """A regular file or a directory, in turn, under each temp or part file
+    name an output could take, ``<output>.tmp`` and ``<output>.tmp.<n>``;
+    what directory then holds, as ``_files_under`` gives it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for index, output in enumerate(outputs):
+        for k, suffix in enumerate((".tmp", ".tmp.0", ".tmp.1")):
+            path = directory / (output + suffix)
+            if (index + k) % 2:
+                path.mkdir()
+                (path / "inside").write_bytes(b"not the run's\n")
+            else:
+                path.write_bytes(f"not the run's {path.name}\n".encode())
+    return _files_under(directory)
+
+
+def _left_alone(directory, planted, outputs):
+    """True when directory holds what was planted, unchanged, and the outputs."""
+    after = _files_under(directory)
+    return {name: after.get(name) for name in planted} == planted and sorted(
+        set(after) - set(planted)
+    ) == sorted(outputs)
+
+
 @pytest.mark.parametrize("command", sorted(FAILED_RERUN_BUILDS))
-def test_a_directory_named_like_a_part_file_is_left_alone(tmp_path, command):
+def test_a_build_leaves_files_named_like_its_temp_files_alone(tmp_path, command):
     write_input, options = FAILED_RERUN_BUILDS[command]
     source = write_input(tmp_path)
-    out = tmp_path / "out"
-    (out / FIRST_PART[command]).mkdir(parents=True)
-    # one worker writes no part: the build finishes and keeps the directory
-    assert main([command, str(source), "--out", str(out), *options]) == 0
-    assert (out / FIRST_PART[command]).is_dir()
-    before = _files_under(out)
-    # two workers cannot open the first part: the build fails as I/O
-    assert main([command, str(source), "--out", str(out), *options, "--workers", "2"]) == 2
-    assert _files_under(out) == before
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        planted = _plant_temp_names(out, BUILD_OUTPUTS[command])
+        argv = [command, str(source), "--out", str(out), *options, "--workers", workers]
+        assert main(argv) == 0, workers
+        assert _left_alone(out, planted, BUILD_OUTPUTS[command]), workers
+
+
+def _evaluate_argv(report, candidates=DATA / "candidates.txt"):
+    return [
+        "evaluate", "--candidates", str(candidates),
+        "--references", str(DATA / "references.txt"), "--report", str(report),
+    ]
+
+
+def test_evaluate_leaves_files_named_like_its_temp_files_alone(tmp_path):
+    report = tmp_path / "ev" / "report.txt"
+    outputs = ["report.txt", "report.txt.json"]
+    planted = _plant_temp_names(report.parent, outputs)
+    assert main(_evaluate_argv(report)) == 0
+    assert _left_alone(report.parent, planted, outputs)
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_build_npp_on_a_tree_line_that_is_not_utf8_exits_2(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(trees.read_bytes() + b"(S (NN \xff))\n")
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        argv = ["build-npp", str(trees), "--out", str(out), "--workers", workers]
+        assert main(argv) == 0
+        before = _files_under(out)
+        capsys.readouterr()
+        assert main(["build-npp", str(bad), *argv[2:]]) == 2, workers
+        _assert_one_error_line(capsys)
+        assert _files_under(out) == before
+
+
+def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
+    report = tmp_path / "ev" / "report.txt"
+    assert main(_evaluate_argv(report)) == 0
+    before = _files_under(report.parent)
+    candidates = tmp_path / "candidates.txt"
+    candidates.write_bytes(b"\xff\xfe" + (DATA / "candidates.txt").read_bytes())
+    capsys.readouterr()
+    assert main(_evaluate_argv(report, candidates)) == 2
+    _assert_one_error_line(capsys)
+    assert _files_under(report.parent) == before
 
 
 def test_usage_error_exits_1(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, monk
     _tree_file(trees, [*texts[:-1], "(S (NP"])
     assert main(argv) == 3
     assert "error: line 40:" in capsys.readouterr().err
-    assert list(out.glob("*.tmp*")) == []
+    assert list(out.glob(".nextphrase-*")) == []
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
@@ -203,7 +203,7 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(tmp_path, method
     assert main(argv) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     # 40 trees make 8 ranges of 5: the worker dies in the fifth, after
-    # earlier ranges have been appended to the .tmp files
+    # earlier ranges have been appended to the staged outputs
     done = subprocess.run(
         [
             sys.executable, "-c", "import dying; " + WITH_START_METHOD,
@@ -219,7 +219,7 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(tmp_path, method
     assert done.returncode == 4
     assert done.stderr.startswith("error: a worker process died: ")
     assert done.stderr.count("\n") == 1
-    assert list(out.glob("*.tmp*")) == []
+    assert list(out.glob(".nextphrase-*")) == []
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 

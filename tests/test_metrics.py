@@ -443,6 +443,19 @@ def test_evaluate_counts_each_segment_once(monkeypatch):
     assert len(calls) == sum(MAX_ORDER * (1 + len(s.references)) for s in segments)
 
 
+def test_evaluate_files_clips_each_segment_once(monkeypatch):
+    # the corpus BLEU sums and the per-segment BLEU read one bleu_counts
+    calls = []
+    clip = nextphrase.metrics._clipped_matches
+    monkeypatch.setattr(
+        nextphrase.metrics,
+        "_clipped_matches",
+        lambda segment: calls.append(segment) or clip(segment),
+    )
+    report = evaluate_files(DATA / "candidates.txt", DATA / "references.txt")
+    assert len(calls) == len(report.segments)
+
+
 def test_eval_segment_fills_ngrams_once_and_compares_by_value():
     segment = EvalSegment(("a", "b"), (("a", "b", "c"), ("b",)))
     first = segment.ngrams
