@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 from . import __version__
 from .corpus import (
     DEFAULT_GUARDS,
+    NotUtf8,
     RatioSumInvalid,
     SPLIT_NAMES,
     assign_splits,
@@ -46,6 +47,7 @@ from .corpus import (
     iter_sentence_texts,
     load_guard_list,
     make_sentence_id,
+    read_text,
     split_counts,
     split_sentences,
     tokenize,
@@ -102,7 +104,7 @@ class PipelineConfig(NamedTuple):
 def load_config_file(path) -> dict[str, str]:
     """key=value lines; blank lines and # comments allowed."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,6 +158,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raise UsageError(f"unknown input mode: {config.input_mode!r}")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
+    # the workers are forked processes
+    if config.workers > 1 and not hasattr(os, "fork"):
+        raise UsageError("workers above 1 need os.fork, which this platform lacks")
     if config.min_group_size < 1:
         raise UsageError("min-group-size must be >= 1")
     if config.sample is not None and config.sample < 1:
@@ -413,21 +418,16 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the reservoir pool's texts, installed once per process that builds NSP records
-_nsp_pool: Sequence[str] = ()
-
-
-def _install_nsp_pool(texts: Sequence[str]) -> None:
-    global _nsp_pool
-    _nsp_pool = texts
-
-
 def _nsp_outcomes(
-    item: tuple[int, list[str], list[int]], seed: int, distractors: int, name: str
+    item: tuple[int, list[str], list[int]],
+    pool: Sequence[str],
+    seed: int,
+    distractors: int,
+    name: str,
 ) -> Iterator:
-    """A document's outcomes, one per context; ``own`` lists its pool positions."""
+    """A document's outcomes, one per context; ``own`` lists its positions in pool."""
     doc_index, sentences, own = item
-    others = PoolView(_nsp_pool, own)
+    others = PoolView(pool, own)
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
@@ -459,24 +459,18 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     for position, (doc_index, _) in enumerate(pool):
         own.setdefault(doc_index, []).append(position)
     items = ((d, sentences, own.get(d, [])) for d, sentences in documents)
+    # forked workers inherit the pool with the partial
     outcomes_of = functools.partial(
-        _nsp_outcomes, seed=config.seed, distractors=config.distractors, name=name
+        _nsp_outcomes, pool=texts, seed=config.seed, distractors=config.distractors, name=name
     )
-    try:
-        with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-            built = fan_out(
-                outcomes_of, items, sinks[:1], config.workers,
-                _install_nsp_pool, (texts,),
-            )
-            counts = {
-                "contexts_read": built.read,
-                "instances_written": built.written[0],
-                "skips": built.skips,
-            }
-            _finish_build(sinks, args, config, counts, counts)
-    finally:
-        # a serial run installed the pool in this process; keep none between runs
-        _install_nsp_pool(())
+    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
+        built = fan_out(outcomes_of, items, sinks[:1], config.workers)
+        counts = {
+            "contexts_read": built.read,
+            "instances_written": built.written[0],
+            "skips": built.skips,
+        }
+        _finish_build(sinks, args, config, counts, counts)
     _log_records(args, counts, "contexts_read")
     return EXIT_OK
 
@@ -612,8 +606,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TreebankError, CountMismatch, SingleSegmentCorpus, MoreChoicesThanLetters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    # UnicodeDecodeError is a ValueError: an input that is not UTF-8 fails as I/O
-    except (OSError, UnicodeDecodeError) as exc:
+    # an input that is not UTF-8 fails as I/O
+    except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except WorkerDied as exc:

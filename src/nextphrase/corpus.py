@@ -33,10 +33,47 @@ class RatioSumInvalid(ValueError):
     """Split ratios are not all positive or do not sum to 1."""
 
 
+class NotUtf8(ValueError):
+    """An input file has a line that is not UTF-8."""
+
+
+def _not_utf8(path) -> NotUtf8:
+    """The error of a file that failed to decode, naming its first line
+    that is not UTF-8: only this error path reads the file again, as
+    bytes, to find it."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return NotUtf8(
+                    f"{path}: line {number} is not UTF-8 (byte {exc.start + 1}: {exc.reason})"
+                )
+    return NotUtf8(f"{path}: not UTF-8")
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a line that is not UTF-8 raises NotUtf8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def text_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 file, each with its newline; text mode maps
+    \\r\\n and \\r to \\n.  A line that is not UTF-8 raises NotUtf8."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
 def load_guard_list(path) -> tuple[str, ...]:
     """Read one guard per line; blank lines and # comments are skipped."""
     guards = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             guards.append(line)
@@ -113,15 +150,14 @@ def iter_documents(path, mode: str) -> Iterator[tuple[int, str]]:
         if not root.is_dir():
             raise FileNotFoundError(f"not a directory: {root}")
         for index, name in enumerate(sorted(root.glob("*.txt"))):
-            yield index, name.read_text(encoding="utf-8")
+            yield index, read_text(name)
     elif mode == "lines":
-        with open(root, encoding="utf-8") as handle:
-            index = 0
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield index, line
-                    index += 1
+        index = 0
+        for line in text_lines(root):
+            line = line.strip()
+            if line:
+                yield index, line
+                index += 1
     else:
         raise ValueError(f"unknown input mode: {mode!r}")
 

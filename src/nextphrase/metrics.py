@@ -33,7 +33,7 @@ import sys
 from collections import Counter, defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import tokenize
+from .corpus import text_lines, tokenize
 
 MAX_ORDER = 4
 
@@ -493,9 +493,8 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
 def _lines(path) -> Iterator[str]:
     """Lines split at newlines only; text mode maps \\r\\n and \\r to \\n.
     str.splitlines would also cut at U+2028, U+0085 and the like."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            yield line.removesuffix("\n")
+    for line in text_lines(path):
+        yield line.removesuffix("\n")
 
 
 def _references(line: str) -> tuple[tuple[str, ...], ...]:

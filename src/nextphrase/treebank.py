@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
+from .corpus import text_lines
+
 
 class TreebankError(ValueError):
     """Base class for bracketed-tree parse failures."""
@@ -159,10 +161,9 @@ def parse_ptb(text: str) -> ConstituencyTree:
 
 def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
     """(line_index, line) of each non-blank line of a treebank file, unparsed."""
-    with open(path, encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            if line.strip():
-                yield index, line
+    for index, line in enumerate(text_lines(path)):
+        if line.strip():
+            yield index, line
 
 
 def parse_tree_line(line_index: int, line: str) -> ConstituencyTree:

@@ -245,23 +245,39 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
     assert list(out.glob(".nextphrase-*")) == []
 
 
+# what a --workers 2 build loads none of either: its workers are forked
+# and talk over plain pipes
+NOT_LOADED_BY_A_FORKED_BUILD = ("multiprocessing", "concurrent.futures", "logging")
+
+
 @pytest.mark.parametrize(
     "module", ["multiprocessing", "concurrent.futures", "dataclasses", "logging", "datetime"]
 )
-def test_importing_the_cli_does_not_load(module):
-    # only a build with --workers above 1 needs a Pool, and only a finished
-    # build reads the clock; records are named tuples and the summary line
-    # is a plain print, so start-up runs no dataclass or logging set-up
+def test_importing_the_cli_does_not_load(tmp_path, module):
+    # only a finished build reads the clock; records are named tuples and
+    # the summary line is a plain print, so start-up runs no dataclass or
+    # logging set-up
     src = str(Path(nextphrase.corpus.__file__).parents[1])
-    code = f"import sys, nextphrase.cli; print({module!r} in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.stdout.strip() == "False"
+    codes = [f"import sys, nextphrase.cli; print({module!r} in sys.modules)"]
+    if module in NOT_LOADED_BY_A_FORKED_BUILD:
+        argv = [
+            "build-pairs", str(_write_trees(tmp_path)), "--input-mode", "treebank",
+            "--out", str(tmp_path / "out"), "--workers", "2",
+        ]
+        codes.append(
+            "import sys; from nextphrase.cli import main; "
+            f"code = main({argv!r}); print(code or {module!r} in sys.modules)"
+        )
+    for code in codes:
+        # -W error: forking a process that runs threads warns on Python 3.12+
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.splitlines()[-1] == "False", result.stdout
 
 
 def test_build_summary_lines(tmp_path, capsys):
@@ -410,15 +426,19 @@ def test_evaluate_leaves_files_named_like_its_temp_files_alone(tmp_path):
     assert _left_alone(report.parent, planted, outputs)
 
 
-def _assert_one_error_line(capsys):
+def _assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def test_build_npp_on_a_tree_line_that_is_not_utf8_exits_2(tmp_path, capsys):
     trees = _write_trees(tmp_path)
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(trees.read_bytes() + b"(S (NN \xff))\n")
+    # more than one read buffer of good lines: the error names the file and
+    # the line, not an offset in the last buffer decoded
+    good = trees.read_bytes() * 100
+    bad.write_bytes(good + b"(S (NN \xff))\n" + trees.read_bytes())
     for workers in ("1", "2"):
         out = tmp_path / f"out-{workers}"
         argv = ["build-npp", str(trees), "--out", str(out), "--workers", workers]
@@ -426,7 +446,8 @@ def test_build_npp_on_a_tree_line_that_is_not_utf8_exits_2(tmp_path, capsys):
         before = _files_under(out)
         capsys.readouterr()
         assert main(["build-npp", str(bad), *argv[2:]]) == 2, workers
-        _assert_one_error_line(capsys)
+        err = _assert_one_error_line(capsys)
+        assert err.startswith(f"error: {bad}: line 301 is not UTF-8 (byte 8: "), err
         assert _files_under(out) == before
 
 
@@ -438,7 +459,8 @@ def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
     candidates.write_bytes(b"\xff\xfe" + (DATA / "candidates.txt").read_bytes())
     capsys.readouterr()
     assert main(_evaluate_argv(report, candidates)) == 2
-    _assert_one_error_line(capsys)
+    err = _assert_one_error_line(capsys)
+    assert err == f"error: {candidates}: line 1 is not UTF-8 (byte 1: invalid start byte)"
     assert _files_under(report.parent) == before
 
 
@@ -462,6 +484,36 @@ def test_usage_error_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), argv
     assert not (tmp_path / "out").exists()
+
+
+def test_workers_above_1_need_fork(tmp_path, capsys, monkeypatch):
+    # as on Windows, which has no os.fork
+    monkeypatch.delattr(os, "fork")
+    trees = _write_trees(tmp_path)
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--workers", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: workers above 1 need os.fork, which this platform lacks\n"
+    )
+    assert not out.exists()
+    assert main(["build-npp", str(trees), "--out", str(out), "--workers", "1"]) == 0
+
+
+def test_a_whole_file_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed=5\n# caf\xe9\n")
+    argv = ["build-npp", str(trees), "--out", str(tmp_path / "npp"), "--config", str(config)]
+    assert main(argv) == 2
+    assert _assert_one_error_line(capsys).startswith(f"error: {config}: line 2 is not UTF-8 ")
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("The sky is blue. It rains.\n", encoding="utf-8")
+    (docs / "b.txt").write_bytes(b"Dogs bark.\nCats \xc3 nap.\n")
+    argv = ["build-nsp", str(docs), "--input-mode", "dir", "--out", str(tmp_path / "nsp")]
+    assert main(argv) == 2
+    err = _assert_one_error_line(capsys)
+    assert err.startswith(f"error: {docs / 'b.txt'}: line 2 is not UTF-8 (byte 6: "), err
 
 
 def test_config_file_and_flag_precedence(tmp_path):

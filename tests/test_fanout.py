@@ -1,6 +1,7 @@
-"""The builders' fan-out: at --workers 2 every build writes the bytes of
---workers 1, whatever the start method of the worker processes; a
-failure in a worker, even its death, leaves --out as it was; and the one
+"""The builders' fan-out: at --workers 2 and 3 every build writes the
+bytes of --workers 1; a failure in a worker, even its death whatever
+multiprocessing start method the caller has set, and Ctrl-C leave --out
+as it was and no worker process behind; and the one
 write-and-count loop counts a range in parts as it counts it whole."""
 
 import io
@@ -9,9 +10,11 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
-from nextphrase import fanout
+from nextphrase import cli, fanout
 from nextphrase.cli import _text_pair_outcomes, main
 from nextphrase.instances import SkipReason
 
@@ -36,12 +39,17 @@ LATE_SKIPS = (ONE_TOKEN, list_tree(27))
 # ranges this short cut the small inputs below into many ranges
 SHORT_RANGE = 5
 
-# python -c has no main module that spawn or forkserver would re-import
-WITH_START_METHOD = (
-    "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
-    "from nextphrase import fanout; fanout.RANGE_RECORDS = int(sys.argv[2]); "
-    "from nextphrase.cli import main; sys.exit(main(sys.argv[3:]))"
+# the command line, with ranges of argv[1] records
+WITH_RANGE_RECORDS = (
+    "import sys; from nextphrase import fanout; fanout.RANGE_RECORDS = int(sys.argv[1]); "
+    "from nextphrase.cli import main; sys.exit(main(sys.argv[2:]))"
 )
+
+
+def _assert_no_child_process():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _written(out: Path) -> dict:
@@ -82,26 +90,16 @@ def _builds(trees: Path, docs: Path) -> dict[str, list[str]]:
     }
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_every_start_method_writes_the_bytes_of_one_worker(tmp_path, method):
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method on this platform")
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_two_and_three_workers_write_the_bytes_of_one_worker(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
     for label, argv in _builds(*_inputs(tmp_path)).items():
         serial = tmp_path / f"{label}-1"
         assert main([*argv, "--out", str(serial), "--seed", "3"]) == 0
-        pooled = tmp_path / f"{label}-2"
-        subprocess.run(
-            [
-                sys.executable, "-c", WITH_START_METHOD, method, str(SHORT_RANGE),
-                *argv, "--out", str(pooled), "--seed", "3", "--workers", "2",
-            ],
-            check=True,
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": SRC},
-            # fail instead of waiting should a build hang
-            timeout=120,
-        )
-        assert _written(pooled) == _written(serial), label
+        forked = tmp_path / f"{label}-{workers}"
+        assert main([*argv, "--out", str(forked), "--seed", "3", "--workers", workers]) == 0
+        assert _written(forked) == _written(serial), label
+        _assert_no_child_process()
 
 
 TREE_BUILDS = {"build-npp": [], "build-pairs": ["--input-mode", "treebank"]}
@@ -172,18 +170,105 @@ def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
             assert written[0] == written[1] and skips[0] == skips[1], command
 
 
-# imported, it makes build-npp's outcomes end the worker process that
-# reaches tree line 22; a worker unpickling dying.outcomes imports it too
-DYING = """
-import os
+@pytest.fixture
+def start_method(request):
+    """The multiprocessing start method the calling program has set, put
+    back as it was after the test."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method on this platform")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(before, force=True)
+
+
+# the workers are forked on plain pipes, so a dead one fails the build the
+# same way whatever start method the calling program has set
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"], indirect=True)
+def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, start_method
+):
+    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
+    rng = random.Random(5)
+    trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
+    out = tmp_path / "out"
+    argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    original = cli._npp_outcomes
+
+    def dying(item, **options):
+        if item[0] == 22:
+            os._exit(1)
+        return original(item, **options)
+
+    # the forked workers inherit the patch; 40 trees make 8 ranges of 5,
+    # and the worker dies in the fifth, after earlier ranges have been
+    # appended to the staged outputs
+    monkeypatch.setattr(cli, "_npp_outcomes", dying)
+    capsys.readouterr()
+    assert main(argv) == 4
+    # one error line and the worker's exit status, no traceback
+    assert capsys.readouterr().err == "error: a worker process died: exit status 1\n"
+    _assert_no_child_process()
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fanout, "_serve", lambda *args: os._exit(1))
+    trees = _tree_file(tmp_path / "trees.txt", [DOG, SHOP])
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--workers", "2"]) == 4
+    assert capsys.readouterr().err == "error: a worker process died: exit status 1\n"
+    _assert_no_child_process()
+    assert list(out.iterdir()) == []
+
+
+# a malformed tree on line 2 fails the first range, of worker 0; on line
+# 12, the third range, worker 0's second
+@pytest.mark.parametrize("line", [2, 12])
+@pytest.mark.parametrize("command", sorted(TREE_BUILDS))
+def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
+    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
+    original = cli.iter_tree_lines
+
+    def slow_from_the_fifth_range(path):
+        for index, text in original(path):
+            if index >= 4 * SHORT_RANGE:
+                time.sleep(0.01)
+            yield index, text
+
+    # the parent sends worker 0 its third range slowly, after the worker
+    # has failed its second
+    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_fifth_range)
+    rng = random.Random(4)
+    texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
+    texts[line - 1] = "(S (NP"
+    trees = _tree_file(tmp_path / "trees.txt", texts)
+    out = tmp_path / "out"
+    argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
+    # the failed worker reads its later ranges without building them, so
+    # the parent meets the parse error, not a closed pipe: never exit 4
+    for _ in range(3):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+        _assert_no_child_process()
+        assert list(out.iterdir()) == []
+
+
+# imported, it makes build-npp's outcomes mark that a worker builds, in
+# the file that $STARTED names, and then build slowly
+SLOW = """
+import os, time
 from nextphrase import cli
 
 original = cli._npp_outcomes
 
 
 def outcomes(item, **options):
-    if item[0] == 22:
-        os._exit(1)
+    open(os.environ["STARTED"], "a").close()
+    time.sleep(0.1)
     return original(item, **options)
 
 
@@ -191,36 +276,37 @@ cli._npp_outcomes = outcomes
 """
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
-def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(tmp_path, method):
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method on this platform")
-    (tmp_path / "dying.py").write_text(DYING, encoding="utf-8")
-    rng = random.Random(5)
+def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
+    (tmp_path / "slow.py").write_text(SLOW, encoding="utf-8")
+    rng = random.Random(6)
     trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
     out = tmp_path / "out"
+    started = tmp_path / "started"
     argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
-    assert main(argv) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
-    # 40 trees make 8 ranges of 5: the worker dies in the fifth, after
-    # earlier ranges have been appended to the staged outputs
-    done = subprocess.run(
-        [
-            sys.executable, "-c", "import dying; " + WITH_START_METHOD,
-            method, str(SHORT_RANGE), *argv,
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)])},
-        # a pool that waits for a dead worker would hang the build
-        timeout=60,
+    # a session of its own, so that Ctrl-C can go to its whole process group
+    build = subprocess.Popen(
+        [sys.executable, "-c", "import slow; " + WITH_RANGE_RECORDS, str(SHORT_RANGE), *argv],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)]), "STARTED": str(started)},
+        start_new_session=True,
     )
-    # one error line and the worker exit code, no traceback
-    assert done.returncode == 4
-    assert done.stderr.startswith("error: a worker process died: ")
-    assert done.stderr.count("\n") == 1
-    assert list(out.glob(".nextphrase-*")) == []
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and build.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists()
+        os.killpg(build.pid, signal.SIGINT)
+        _, err = build.communicate(timeout=60)
+    finally:
+        if build.poll() is None:
+            os.killpg(build.pid, signal.SIGKILL)
+            build.wait()
+    assert build.returncode == -signal.SIGINT
+    assert b"KeyboardInterrupt" in err
+    # no process of the group is left: the workers were stopped and reaped
+    with pytest.raises(ProcessLookupError):
+        os.killpg(build.pid, 0)
+    assert list(out.iterdir()) == []
 
 
 def test_a_long_sentence_is_written_one_pair_at_a_time():
