@@ -10,8 +10,9 @@
 Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
 histogram) into a private ``.nextphrase-*`` directory inside ``--out``,
-where its worker processes write their part files too; at the end they
-are renamed into ``--out`` together, the manifest last.  Re-running with
+where its worker processes, which each read the input themselves,
+write their part files too; at the end the outputs are renamed into
+``--out`` together, the manifest last.  Re-running with
 the same config and inputs reproduces every output byte for byte; only
 the manifest timestamp moves.  A run that fails leaves ``--out`` as it
 was, and every run deletes its private directory, so it deletes nothing
@@ -47,7 +48,7 @@ from .corpus import (
     iter_sentence_texts,
     load_guard_list,
     make_sentence_id,
-    read_text,
+    read_entries,
     split_counts,
     split_sentences,
     tokenize,
@@ -104,12 +105,9 @@ class PipelineConfig(NamedTuple):
 def load_config_file(path) -> dict[str, str]:
     """key=value lines; blank lines and # comments allowed."""
     values: dict[str, str] = {}
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in read_entries(path):
         if "=" not in line:
-            raise UsageError(f"bad config line: {raw!r}")
+            raise UsageError(f"bad config line: {line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -316,17 +314,17 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = Path(args.input).stem
     sampled: dict = {}
-    items: Iterable[tuple[int, str]] = iter_tree_lines(args.input)
+    open_items = functools.partial(iter_tree_lines, args.input)
     if config.sample is not None:
         picked, sampled["sentences_scanned"] = _reservoir(
-            items, config.sample, random.Random(config.seed)
+            open_items(), config.sample, random.Random(config.seed)
         )
-        items = sorted(picked)
+        open_items = functools.partial(iter, sorted(picked))
     outcomes_of = functools.partial(
         _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, items, sinks[:1], config.workers)
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers)
         counts = {
             "sentences_read": built.read,
             "instances_written": built.written[0],
@@ -385,25 +383,25 @@ def _text_pair_outcomes(record: tuple[int, tuple[str, str]]) -> tuple:
 def cmd_build_pairs(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
-    items: Iterable
     if config.input_mode == "treebank":
         # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
         total = sum(1 for _ in iter_tree_lines(args.input))
-        items = iter_tree_lines(args.input)
+        open_sentences = functools.partial(iter_tree_lines, args.input)
         outcomes_of = functools.partial(_tree_pair_outcomes, name=name)
     else:
         # each document is split once; the sentence texts are held for the
         # build pass and tokenized by the worker
-        items = list(
-            iter_sentence_texts(args.input, config.input_mode, name, _guards(config))
-        )
-        total = len(items)
+        texts = list(iter_sentence_texts(args.input, config.input_mode, name, _guards(config)))
+        total = len(texts)
+        open_sentences = functools.partial(iter, texts)
         outcomes_of = _text_pair_outcomes
     sentence_counts = split_counts(total, config.ratios)
-    records = zip(assign_splits(total, config.ratios, config.seed), items)
+    splits = assign_splits(total, config.ratios, config.seed)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, records, sinks[: len(names)], config.workers)
+        built = fan_out(
+            outcomes_of, lambda: zip(splits, open_sentences()), sinks[: len(names)], config.workers
+        )
         counts = {
             "sentences_read": total,
             "pairs_written": sum(built.written),
@@ -419,15 +417,17 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
 
 
 def _nsp_outcomes(
-    item: tuple[int, list[str], list[int]],
+    item: tuple[int, list[str]],
     pool: Sequence[str],
+    own: dict[int, list[int]],
     seed: int,
     distractors: int,
     name: str,
 ) -> Iterator:
-    """A document's outcomes, one per context; ``own`` lists its positions in pool."""
-    doc_index, sentences, own = item
-    others = PoolView(pool, own)
+    """A document's outcomes, one per context; ``own`` lists each
+    document's positions in pool."""
+    doc_index, sentences = item
+    others = PoolView(pool, own.get(doc_index, []))
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
@@ -458,13 +458,17 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     own: dict[int, list[int]] = {}
     for position, (doc_index, _) in enumerate(pool):
         own.setdefault(doc_index, []).append(position)
-    items = ((d, sentences, own.get(d, [])) for d, sentences in documents)
-    # forked workers inherit the pool with the partial
+    # forked workers inherit the documents and the pool with these partials
     outcomes_of = functools.partial(
-        _nsp_outcomes, pool=texts, seed=config.seed, distractors=config.distractors, name=name
+        _nsp_outcomes,
+        pool=texts,
+        own=own,
+        seed=config.seed,
+        distractors=config.distractors,
+        name=name,
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, items, sinks[:1], config.workers)
+        built = fan_out(outcomes_of, functools.partial(iter, documents), sinks[:1], config.workers)
         counts = {
             "contexts_read": built.read,
             "instances_written": built.written[0],
@@ -494,7 +498,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         # stats.json keys its rows by stem, so a shared stem would lose one
         if names.count(name) > 1:
             raise UsageError(f"two inputs share the file stem {name!r}")
-    guards = _guards(config)
+    # as in build-pairs, only raw text is split at guards
+    guards = () if config.input_mode == "treebank" else _guards(config)
     rows = []
     for path, name in zip(args.inputs, names):
         if config.input_mode == "treebank":

@@ -70,14 +70,16 @@ def text_lines(path) -> Iterator[str]:
             raise _not_utf8(path) from None
 
 
+def read_entries(path) -> list[str]:
+    """The stripped lines of a UTF-8 file of one entry per line; blank
+    lines and # comments are skipped."""
+    lines = (line.strip() for line in read_text(path).splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def load_guard_list(path) -> tuple[str, ...]:
     """Read one guard per line; blank lines and # comments are skipped."""
-    guards = []
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            guards.append(line)
-    return tuple(guards)
+    return tuple(read_entries(path))
 
 
 def _guarded(text: str, dot: int, guards: frozenset[str]) -> bool:

@@ -4,33 +4,29 @@ A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
 each input item's outcomes.  An outcome is either a skip reason (a
 ``str``) or a ``(sink index, records written, lines)`` triple whose
 lines go to that sink; each outcome counts as one record read.
-Contiguous ranges of items are built in this process or by forked worker
-processes into part files that are appended in input order, so the
-output bytes and counts do not depend on the worker count.  The part
-files are written next to the sinks, so the sinks' directory must be the
-caller's own.
+The items are built in this process, or cut into contiguous ranges
+that forked worker processes build into part files: each worker reads
+the items itself and builds every Nth range, and the parent, which reads
+no item, appends the parts in input order.  So the output bytes and
+counts do not depend on the worker count.  The part files are written
+next to the sinks, so the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import marshal
 import os
 import shutil
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 # a worker task is a contiguous range of this many input records (the
-# last range may be shorter): the parent and each worker hold a few
-# ranges at a time, so their memory does not grow with the input, while
-# each range still costs one task and one part file per output
+# last range may be shorter): a worker holds one range at a time, so its
+# memory does not grow with the input, while each range still costs one
+# message and one part file per output
 RANGE_RECORDS = 256
-
-# a message on a worker pipe is its length in this many little-endian
-# bytes, then its marshal bytes
-_LENGTH_BYTES = 8
 
 
 class WorkerDied(RuntimeError):
@@ -96,84 +92,56 @@ def _build_part(
         return _write_range(outcomes_of, records, parts)
 
 
-def _send(stream: BinaryIO, message) -> None:
-    data = marshal.dumps(message)
-    stream.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
-    stream.write(data)
-    stream.flush()
-
-
-def _receive(stream: BinaryIO):
-    """The next message on stream, or None when its writer closed it first."""
-    header = stream.read(_LENGTH_BYTES)
-    if len(header) < _LENGTH_BYTES:
-        return None
-    size = int.from_bytes(header, "little")
-    data = stream.read(size)
-    return marshal.loads(data) if len(data) == size else None
-
-
 def _serve(
-    outcomes_of: Callable, sink_names: Sequence[str], tasks: BinaryIO, results: BinaryIO
+    outcomes_of: Callable,
+    open_items: Callable[[], Iterable],
+    sink_names: Sequence[str],
+    workers: int,
+    worker: int,
+    results: BinaryIO,
 ) -> None:
-    """A worker's loop: build each range that tasks sends into its part
-    files, and send back its counts as a plain tuple, or the pickled
-    exception that failed it.  After a failure the worker reads its tasks
-    to their end and builds none, so the parent, which raises the failure
-    in task order, never finds a closed pipe before it."""
-    failed = False
-    while (message := _receive(tasks)) is not None:
-        if failed:
-            continue
-        task, records = message
-        try:
-            reply = tuple(_build_part(outcomes_of, sink_names, task, records))
-        except Exception as exc:
-            import pickle  # only a failed range sends an exception
+    """Worker ``worker``'s loop: read the items, build each range whose
+    task is ``worker`` mod ``workers`` into its part files and send its
+    counts as a plain tuple, then send None.  An exception, in a range of
+    its own or while reading one it skips, is sent pickled in their
+    place, and ends the loop."""
+    try:
+        for task, records in _ranges(open_items()):
+            if task % workers == worker:
+                marshal.dump(tuple(_build_part(outcomes_of, sink_names, task, records)), results)
+                results.flush()
+        marshal.dump(None, results)
+    except Exception as exc:
+        import pickle  # only a failed worker sends an exception
 
-            reply, failed = pickle.dumps(exc), True
-        _send(results, reply)
+        marshal.dump(pickle.dumps(exc), results)
 
 
-def _worker(serve: Callable, task_fd: int, result_fd: int, inherited: Sequence[BinaryIO]):
+def _worker(serve: Callable, worker: int, result_fd: int):
     """The body of a forked worker, which ends only through os._exit: it
     never unwinds into the parent's frames, runs the parent's atexit
     handlers or flushes the parent's buffers."""
     code = 1
     try:
-        # the parent's ends of the pipes, an earlier sibling's among them:
-        # while a worker holds a task pipe open, its reader never sees its end
-        for stream in inherited:
-            os.close(stream.fileno())
-        with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
-            serve(tasks, results)
+        with open(result_fd, "wb") as results:
+            serve(worker, results)
         code = 0
     finally:
         os._exit(code)
 
 
-def _died(pids: dict[int, int], worker: int) -> WorkerDied:
-    """The failure of a worker whose pipe closed: reap it and name its status."""
-    _, status = os.waitpid(pids.pop(worker), 0)
-    code = os.waitstatus_to_exitcode(status)
-    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    return WorkerDied(f"a worker process died: {how}")
-
-
 @contextmanager
-def _forked(serve: Callable, count: int) -> Iterator[tuple[list, list, dict]]:
-    """count forked workers that each run serve(tasks, results) on a task
-    pipe and a result pipe of its own; the parent gets (the task streams,
-    the result streams, {worker: pid}), worker k's at index k.
+def _forked(serve: Callable, count: int) -> Iterator[tuple[list, dict]]:
+    """count forked workers, worker k running serve(k, results) on a
+    result pipe of its own; the parent gets (the result streams,
+    {worker: pid}), worker k's stream at index k.
 
-    On leaving, the task pipes are closed, so each worker reads their end
-    and exits, and every worker is reaped; when the block raised, the
-    workers still running are killed first.  So no worker runs, or writes
-    a part, once this has returned.
+    On leaving, every worker is reaped; when the block raised, the
+    workers still running are killed first.  So no worker runs, or
+    writes a part, once this has returned.
     """
     import signal  # only a build with workers forks
 
-    tasks: list[BinaryIO] = []
     results: list[BinaryIO] = []
     pids: dict[int, int] = {}
     try:
@@ -183,63 +151,45 @@ def _forked(serve: Callable, count: int) -> Iterator[tuple[list, list, dict]]:
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for worker in range(count):
-                task_fd, task_end = os.pipe()
                 result_end, result_fd = os.pipe()
-                tasks.append(open(task_end, "wb"))
                 results.append(open(result_end, "rb"))
                 try:
                     pids[worker] = os.fork()
                     if pids[worker] == 0:
-                        _worker(serve, task_fd, result_fd, tasks + results)
+                        _worker(serve, worker, result_fd)
                 finally:
-                    os.close(task_fd)
                     os.close(result_fd)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield tasks, results, pids
+        yield results, pids
     except BaseException:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for stream in tasks:
-            # a worker killed or dead mid-task leaves a part of it unsent
-            with suppress(BrokenPipeError):
-                stream.close()
         for pid in pids.values():
             os.waitpid(pid, 0)
         for stream in results:
             stream.close()
 
 
-def _in_task_order(tasks: list, pids: dict, ranges: Iterator, ahead: int) -> Iterator[int]:
-    """Send each range to worker task % N and yield its task once at most
-    ``ahead`` ranges are sent and not yet handed out, so the ranges are
-    read only as the workers need them."""
-    window: collections.deque = collections.deque()
-    for task, records in ranges:
-        worker = task % len(tasks)
-        try:
-            _send(tasks[worker], (task, records))
-        except BrokenPipeError:
-            raise _died(pids, worker) from None
-        window.append(task)
-        if len(window) == ahead:
-            yield window.popleft()
-    yield from window
-
-
-def _result(results: list, pids: dict, task: int) -> RangeCounts:
-    """The counts of a range, read from its worker; raises what failed it."""
+def _result(results: list, pids: dict, task: int) -> RangeCounts | None:
+    """The counts of a range, read from its worker, or None past the last
+    range; raises what failed it."""
     worker = task % len(results)
-    reply = _receive(results[worker])
-    if reply is None:
-        raise _died(pids, worker)
+    try:
+        reply = marshal.load(results[worker])
+    except EOFError:
+        # the worker's pipe closed before its message: reap it and name its status
+        _, status = os.waitpid(pids.pop(worker), 0)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerDied(f"a worker process died: {how}") from None
     if isinstance(reply, bytes):
         import pickle
 
         raise pickle.loads(reply)
-    return RangeCounts(*reply)
+    return None if reply is None else RangeCounts(*reply)
 
 
 def _append_part(sink: TextIO, path: str) -> None:
@@ -251,28 +201,35 @@ def _append_part(sink: TextIO, path: str) -> None:
 
 
 def fan_out(
-    outcomes_of: Callable, items: Iterable, sinks: Sequence[TextIO], workers: int
+    outcomes_of: Callable, open_items: Callable, sinks: Sequence[TextIO], workers: int
 ) -> RangeCounts:
     """Write the outcomes of the items to sinks; bytes and counts do not depend on workers.
 
     ``outcomes_of(item)`` gives an item's outcomes (see the module
-    docstring).  With more than one worker, the workers are forked
+    docstring), and each call of ``open_items()`` gives a new iterator
+    over the items.  With more than one worker, the workers are forked
     (POSIX only), so the caller must run no other thread; they inherit
-    ``outcomes_of``, and the items travel to them by ``marshal``, so
-    they are built of str, int, tuples and lists.  An exception in a
-    worker is raised here in task order, and a worker that dies fails
-    the build with ``WorkerDied``.  Workers write their part files
-    ``<sink name>.<task>`` next to the sinks, and a failed run can leave
-    some behind, so the sinks' directory must be the caller's own.
+    ``outcomes_of`` and ``open_items``, and each worker reads the items
+    itself.  That is why the items come from a call: an iterator that
+    had read from a file before the fork would share the file's offset
+    with every worker.  An exception in a worker is raised here in task order, and
+    a worker that dies fails the build with ``WorkerDied``.  Workers
+    write their part files ``<sink name>.<task>`` next to the sinks, and
+    a failed run can leave some behind, so the sinks' directory must be
+    the caller's own.
     """
     if workers == 1:
-        return _write_range(outcomes_of, items, sinks)
-    serve = functools.partial(_serve, outcomes_of, [sink.name for sink in sinks])
+        return _write_range(outcomes_of, open_items(), sinks)
+    serve = functools.partial(
+        _serve, outcomes_of, open_items, [sink.name for sink in sinks], workers
+    )
     counts = RangeCounts(0, (0,) * len(sinks), {})
-    with _forked(serve, workers) as (tasks, results, pids):
-        for task in _in_task_order(tasks, pids, _ranges(items), 2 * workers):
-            # the result comes first: the parts are whole once it is in
-            counts = add_counts(counts, _result(results, pids, task))
+    with _forked(serve, workers) as (results, pids):
+        task = 0
+        # the counts come first: the parts are whole once they are in
+        while (built := _result(results, pids, task)) is not None:
+            counts = add_counts(counts, built)
             for sink in sinks:
                 _append_part(sink, f"{sink.name}.{task}")
+            task += 1
     return counts

@@ -556,6 +556,18 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_line_without_a_key_exits_1(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    config = tmp_path / "run.cfg"
+    # blank lines and comments are skipped, as in a guard list
+    config.write_text("# seeds\n\nseed=5\n  seed 6  \n", encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (["build-npp", str(trees), "--out", str(out)], ["stats", str(trees)]):
+        assert main([*command, "--config", str(config)]) == 1, command
+        assert capsys.readouterr().err.splitlines() == ["error: bad config line: 'seed 6'"]
+    assert not out.exists()
+
+
 def test_unknown_input_mode_in_config_exits_1(tmp_path, capsys):
     docs = _write_docs(tmp_path)
     config = tmp_path / "run.cfg"
@@ -995,6 +1007,23 @@ def test_stats_and_build_pairs_split_a_treebank_alike(tmp_path, capsys):
     row = table.splitlines()[1].split()
     assert row[0] == "trees"
     assert sum(int(count) for count in row[1:]) == 30
+
+
+def test_a_treebank_reads_no_guard_list(tmp_path, capsys):
+    # the guards split raw text into sentences; a treebank is split already
+    trees = _write_trees(tmp_path)
+    missing = str(tmp_path / "missing.txt")
+    options = ["--input-mode", "treebank", "--guard-list", missing]
+    assert main(["stats", str(trees), *options]) == 0
+    table = capsys.readouterr().out
+    assert main(["build-pairs", str(trees), *options, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == table
+    # in lines mode the same list is read, and its absence fails both
+    lines_out = tmp_path / "lines"
+    for command in (["stats", str(trees)], ["build-pairs", str(trees), "--out", str(lines_out)]):
+        assert main([*command, "--guard-list", missing]) == 2, command
+        assert missing in _assert_one_error_line(capsys)
+    assert not lines_out.exists()
 
 
 def test_stats_counts_a_malformed_tree_line(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The builders' fan-out: at --workers 2 and 3 every build writes the
-bytes of --workers 1; a failure in a worker, even its death whatever
-multiprocessing start method the caller has set, and Ctrl-C leave --out
-as it was and no worker process behind; and the one
+"""The builders' fan-out, where each forked worker reads the input and
+builds every Nth range: at --workers 2 and 3 every build writes the
+bytes of --workers 1, also when a worker owns no range; a worker's
+failure, which it sends to the parent before it exits, its death,
+whatever multiprocessing start method the caller has set, and Ctrl-C
+leave --out as it was and no worker process behind; and the one
 write-and-count loop counts a range in parts as it counts it whole."""
 
 import io
@@ -65,8 +67,9 @@ def _tree_file(path: Path, texts) -> Path:
     return path
 
 
-def _inputs(tmp_path: Path) -> tuple[Path, Path]:
-    """A treebank and a document file, each long enough for seven short ranges."""
+def _inputs(tmp_path: Path) -> tuple[Path, Path, Path]:
+    """A treebank and a document file, each long enough for seven short
+    ranges, and a treebank of one tree, one range that one worker owns."""
     rng = random.Random(7)
     texts = [random_tree_text(rng, 5, 4) for _ in range(30)] + [SHOP, EAT_PIE, DOG, *LATE_SKIPS]
     lines = []
@@ -78,12 +81,13 @@ def _inputs(tmp_path: Path) -> tuple[Path, Path]:
         lines.append(" ".join(sentences))
     docs = tmp_path / "docs.txt"
     docs.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return _tree_file(tmp_path / "trees.txt", texts), docs
+    return _tree_file(tmp_path / "trees.txt", texts), docs, _tree_file(tmp_path / "one.txt", [DOG])
 
 
-def _builds(trees: Path, docs: Path) -> dict[str, list[str]]:
+def _builds(trees: Path, docs: Path, one: Path) -> dict[str, list[str]]:
     return {
         "npp": ["build-npp", str(trees)],
+        "npp-one-record": ["build-npp", str(one)],
         "pairs-treebank": ["build-pairs", str(trees), "--input-mode", "treebank"],
         "pairs-lines": ["build-pairs", str(docs)],
         "nsp": ["build-nsp", str(docs), "--distractors", "3", "--pool-cap", "40"],
@@ -226,7 +230,8 @@ def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, mon
 
 
 # a malformed tree on line 2 fails the first range, of worker 0; on line
-# 12, the third range, worker 0's second
+# 12, the third range, worker 0's second.  Either way worker 0 sends the
+# exception in place of that range's counts and exits
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
@@ -239,8 +244,8 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
                 time.sleep(0.01)
             yield index, text
 
-    # the parent sends worker 0 its third range slowly, after the worker
-    # has failed its second
+    # every worker reads its input from the fifth range on slowly, so
+    # worker 0 has failed and exited while worker 1 still builds
     monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_fifth_range)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
@@ -248,8 +253,9 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
     trees = _tree_file(tmp_path / "trees.txt", texts)
     out = tmp_path / "out"
     argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
-    # the failed worker reads its later ranges without building them, so
-    # the parent meets the parse error, not a closed pipe: never exit 4
+    # the exception is on the failed worker's pipe before its end, and the
+    # parent reads that pipe's messages in order, so it meets the parse
+    # error, not a closed pipe: never exit 4
     for _ in range(3):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
