@@ -43,6 +43,7 @@ from .corpus import (
     RatioSumInvalid,
     SPLIT_NAMES,
     assign_splits,
+    document_files,
     format_stats_table,
     iter_documents,
     iter_sentence_texts,
@@ -249,8 +250,7 @@ def _finish_build(
     """
     import datetime  # only a finished build stamps the time
 
-    root = Path(args.input)
-    inputs = sorted(root.glob("*.txt")) if config.input_mode == "dir" else [root]
+    inputs = document_files(args.input) if config.input_mode == "dir" else [Path(args.input)]
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -336,14 +336,9 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the pair lines of a sentence are written this many at a time: one write
-# for most sentences, and memory in proportion to the length of a long one
-_PAIRS_PER_WRITE = 32
-
-
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
     """How many completion pairs a sentence has, and a generator of their
-    JSON lines, joined _PAIRS_PER_WRITE at a time.
+    JSON lines: a long sentence is never held whole.
 
     Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
     "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
@@ -352,14 +347,11 @@ def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[
     """
     body = [_quote(token)[1:-1] for token in tokens]
     head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
-    chunks = (
-        "".join([
-            f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
-            for k in range(first, min(first + _PAIRS_PER_WRITE, len(body)))
-        ])
-        for first in range(1, len(body), _PAIRS_PER_WRITE)
+    lines = (
+        f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
+        for k in range(1, len(body))
     )
-    return max(len(body) - 1, 0), chunks
+    return max(len(body) - 1, 0), lines
 
 
 def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple:

@@ -1,9 +1,12 @@
 """Plain-text corpus handling: sentence split, tokenize, split into sets.
 
-The sentence splitter is rule-based: a sentence ends at ``.``, ``!`` or
-``?`` when followed by whitespace and a capital letter, or by the end
-of a line, unless the word containing the terminator is on the
-abbreviation guard list.  The tokenizer splits on whitespace and then
+The sentence splitter is rule-based.  A sentence ends after a word
+(a run of non-whitespace) that ends in one or more of ``.``, ``!`` and
+``?``, when that word is followed either by spaces or tabs up to a line
+break or the end of the text, or by at least one space or tab and then
+an upper-case character; but not when the word, less any leading
+``( [ { ' "``, is on the abbreviation guard list, compared
+case-insensitively.  The tokenizer splits on whitespace and then
 detaches trailing ``. , ! ? ; :`` characters into their own tokens.
 Both are deliberately simple so that runs are reproducible; swap the
 guard list via a config file when the domain needs it.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -23,7 +27,12 @@ DEFAULT_GUARDS = (
     "No.", "Vol.", "pp.",
 )
 
-_TERMINATORS = ".!?"
+# a candidate sentence end: group 1 is the word, and group 2 the
+# character after its spaces or tabs, None when a line break or the end
+# of the text follows.  \s is exactly str.isspace, so a word here is
+# what str.split() would cut; (?<!\S) finds no other ends, but without
+# it a word that is no end is retried from each of its characters
+_SENTENCE_END = re.compile(r"(?<!\S)(\S*[.!?]+)(?=[ \t]*(?:\n|\Z)|[ \t]+(\S))")
 _DETACH = ".,!?;:"
 
 SPLIT_NAMES = ("train", "dev", "test")
@@ -82,14 +91,6 @@ def load_guard_list(path) -> tuple[str, ...]:
     return tuple(read_entries(path))
 
 
-def _guarded(text: str, dot: int, guards: frozenset[str]) -> bool:
-    start = dot
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    word = text[start:dot + 1].lstrip("([{'\"")
-    return word.lower() in guards
-
-
 @functools.lru_cache(maxsize=8)
 def _guard_set(guards: tuple[str, ...]) -> frozenset[str]:
     return frozenset(g.lower() for g in guards)
@@ -100,24 +101,15 @@ def split_sentences(text: str, guards: Sequence[str] = DEFAULT_GUARDS) -> list[s
     guard_set = _guard_set(tuple(guards))
     sentences: list[str] = []
     begin = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in _TERMINATORS:
-            # absorb a run like "?!" or "..."
-            while i + 1 < n and text[i + 1] in _TERMINATORS:
-                i += 1
-            j = i + 1
-            while j < n and text[j] in (" ", "\t"):
-                j += 1
-            at_eol = j >= n or text[j] == "\n"
-            capital_next = j > i + 1 and j < n and text[j].isupper()
-            if (at_eol or capital_next) and not _guarded(text, i, guard_set):
-                chunk = text[begin:i + 1].strip()
-                if chunk:
-                    sentences.append(chunk)
-                begin = i + 1
-        i += 1
+    for end in _SENTENCE_END.finditer(text):
+        word, following = end.groups()
+        if (following is None or following.isupper()) and (
+            word.lstrip("([{'\"").lower() not in guard_set
+        ):
+            chunk = text[begin:end.end()].strip()
+            if chunk:
+                sentences.append(chunk)
+            begin = end.end()
     tail = text[begin:].strip()
     if tail:
         sentences.append(tail)
@@ -128,12 +120,10 @@ def tokenize(sentence: str) -> list[str]:
     """Whitespace tokens with trailing punctuation detached."""
     tokens: list[str] = []
     for chunk in sentence.split():
-        detached: list[str] = []
-        while len(chunk) > 1 and chunk[-1] in _DETACH:
-            detached.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.append(chunk)
-        tokens.extend(reversed(detached))
+        # a chunk of punctuation alone keeps its first character as the word
+        word = chunk.rstrip(_DETACH) or chunk[0]
+        tokens.append(word)
+        tokens.extend(chunk[len(word):])
     return tokens
 
 
@@ -145,17 +135,23 @@ def make_sentence_id(corpus: str, doc_index: int, sent_index: int) -> str:
     return f"{corpus}:{doc_index:06d}:{sent_index:04d}"
 
 
+def document_files(path) -> list[Path]:
+    """The documents of a directory input: its regular ``*.txt`` files
+    (or links to them), sorted by name."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FileNotFoundError(f"not a directory: {root}")
+    return sorted(name for name in root.glob("*.txt") if name.is_file())
+
+
 def iter_documents(path, mode: str) -> Iterator[tuple[int, str]]:
     """Documents from a directory of .txt files or a one-per-line file."""
-    root = Path(path)
     if mode == "dir":
-        if not root.is_dir():
-            raise FileNotFoundError(f"not a directory: {root}")
-        for index, name in enumerate(sorted(root.glob("*.txt"))):
+        for index, name in enumerate(document_files(path)):
             yield index, read_text(name)
     elif mode == "lines":
         index = 0
-        for line in text_lines(root):
+        for line in text_lines(path):
             line = line.strip()
             if line:
                 yield index, line

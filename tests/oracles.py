@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from nextphrase.corpus import split_counts
+from nextphrase.corpus import DEFAULT_GUARDS, split_counts
 from nextphrase.metrics import (
     EvalReport,
     MeteorStats,
@@ -454,3 +454,60 @@ def assign_splits_oracle(n, ratios, seed):
             assignment[position] = split_index
         at += size
     return assignment
+
+
+# The character-index loops that split_sentences and tokenize replaced,
+# kept as written apart from their names.
+
+_TERMINATORS = ".!?"
+_DETACH = ".,!?;:"
+
+
+def _guarded(text, dot, guards):
+    start = dot
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    word = text[start:dot + 1].lstrip("([{'\"")
+    return word.lower() in guards
+
+
+def split_sentences_oracle(text, guards=DEFAULT_GUARDS):
+    """Sentences by a scan of each character of the text."""
+    guard_set = frozenset(g.lower() for g in guards)
+    sentences = []
+    begin = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in _TERMINATORS:
+            # absorb a run like "?!" or "..."
+            while i + 1 < n and text[i + 1] in _TERMINATORS:
+                i += 1
+            j = i + 1
+            while j < n and text[j] in (" ", "\t"):
+                j += 1
+            at_eol = j >= n or text[j] == "\n"
+            capital_next = j > i + 1 and j < n and text[j].isupper()
+            if (at_eol or capital_next) and not _guarded(text, i, guard_set):
+                chunk = text[begin:i + 1].strip()
+                if chunk:
+                    sentences.append(chunk)
+                begin = i + 1
+        i += 1
+    tail = text[begin:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def tokenize_oracle(sentence):
+    """Tokens by popping trailing punctuation one character at a time."""
+    tokens = []
+    for chunk in sentence.split():
+        detached = []
+        while len(chunk) > 1 and chunk[-1] in _DETACH:
+            detached.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.append(chunk)
+        tokens.extend(reversed(detached))
+    return tokens

@@ -516,6 +516,31 @@ def test_a_whole_file_input_that_is_not_utf8_names_its_file_and_line(tmp_path, c
     assert err.startswith(f"error: {docs / 'b.txt'}: line 2 is not UTF-8 (byte 6: "), err
 
 
+@pytest.mark.parametrize("command", ["build-pairs", "build-nsp", "stats"])
+def test_a_directory_named_like_a_document_is_passed_over(tmp_path, capsys, command):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("The sky is blue. It rains often.\n", encoding="utf-8")
+    (docs / "b.txt").write_text("Dogs bark loudly. Cats nap. Birds sing.\n", encoding="utf-8")
+    runs = []
+    for out in (tmp_path / "plain", tmp_path / "with-sub"):
+        if out.name == "with-sub":
+            (docs / "sub.txt").mkdir()
+            (docs / "sub.txt" / "c.txt").write_text("Not a document.\n", encoding="utf-8")
+        argv = [command, str(docs), "--input-mode", "dir", "--out", str(out)]
+        if command == "build-nsp":
+            argv += ["--distractors", "1"]
+        assert main(argv) == 0
+        files = {
+            path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"
+        }
+        inputs = _manifest(out)["inputs"] if command != "stats" else None
+        runs.append((capsys.readouterr().out, files, inputs))
+    assert runs[0] == runs[1]
+    if command != "stats":
+        assert list(runs[0][2]) == [str(docs / "a.txt"), str(docs / "b.txt")]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     trees = _write_trees(tmp_path)
     config = tmp_path / "run.cfg"
@@ -628,15 +653,15 @@ def test_pair_block_matches_json_dumps_of_each_pair(sentence_id, tokens):
     assert (count, "".join(lines)) == (len(pairs), expected)
 
 
-def test_pair_lines_of_a_long_sentence_are_joined_a_bounded_number_at_a_time():
+def test_pair_lines_of_a_long_sentence_come_one_line_per_item():
     tokens = [f"w{i}" for i in range(100)]
-    count, chunks = _pair_lines("doc:0", tokens)
-    chunks = list(chunks)
-    assert count == 99
-    assert [chunk.count("\n") for chunk in chunks] == [32, 32, 32, 3]
-    assert "".join(chunks).splitlines()[40] == json.dumps(
+    count, lines = _pair_lines("doc:0", tokens)
+    lines = list(lines)
+    assert count == len(lines) == 99
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    assert lines[40] == json.dumps(
         {"id": "doc:0#41", "p": " ".join(tokens[:41]), "q": " ".join(tokens[41:])}
-    )
+    ) + "\n"
 
 
 @given(QUOTED_IDS, ESCAPE_TEXT, ESCAPE_TEXT)

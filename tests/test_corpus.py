@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nextphrase.corpus import (
+    DEFAULT_GUARDS,
     RatioSumInvalid,
     SPLIT_NAMES,
     assign_splits,
@@ -17,7 +18,7 @@ from nextphrase.corpus import (
     tokenize,
 )
 
-from oracles import assign_splits_oracle
+from oracles import assign_splits_oracle, split_sentences_oracle, tokenize_oracle
 
 
 def test_split_on_terminator_before_capital():
@@ -74,6 +75,53 @@ def test_custom_guard_list(tmp_path):
         "Take Dr.",
         "Who away.",
     ]
+
+
+# pieces of the texts the splitter and tokenizer are checked on against
+# their oracles: terminators and detached punctuation, spaces and tabs,
+# the line breaks and other whitespace that neither counts as a space
+# nor ends a line (\r, NBSP, \x1c), upper- and lower-case letters
+# including the titlecase U+01C5, and guard words alone and behind the
+# characters the guard check strips
+FUZZ_WORDS = (
+    ".", "!", "?", "...", "?!", ",", ";:", "a", "word.", "A", "Word?",
+    "\u00c9", "\u01c5", "3.14", "(", "'", "x)", "e.g.", "Dr.", "etc.",
+    "ETC.", "Fig.", "foo.", "Bar?!", "(e.g.", "[Dr.", "'No.", '"foo.',
+    "(\"'etc.", "{\u01c5.",
+)
+FUZZ_GAPS = (
+    " ", " ", "  ", "\t", "\n", " \n", "\t\n", "\r", " \r", "\r\n", "\xa0", " \xa0\n",
+    "\x1c", "",
+)
+FUZZ_PIECES = FUZZ_WORDS + FUZZ_GAPS
+CUSTOM_GUARDS = ("foo.", "bar?!", "\u01c5.", "A.")
+FUZZ_TEXTS = st.lists(
+    st.tuples(st.sampled_from(FUZZ_WORDS), st.sampled_from(FUZZ_GAPS)).map("".join),
+    max_size=12,
+).map("".join)
+
+
+@given(FUZZ_TEXTS, st.sampled_from([DEFAULT_GUARDS, CUSTOM_GUARDS, ()]))
+def test_split_sentences_matches_oracle(text, guards):
+    assert split_sentences(text, guards) == split_sentences_oracle(text, guards)
+
+
+@given(FUZZ_TEXTS)
+def test_tokenize_matches_oracle(text):
+    assert tokenize(text) == tokenize_oracle(text)
+
+
+def test_split_and_tokenize_match_oracles_on_seeded_fuzz():
+    rng = random.Random(29)
+    mismatches = []
+    for _ in range(20_000):
+        text = "".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 40)))
+        guards = rng.choice([DEFAULT_GUARDS, CUSTOM_GUARDS])
+        if split_sentences(text, guards) != split_sentences_oracle(text, guards):
+            mismatches.append(("split", text, guards))
+        if tokenize(text) != tokenize_oracle(text):
+            mismatches.append(("tokenize", text))
+    assert mismatches == []
 
 
 def test_tokenize_detaches_terminal_punctuation():
