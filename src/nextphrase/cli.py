@@ -10,11 +10,11 @@
 Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
 histogram) into a private ``.nextphrase-*`` directory inside ``--out``,
-where its worker processes, which each read the input themselves,
-write their part files too; at the end the outputs are renamed into
-``--out`` together, the manifest last.  Re-running with
-the same config and inputs reproduces every output byte for byte; only
-the manifest timestamp moves.  A run that fails leaves ``--out`` as it
+where its worker processes, each reading the input itself up to the
+end of its own block, write their part files too; at the end the
+outputs are renamed into ``--out`` together, the manifest last.
+Re-running with the same config and inputs reproduces every output byte
+for byte; only the manifest timestamp moves.  A run that fails leaves ``--out`` as it
 was, and every run deletes its private directory, so it deletes nothing
 it did not create.  Exit codes: 0 ok, 1 usage or config error, 2 input
 I/O error or an input that is not UTF-8, 3 data contract violation
@@ -155,6 +155,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig(**values)
     if config.input_mode not in INPUT_MODES:
         raise UsageError(f"unknown input mode: {config.input_mode!r}")
+    # bad ratios fail before any input is read
+    split_counts(0, config.ratios)
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
     # the workers are forked processes
@@ -320,11 +322,14 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
             open_items(), config.sample, random.Random(config.seed)
         )
         open_items = functools.partial(iter, sorted(picked))
+    # counted at any worker count, so that an input's first error does not
+    # depend on it: this pass reads every line, unparsed, before any build
+    total = sum(1 for _ in open_items())
     outcomes_of = functools.partial(
         _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers)
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, total)
         counts = {
             "sentences_read": built.read,
             "instances_written": built.written[0],
@@ -391,8 +396,9 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     splits = assign_splits(total, config.ratios, config.seed)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
+        data = sinks[: len(names)]
         built = fan_out(
-            outcomes_of, lambda: zip(splits, open_sentences()), sinks[: len(names)], config.workers
+            outcomes_of, lambda: zip(splits, open_sentences()), data, config.workers, total
         )
         counts = {
             "sentences_read": total,
@@ -460,7 +466,9 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         name=name,
     )
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, functools.partial(iter, documents), sinks[:1], config.workers)
+        built = fan_out(
+            outcomes_of, functools.partial(iter, documents), sinks[:1], config.workers, len(documents)
+        )
         counts = {
             "contexts_read": built.read,
             "instances_written": built.written[0],

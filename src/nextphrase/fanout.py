@@ -4,12 +4,13 @@ A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
 each input item's outcomes.  An outcome is either a skip reason (a
 ``str``) or a ``(sink index, records written, lines)`` triple whose
 lines go to that sink; each outcome counts as one record read.
-The items are built in this process, or cut into contiguous ranges
-that forked worker processes build into part files: each worker reads
-the items itself and builds every Nth range, and the parent, which reads
-no item, appends the parts in input order.  So the output bytes and
-counts do not depend on the worker count.  The part files are written
-next to the sinks, so the sinks' directory must be the caller's own.
+The items are built in this process, or cut into one contiguous block
+per forked worker process: worker k reads the items itself, up to the
+end of block k, and builds its block into part files, and the parent,
+which reads no item, appends the parts in block order.  So the output
+bytes and counts do not depend on the worker count.  The part files are
+written next to the sinks, so the sinks' directory must be the caller's
+own.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import shutil
 from contextlib import ExitStack, contextmanager
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-# a worker task is a contiguous range of this many input records (the
-# last range may be shorter): a worker holds one range at a time, so its
-# memory does not grow with the input, while each range still costs one
-# message and one part file per output
-RANGE_RECORDS = 256
-
 
 class WorkerDied(RuntimeError):
-    """A worker process ended before its range was built."""
+    """A worker process ended before it sent its block's counts."""
 
 
 class RangeCounts(NamedTuple):
@@ -72,49 +67,28 @@ def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextI
     return RangeCounts(read, tuple(written), skips)
 
 
-def _ranges(items: Iterable) -> Iterator[tuple[int, list]]:
-    """(task, records) of each contiguous range of RANGE_RECORDS items, read
-    from items only as they are asked for."""
-    items = iter(items)
-    for task in itertools.count():
-        records = list(itertools.islice(items, RANGE_RECORDS))
-        if not records:
-            return
-        yield task, records
-
-
-def _build_part(
-    outcomes_of: Callable, sink_names: Sequence[str], task: int, records: list
-) -> RangeCounts:
-    """Write one range into the part files ``<sink name>.<task>``."""
-    with ExitStack() as stack:
-        parts = [stack.enter_context(open_sink(f"{name}.{task}")) for name in sink_names]
-        return _write_range(outcomes_of, records, parts)
-
-
 def _serve(
     outcomes_of: Callable,
     open_items: Callable[[], Iterable],
     sink_names: Sequence[str],
-    workers: int,
+    bounds: Sequence[int],
     worker: int,
     results: BinaryIO,
 ) -> None:
-    """Worker ``worker``'s loop: read the items, build each range whose
-    task is ``worker`` mod ``workers`` into its part files and send its
-    counts as a plain tuple, then send None.  An exception, in a range of
-    its own or while reading one it skips, is sent pickled in their
-    place, and ends the loop."""
+    """Worker ``worker``'s body: build the items from ``bounds[worker]`` up
+    to ``bounds[worker + 1]`` into the part files ``<sink name>.<worker>``,
+    reading none past the end, and send its one message, the counts as a
+    plain tuple or, when the block failed, the exception pickled."""
     try:
-        for task, records in _ranges(open_items()):
-            if task % workers == worker:
-                marshal.dump(tuple(_build_part(outcomes_of, sink_names, task, records)), results)
-                results.flush()
-        marshal.dump(None, results)
+        with ExitStack() as stack:
+            parts = [stack.enter_context(open_sink(f"{name}.{worker}")) for name in sink_names]
+            block = itertools.islice(open_items(), bounds[worker], bounds[worker + 1])
+            reply = tuple(_write_range(outcomes_of, block, parts))
     except Exception as exc:
         import pickle  # only a failed worker sends an exception
 
-        marshal.dump(pickle.dumps(exc), results)
+        reply = pickle.dumps(exc)
+    marshal.dump(reply, results)
 
 
 def _worker(serve: Callable, worker: int, result_fd: int):
@@ -136,7 +110,7 @@ def _forked(serve: Callable, count: int) -> Iterator[tuple[list, dict]]:
     result pipe of its own; the parent gets (the result streams,
     {worker: pid}), worker k's stream at index k.
 
-    On leaving, every worker is reaped; when the block raised, the
+    On leaving, every worker is reaped; when the with body raised, the
     workers still running are killed first.  So no worker runs, or
     writes a part, once this has returned.
     """
@@ -173,10 +147,8 @@ def _forked(serve: Callable, count: int) -> Iterator[tuple[list, dict]]:
             stream.close()
 
 
-def _result(results: list, pids: dict, task: int) -> RangeCounts | None:
-    """The counts of a range, read from its worker, or None past the last
-    range; raises what failed it."""
-    worker = task % len(results)
+def _result(results: list, pids: dict, worker: int) -> RangeCounts:
+    """The counts of a worker's block, read from it; raises what failed it."""
     try:
         reply = marshal.load(results[worker])
     except EOFError:
@@ -189,7 +161,7 @@ def _result(results: list, pids: dict, task: int) -> RangeCounts | None:
         import pickle
 
         raise pickle.loads(reply)
-    return None if reply is None else RangeCounts(*reply)
+    return RangeCounts(*reply)
 
 
 def _append_part(sink: TextIO, path: str) -> None:
@@ -201,35 +173,36 @@ def _append_part(sink: TextIO, path: str) -> None:
 
 
 def fan_out(
-    outcomes_of: Callable, open_items: Callable, sinks: Sequence[TextIO], workers: int
+    outcomes_of: Callable, open_items: Callable, sinks: Sequence[TextIO], workers: int, total: int
 ) -> RangeCounts:
     """Write the outcomes of the items to sinks; bytes and counts do not depend on workers.
 
     ``outcomes_of(item)`` gives an item's outcomes (see the module
-    docstring), and each call of ``open_items()`` gives a new iterator
-    over the items.  With more than one worker, the workers are forked
-    (POSIX only), so the caller must run no other thread; they inherit
-    ``outcomes_of`` and ``open_items``, and each worker reads the items
-    itself.  That is why the items come from a call: an iterator that
-    had read from a file before the fork would share the file's offset
-    with every worker.  An exception in a worker is raised here in task order, and
-    a worker that dies fails the build with ``WorkerDied``.  Workers
-    write their part files ``<sink name>.<task>`` next to the sinks, and
-    a failed run can leave some behind, so the sinks' directory must be
-    the caller's own.
+    docstring), each call of ``open_items()`` gives a new iterator over
+    the items, and ``total`` is their number, which the caller counts.
+    With more than one worker, the items are cut into one contiguous block
+    per worker, of ``total // workers`` items or one more, and the workers
+    are forked (POSIX only), so the caller must run no other thread; they
+    inherit ``outcomes_of`` and ``open_items``, and each worker reads the
+    items itself.  That is why the items come from a call: an iterator
+    that had read from a file before the fork would share the file's
+    offset with every worker.  An exception in a worker is raised here
+    in block order, and a worker that dies fails the build with
+    ``WorkerDied`` when its block's turn comes.  Workers write their part
+    files ``<sink name>.<worker>`` next to the sinks, and a failed run can
+    leave some behind, so the sinks' directory must be the caller's own.
     """
     if workers == 1:
         return _write_range(outcomes_of, open_items(), sinks)
+    bounds = [total * k // workers for k in range(workers + 1)]
     serve = functools.partial(
-        _serve, outcomes_of, open_items, [sink.name for sink in sinks], workers
+        _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds
     )
     counts = RangeCounts(0, (0,) * len(sinks), {})
     with _forked(serve, workers) as (results, pids):
-        task = 0
-        # the counts come first: the parts are whole once they are in
-        while (built := _result(results, pids, task)) is not None:
-            counts = add_counts(counts, built)
+        for worker in range(workers):
+            # the counts come first: the parts are whole once they are in
+            counts = add_counts(counts, _result(results, pids, worker))
             for sink in sinks:
-                _append_part(sink, f"{sink.name}.{task}")
-            task += 1
+                _append_part(sink, f"{sink.name}.{worker}")
     return counts

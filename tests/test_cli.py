@@ -338,8 +338,7 @@ FAILED_RERUN_BUILDS = {
 
 
 # what fails the rerun: a directory in the way of the finished manifest,
-# or an input whose last line is not UTF-8, which build-npp reads after
-# it has written data into its staging directory
+# or an input whose last line is not UTF-8
 @pytest.mark.parametrize("failure", ["not-utf-8", "manifest.json"])
 @pytest.mark.parametrize("command", sorted(FAILED_RERUN_BUILDS))
 def test_failed_rerun_leaves_out_as_it_was(tmp_path, command, failure):
@@ -1099,6 +1098,21 @@ def test_stats_bad_ratios_exit_1(tmp_path, capsys):
     assert len(err) == 7
     assert all(line.startswith("error: ") for line in err)
     assert list(out.glob("*")) == []
+
+
+def test_bad_ratios_exit_1_before_the_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    out = tmp_path / "out"
+    config = tmp_path / "bad.cfg"
+    config.write_text("ratios = 0.5,0.5,0.5\n", encoding="utf-8")
+    for argv in (
+        ["build-pairs", missing, "--out", str(out), "--ratios", "0.5,0.5,0.5"],
+        ["build-pairs", missing, "--out", str(out), "--config", str(config)],
+        ["stats", missing, "--ratios", "0.5,0.5,0.5"],
+    ):
+        assert main(argv) == 1, argv
+        assert _assert_one_error_line(capsys) == "error: ratios sum to 1.5, expected 1"
+    assert not out.exists()
 
 
 def test_debug_phrases_tsv(tmp_path, capsys):

@@ -1,14 +1,17 @@
-"""The builders' fan-out, where each forked worker reads the input and
-builds every Nth range: at --workers 2 and 3 every build writes the
-bytes of --workers 1, also when a worker owns no range; a worker's
-failure, which it sends to the parent before it exits, its death,
-whatever multiprocessing start method the caller has set, and Ctrl-C
-leave --out as it was and no worker process behind; and the one
+"""The builders' fan-out, where each forked worker reads the input up to
+the end of its own contiguous block and builds that block: at --workers
+2 and 3 every build writes the bytes of --workers 1, also when a
+worker's block is empty; a worker reads nothing past its block; a
+worker's failure, which it sends to the parent before it exits, its
+death, whatever multiprocessing start method the caller has set, and
+Ctrl-C leave --out as it was and no worker process behind; the first
+error of an input is the same at any worker count; and the one
 write-and-count loop counts a range in parts as it counts it whole."""
 
 import io
 import itertools
 import json
+import marshal
 import multiprocessing
 import os
 import random
@@ -35,17 +38,8 @@ SRC = str(Path(nextphrase.corpus.__file__).parents[1])
 # a tree with no eligible NPP group, and one token so no completion pair
 ONE_TOKEN = "(S (NN x))"
 # trees whose skip reason the property appends to the end of a corpus,
-# so that its first occurrence can fall in the last range
+# so that its first occurrence can fall in the last block
 LATE_SKIPS = (ONE_TOKEN, list_tree(27))
-
-# ranges this short cut the small inputs below into many ranges
-SHORT_RANGE = 5
-
-# the command line, with ranges of argv[1] records
-WITH_RANGE_RECORDS = (
-    "import sys; from nextphrase import fanout; fanout.RANGE_RECORDS = int(sys.argv[1]); "
-    "from nextphrase.cli import main; sys.exit(main(sys.argv[2:]))"
-)
 
 
 def _assert_no_child_process():
@@ -68,8 +62,9 @@ def _tree_file(path: Path, texts) -> Path:
 
 
 def _inputs(tmp_path: Path) -> tuple[Path, Path, Path]:
-    """A treebank and a document file, each long enough for seven short
-    ranges, and a treebank of one tree, one range that one worker owns."""
+    """A treebank and a document file, each long enough for a block of
+    several items per worker, and a treebank of one tree, whose block is
+    the last worker's while the other blocks are empty."""
     rng = random.Random(7)
     texts = [random_tree_text(rng, 5, 4) for _ in range(30)] + [SHOP, EAT_PIE, DOG, *LATE_SKIPS]
     lines = []
@@ -95,8 +90,7 @@ def _builds(trees: Path, docs: Path, one: Path) -> dict[str, list[str]]:
 
 
 @pytest.mark.parametrize("workers", ["2", "3"])
-def test_two_and_three_workers_write_the_bytes_of_one_worker(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
+def test_two_and_three_workers_write_the_bytes_of_one_worker(tmp_path, workers):
     for label, argv in _builds(*_inputs(tmp_path)).items():
         serial = tmp_path / f"{label}-1"
         assert main([*argv, "--out", str(serial), "--seed", "3"]) == 0
@@ -110,8 +104,7 @@ TREE_BUILDS = {"build-npp": [], "build-pairs": ["--input-mode", "treebank"]}
 
 
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
-def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
+def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, command):
     rng = random.Random(9)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     trees = _tree_file(tmp_path / "trees.txt", texts)
@@ -119,8 +112,9 @@ def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, monk
     argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
     assert main(argv) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    # 40 trees make 8 ranges of 5: line 40 is in the last, whose worker has
-    # opened its part files when the parse fails
+    # 40 trees make 2 blocks of 20: line 40 ends the last, whose worker has
+    # written 19 records to its part files when the parse fails, and the
+    # first block has been appended to the staged outputs
     _tree_file(trees, [*texts[:-1], "(S (NP"])
     assert main(argv) == 3
     assert "error: line 40:" in capsys.readouterr().err
@@ -128,16 +122,15 @@ def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, monk
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_ranges_have_a_fixed_size_and_are_read_as_asked_for(monkeypatch):
-    monkeypatch.setattr(fanout, "RANGE_RECORDS", 3)
+def test_a_worker_builds_its_block_and_reads_nothing_past_its_end(tmp_path):
     endless = itertools.count()
-    ranges = fanout._ranges(endless)
-    assert next(ranges) == (0, [0, 1, 2])
-    # nothing past the range handed out has been read
-    assert next(endless) == 3
-    assert next(ranges) == (1, [4, 5, 6])
-    assert list(fanout._ranges(range(4))) == [(0, [0, 1, 2]), (1, [3])]
-    assert list(fanout._ranges([])) == []
+    results = io.BytesIO()
+    sink = str(tmp_path / "out")
+    # worker 1 of 2, its block items 3 to 5 of an endless input
+    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1, results)
+    assert marshal.loads(results.getvalue()) == (3, (3,), {})
+    assert Path(f"{sink}.1").read_text(encoding="utf-8") == "3\n4\n5\n"
+    assert next(endless) == 6
 
 
 # at most 5 levels and 4 children, so at most 256 tokens: the pairs of a
@@ -153,25 +146,25 @@ GENERATED = st.integers(0, 2**32 - 1).map(lambda seed: random_tree_text(random.R
     ),
     st.integers(0, 2**16),
 )
-# no_eligible_group first, in the first range; too_many_choices and
-# too_short first in the last range
+# no_eligible_group first, in the first block; too_many_choices and
+# too_short first in the last block
 @example(([DOG] + [SHOP, EAT_PIE] * 10 + [ONE_TOKEN], [list_tree(27)]), 0)
 def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
     head, tail = corpus
-    # ranges of 3 cut the corpus into up to 14
-    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fanout, "RANGE_RECORDS", 3)
+    # at --workers 3 a 1- or 2-tree corpus leaves a worker's block empty
+    with tempfile.TemporaryDirectory() as scratch:
         trees = _tree_file(Path(scratch) / "trees.txt", head + tail)
         for command, options in TREE_BUILDS.items():
             written = []
-            for workers in ("1", "2"):
+            for workers in ("1", "2", "3"):
                 out = Path(scratch) / f"{command}-{workers}"
                 argv = [command, str(trees), *options, "--seed", str(seed), "--workers", workers]
                 assert main([*argv, "--out", str(out)]) == 0
                 written.append(_written(out))
             # equal dicts may differ in key order: compare the skips' order too
             skips = [list(w["manifest.json"]["skips"]) for w in written]
-            assert written[0] == written[1] and skips[0] == skips[1], command
+            assert written[0] == written[1] == written[2], command
+            assert skips[0] == skips[1] == skips[2], command
 
 
 @pytest.fixture
@@ -192,7 +185,6 @@ def start_method(request):
 def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
     tmp_path, capsys, monkeypatch, start_method
 ):
-    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
     rng = random.Random(5)
     trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
     out = tmp_path / "out"
@@ -206,9 +198,9 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
             os._exit(1)
         return original(item, **options)
 
-    # the forked workers inherit the patch; 40 trees make 8 ranges of 5,
-    # and the worker dies in the fifth, after earlier ranges have been
-    # appended to the staged outputs
+    # the forked workers inherit the patch; 40 trees make 2 blocks of 20,
+    # and worker 1 dies in its block, which the parent reaches after it
+    # has appended worker 0's block to the staged outputs
     monkeypatch.setattr(cli, "_npp_outcomes", dying)
     capsys.readouterr()
     assert main(argv) == 4
@@ -229,24 +221,23 @@ def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, mon
     assert list(out.iterdir()) == []
 
 
-# a malformed tree on line 2 fails the first range, of worker 0; on line
-# 12, the third range, worker 0's second.  Either way worker 0 sends the
-# exception in place of that range's counts and exits
+# 40 trees make 2 blocks of 20: a malformed tree on line 2 or on line 12
+# fails worker 0's block, near its start or in its middle.  Either way
+# worker 0 sends the exception in place of its block's counts and exits
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
-    monkeypatch.setattr(fanout, "RANGE_RECORDS", SHORT_RANGE)
     original = cli.iter_tree_lines
 
-    def slow_from_the_fifth_range(path):
+    def slow_from_the_second_block(path):
         for index, text in original(path):
-            if index >= 4 * SHORT_RANGE:
+            if index >= 20:
                 time.sleep(0.01)
             yield index, text
 
-    # every worker reads its input from the fifth range on slowly, so
+    # every pass reads the input from the second block on slowly, so
     # worker 0 has failed and exited while worker 1 still builds
-    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_fifth_range)
+    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     texts[line - 1] = "(S (NP"
@@ -254,13 +245,33 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
     out = tmp_path / "out"
     argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
     # the exception is on the failed worker's pipe before its end, and the
-    # parent reads that pipe's messages in order, so it meets the parse
-    # error, not a closed pipe: never exit 4
+    # parent reads that pipe first, so it meets the parse error, not a
+    # closed pipe: never exit 4
     for _ in range(3):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
         _assert_no_child_process()
         assert list(out.iterdir()) == []
+
+
+def test_the_first_error_of_an_input_is_the_same_at_any_worker_count(tmp_path, capsys):
+    # a malformed tree on line 2 and, far past the first 8 KiB that a
+    # reader decodes ahead, a line that is not UTF-8: the count pass meets
+    # the second before any tree is parsed, at every worker count
+    trees = tmp_path / "trees.txt"
+    lines = [DOG.encode()] * 2000
+    lines[1] = b"(S (NP"
+    lines[1990] = b"(S (NN \xff))"
+    trees.write_bytes(b"\n".join(lines) + b"\n")
+    for command, options in TREE_BUILDS.items():
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"{command}-{workers}"
+            argv = [command, str(trees), *options, "--out", str(out), "--workers", workers]
+            assert main(argv) == 2, (command, workers)
+            first = capsys.readouterr().err.splitlines()[0]
+            assert first.startswith(f"error: {trees}: line 1991 is not UTF-8 "), first
+            assert not out.exists()
+            _assert_no_child_process()
 
 
 # imported, it makes build-npp's outcomes mark that a worker builds, in
@@ -291,7 +302,7 @@ def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
     argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
     # a session of its own, so that Ctrl-C can go to its whole process group
     build = subprocess.Popen(
-        [sys.executable, "-c", "import slow; " + WITH_RANGE_RECORDS, str(SHORT_RANGE), *argv],
+        [sys.executable, "-c", "import slow, sys; from nextphrase.cli import main; sys.exit(main())", *argv],
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)]), "STARTED": str(started)},
         start_new_session=True,
