@@ -66,6 +66,7 @@ from .instances import (
     record_rng,
     serialize_npp,
     serialize_nsp,
+    sha256,
 )
 from .metrics import (
     CountMismatch,
@@ -184,9 +185,7 @@ def _guards(config: PipelineConfig) -> tuple[str, ...]:
 
 
 def file_sha256(path) -> str:
-    import hashlib  # here, not at the top: it loads OpenSSL, which evaluate never needs
-
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
@@ -216,7 +215,8 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
     names, in order; when anything raises, none moves.  Either way the
     staging directory goes last, with the part files the block's worker
     processes wrote there, after the block has stopped them.  So a run
-    deletes nothing it did not create.
+    deletes nothing it did not create: once its outputs are in place, it
+    warns about each other staging directory in out_dir and keeps it.
     """
     import tempfile  # here, not at the top: only a command that writes needs it
 
@@ -233,6 +233,13 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging)
+    for stale in sorted(out_dir.glob(".nextphrase-*")):
+        if stale.is_dir():
+            print(
+                f"WARN {stale}: not this run's staging directory; it may belong to a run "
+                "still in progress, so it is left in place",
+                file=sys.stderr,
+            )
 
 
 # the last two outputs of every build; the manifest is renamed into place last

@@ -24,6 +24,16 @@ from .corpus import detokenize
 from .phrases import PhraseGroups, eligible_groups
 from .treebank import ConstituencyTree
 
+# CPython's built-in SHA-256, as Lib/random.py takes its sha512: hashlib
+# would load OpenSSL's libcrypto, about 3.5 MiB of a small run's peak RSS
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 NPP_PREFIX = "generate next phrase:"
 NSP_PREFIX = "generate next sentence:"
 
@@ -78,9 +88,7 @@ class CompletionPair(NamedTuple):
 
 def record_rng(global_seed: int, sentence_id: str) -> random.Random:
     """Random stream for one record, stable across runs and workers."""
-    import hashlib  # here, not at the top: it loads OpenSSL, which evaluate never needs
-
-    digest = hashlib.sha256(f"{global_seed}:{sentence_id}".encode("utf-8")).digest()
+    digest = sha256(f"{global_seed}:{sentence_id}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -11,10 +11,15 @@ changes the output format and must say so.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nextphrase
 from nextphrase.cli import main
 
 from conftest import DOG, EAT_PIE, SHOP, random_sentence, random_tree_text
@@ -165,3 +170,26 @@ def test_build_outputs_match_golden_hashes(tmp_path, run):
     assert manifest["command"] == command
     assert manifest["counts"] == counts
     assert list(manifest["counts"]) == list(counts)
+
+
+def test_build_npp_without_the_builtin_sha256_writes_the_same_bytes(tmp_path):
+    # an interpreter with neither _sha2 nor _sha256 hashes with hashlib
+    source = _trees(tmp_path)
+    out = tmp_path / "out"
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib; from nextphrase import instances; from nextphrase.cli import main; "
+        "code = main(sys.argv[1:]); print(instances.sha256 is hashlib.sha256, code)"
+    )
+    argv = ["build-npp", str(source), "--out", str(out), "--seed", "11"]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(nextphrase.__file__).parents[1])},
+    )
+    assert result.stdout.split() == ["True", "0"], result.stdout
+    assert {name: _sha256(out / name) for name in NPP_FILES} == NPP_FILES
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(source): _sha256(source)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -77,6 +78,10 @@ def _manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
 
 
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_build_npp_outputs_and_manifest(tmp_path):
     trees = _write_trees(tmp_path)
     out = tmp_path / "out"
@@ -102,7 +107,17 @@ def test_build_npp_outputs_and_manifest(tmp_path):
     assert counts["skips"] == {"no_eligible_group": 1}
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert stats == counts
-    assert list(manifest["inputs"]) == [str(trees)]
+    assert manifest["inputs"] == {str(trees): _digest(trees)}
+
+
+def test_the_manifest_digests_an_input_of_many_read_blocks(tmp_path):
+    trees = tmp_path / "big.txt"
+    trees.write_text(f"{DOG}\n" * 1500, encoding="utf-8")
+    # more than one 64 KiB read block, and not a whole number of them
+    assert trees.stat().st_size > 1 << 16 and trees.stat().st_size % (1 << 16)
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out)]) == 0
+    assert _manifest(out)["inputs"] == {str(trees): _digest(trees)}
 
 
 def test_build_npp_reruns_are_byte_identical(tmp_path):
@@ -410,6 +425,36 @@ def test_a_build_leaves_files_named_like_its_temp_files_alone(tmp_path, command)
         assert _left_alone(out, planted, BUILD_OUTPUTS[command]), workers
 
 
+def test_a_finished_run_warns_about_a_staging_directory_it_did_not_make(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    argv = ["build-npp", str(trees), "--workers", "2"]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    # what a killed run leaves, and a file that is only named like it
+    stale = out / ".nextphrase-killed"
+    stale.mkdir(parents=True)
+    (stale / "instances.jsonl").write_bytes(b'{"id": ')
+    (out / ".nextphrase-file").write_bytes(b"not a directory\n")
+    planted = _files_under(out)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "WARN" in line]
+    assert warnings == [
+        f"WARN {stale}: not this run's staging directory; it may belong to a run "
+        "still in progress, so it is left in place"
+    ]
+    after = _files_under(out)
+    assert {name: after[name] for name in planted} == planted
+    outputs = {name: after[name] for name in _files_under(fresh)}
+    assert outputs.pop("manifest.json")
+    assert outputs == {name: (fresh / name).read_bytes() for name in outputs}
+    # a run that fails prints its error line alone
+    trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
+    assert main([*argv, "--out", str(out)]) == 3
+    _assert_one_error_line(capsys)
+    assert _files_under(out) == after
+
+
 def _evaluate_argv(report, candidates=DATA / "candidates.txt"):
     return [
         "evaluate", "--candidates", str(candidates),
@@ -537,7 +582,8 @@ def test_a_directory_named_like_a_document_is_passed_over(tmp_path, capsys, comm
         runs.append((capsys.readouterr().out, files, inputs))
     assert runs[0] == runs[1]
     if command != "stats":
-        assert list(runs[0][2]) == [str(docs / "a.txt"), str(docs / "b.txt")]
+        documents = (docs / "a.txt", docs / "b.txt")
+        assert runs[0][2] == {str(path): _digest(path) for path in documents}
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -955,18 +1001,38 @@ def test_evaluate_splits_inputs_at_newlines_only(tmp_path, capsys):
     assert "segments: 2" in capsys.readouterr().out
 
 
-def test_evaluate_never_loads_openssl(tmp_path):
+# the runs that write files, by test id: each build at 1 and 2 workers,
+# stats --out and evaluate
+WRITING_RUNS = [
+    f"{build}-w{workers}"
+    for build in ("build-npp", "build-nsp", "build-pairs-lines", "build-pairs-treebank")
+    for workers in (1, 2)
+] + ["stats", "evaluate"]
+
+
+@pytest.mark.parametrize("run", WRITING_RUNS)
+def test_no_command_loads_openssl(tmp_path, run):
     # hashlib loads OpenSSL's _hashlib, a few MiB of a small run's peak
-    # RSS; only the builds hash anything
+    # RSS; record seeds and manifest digests use CPython's own sha256
+    trees, docs = _write_trees(tmp_path), _write_docs(tmp_path)
+    command, _, workers = run.partition("-w")
+    if command == "evaluate":
+        argv = _evaluate_argv(tmp_path / "rep.txt")
+    else:
+        argv = {
+            "build-npp": ["build-npp", str(trees)],
+            "build-nsp": ["build-nsp", str(docs)],
+            "build-pairs-lines": ["build-pairs", str(docs)],
+            "build-pairs-treebank": ["build-pairs", str(trees), "--input-mode", "treebank"],
+            "stats": ["stats", str(docs)],
+        }[command] + ["--out", str(tmp_path / "out")]
+    if workers:
+        argv += ["--workers", workers]
     code = (
         "import sys; before = '_hashlib' in sys.modules; "
         "from nextphrase.cli import main; code = main(sys.argv[1:]); "
         "print(before, '_hashlib' in sys.modules, code)"
     )
-    argv = [
-        "evaluate", "--candidates", str(DATA / "candidates.txt"),
-        "--references", str(DATA / "references.txt"), "--report", str(tmp_path / "rep.txt"),
-    ]
     src = str(Path(nextphrase.corpus.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code, *argv],

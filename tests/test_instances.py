@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nextphrase import instances
 from nextphrase.instances import (
     MoreChoicesThanLetters,
     NPP_PREFIX,
@@ -109,6 +111,16 @@ def test_instance_depends_only_on_seed_and_id():
     assert one == two
     assert record_rng(7, "a").random() != record_rng(7, "b").random()
     assert record_rng(7, "a").random() != record_rng(8, "a").random()
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="only CPython has _sha2 or _sha256"
+)
+def test_records_hash_with_the_builtin_sha256():
+    # hashlib's sha256 would load OpenSSL; should a future CPython rename
+    # its built-in module, this fails instead of falling back silently
+    builtins = [sys.modules[name].sha256 for name in ("_sha2", "_sha256") if name in sys.modules]
+    assert any(instances.sha256 is builtin for builtin in builtins), instances.sha256
 
 
 def test_serialized_prompt_layout():
