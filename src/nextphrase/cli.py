@@ -18,8 +18,8 @@ for byte; only the manifest timestamp moves.  A run that fails leaves ``--out`` 
 was, and every run deletes its private directory, so it deletes nothing
 it did not create.  Exit codes: 0 ok, 1 usage or config error, 2 input
 I/O error or an input that is not UTF-8, 3 data contract violation
-(malformed tree, mismatched eval files), 4 a worker process died, for
-example when it was killed or ran out of memory.
+(malformed tree, mismatched eval files), 4 a worker process could not
+be forked or died, for example when it was killed or ran out of memory.
 """
 
 from __future__ import annotations
@@ -388,13 +388,14 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
     if config.input_mode == "treebank":
-        # the count pass reads tree lines unparsed: each tree is parsed once, by the worker
+        # the count pass reads tree lines unparsed: each tree is parsed once,
+        # where its block is built
         total = sum(1 for _ in iter_tree_lines(args.input))
         open_sentences = functools.partial(iter_tree_lines, args.input)
         outcomes_of = functools.partial(_tree_pair_outcomes, name=name)
     else:
         # each document is split once; the sentence texts are held for the
-        # build pass and tokenized by the worker
+        # build pass and tokenized where their block is built
         texts = list(iter_sentence_texts(args.input, config.input_mode, name, _guards(config)))
         total = len(texts)
         open_sentences = functools.partial(iter, texts)

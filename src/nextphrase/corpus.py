@@ -80,9 +80,9 @@ def text_lines(path) -> Iterator[str]:
 
 
 def read_entries(path) -> list[str]:
-    """The stripped lines of a UTF-8 file of one entry per line; blank
-    lines and # comments are skipped."""
-    lines = (line.strip() for line in read_text(path).splitlines())
+    """The stripped lines of a UTF-8 file of one entry per line, cut where
+    text_lines cuts them; blank lines and # comments are skipped."""
+    lines = (line.strip() for line in text_lines(path))
     return [line for line in lines if line and not line.startswith("#")]
 
 

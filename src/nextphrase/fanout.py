@@ -4,13 +4,13 @@ A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
 each input item's outcomes.  An outcome is either a skip reason (a
 ``str``) or a ``(sink index, records written, lines)`` triple whose
 lines go to that sink; each outcome counts as one record read.
-The items are built in this process, or cut into one contiguous block
-per forked worker process: worker k reads the items itself, up to the
-end of block k, and builds its block into part files, and the parent,
-which reads no item, appends the parts in block order.  So the output
-bytes and counts do not depend on the worker count.  The part files are
-written next to the sinks, so the sinks' directory must be the caller's
-own.
+The items are cut into one contiguous block per worker.  This process
+builds block 0 straight into the sinks; each other block k is built by
+a forked worker process, which reads the items itself, up to the end of
+block k, and writes its block into part files, and this process appends
+the parts in block order.  So the output bytes and counts do not depend
+on the worker count.  The part files are written next to the sinks, so
+the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence,
 
 
 class WorkerDied(RuntimeError):
-    """A worker process ended before it sent its block's counts."""
+    """A worker process could not be forked, or ended before it sent its block's counts."""
 
 
 class RangeCounts(NamedTuple):
@@ -105,49 +105,54 @@ def _worker(serve: Callable, worker: int, result_fd: int):
 
 
 @contextmanager
-def _forked(serve: Callable, count: int) -> Iterator[tuple[list, dict]]:
-    """count forked workers, worker k running serve(k, results) on a
-    result pipe of its own; the parent gets (the result streams,
-    {worker: pid}), worker k's stream at index k.
+def _forked(serve: Callable, workers: int) -> Iterator[tuple[dict, dict]]:
+    """Workers 1 to workers - 1 forked, none at one worker, worker k
+    running serve(k, results) on a result pipe of its own; the parent
+    gets ({worker: result stream}, {worker: pid}).
 
     On leaving, every worker is reaped; when the with body raised, the
     workers still running are killed first.  So no worker runs, or
-    writes a part, once this has returned.
+    writes a part, once this has returned.  A fork that fails raises
+    WorkerDied.
     """
-    import signal  # only a build with workers forks
-
-    results: list[BinaryIO] = []
+    results: dict[int, BinaryIO] = {}
     pids: dict[int, int] = {}
     try:
-        # SIGINT waits while the workers start, so that every worker forked
-        # has its pid recorded, and it stays blocked in the workers: on
-        # Ctrl-C the parent stops them
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for worker in range(count):
-                result_end, result_fd = os.pipe()
-                results.append(open(result_end, "rb"))
-                try:
-                    pids[worker] = os.fork()
-                    if pids[worker] == 0:
-                        _worker(serve, worker, result_fd)
-                finally:
-                    os.close(result_fd)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if workers > 1:
+            import signal  # only a build with workers forks
+
+            # SIGINT waits while the workers start, so that every worker forked
+            # has its pid recorded, and it stays blocked in the workers: on
+            # Ctrl-C the parent stops them
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for worker in range(1, workers):
+                    result_end, result_fd = os.pipe()
+                    results[worker] = open(result_end, "rb")
+                    try:
+                        pids[worker] = os.fork()
+                        if pids[worker] == 0:
+                            _worker(serve, worker, result_fd)
+                    except OSError as exc:
+                        raise WorkerDied(f"could not start a worker process: {exc}") from exc
+                    finally:
+                        os.close(result_fd)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield results, pids
     except BaseException:
+        # pids is empty unless signal was imported above
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for pid in pids.values():
             os.waitpid(pid, 0)
-        for stream in results:
+        for stream in results.values():
             stream.close()
 
 
-def _result(results: list, pids: dict, worker: int) -> RangeCounts:
+def _result(results: dict, pids: dict, worker: int) -> RangeCounts:
     """The counts of a worker's block, read from it; raises what failed it."""
     try:
         reply = marshal.load(results[worker])
@@ -180,27 +185,26 @@ def fan_out(
     ``outcomes_of(item)`` gives an item's outcomes (see the module
     docstring), each call of ``open_items()`` gives a new iterator over
     the items, and ``total`` is their number, which the caller counts.
-    With more than one worker, the items are cut into one contiguous block
-    per worker, of ``total // workers`` items or one more, and the workers
-    are forked (POSIX only), so the caller must run no other thread; they
-    inherit ``outcomes_of`` and ``open_items``, and each worker reads the
-    items itself.  That is why the items come from a call: an iterator
-    that had read from a file before the fork would share the file's
-    offset with every worker.  An exception in a worker is raised here
-    in block order, and a worker that dies fails the build with
-    ``WorkerDied`` when its block's turn comes.  Workers write their part
+    They are cut into one contiguous block per worker, of
+    ``total // workers`` items or one more; this process builds block 0
+    and forks a worker for each other block (POSIX only), so the caller
+    must run no other thread.  The workers inherit ``outcomes_of`` and
+    ``open_items``, and each reads the items itself.  That is why the
+    items come from a call: an iterator that had read from a file before
+    the fork would share the file's offset with every worker.  An
+    exception in a block is raised here in block order; a worker that
+    dies fails the build with ``WorkerDied`` when its block's turn comes,
+    and one that cannot be forked at once.  Workers write their part
     files ``<sink name>.<worker>`` next to the sinks, and a failed run can
     leave some behind, so the sinks' directory must be the caller's own.
     """
-    if workers == 1:
-        return _write_range(outcomes_of, open_items(), sinks)
     bounds = [total * k // workers for k in range(workers + 1)]
     serve = functools.partial(
         _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds
     )
-    counts = RangeCounts(0, (0,) * len(sinks), {})
     with _forked(serve, workers) as (results, pids):
-        for worker in range(workers):
+        counts = _write_range(outcomes_of, itertools.islice(open_items(), bounds[1]), sinks)
+        for worker in range(1, workers):
             # the counts come first: the parts are whole once they are in
             counts = add_counts(counts, _result(results, pids, worker))
             for sink in sinks:

@@ -638,6 +638,18 @@ def test_a_config_line_without_a_key_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_line_ends_only_at_a_newline(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    config = tmp_path / "run.cfg"
+    # one line: str.splitlines would also cut it at U+2028 and read workers=2
+    value = "5\u2028workers=2"
+    config.write_text(f"seed={value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: bad config value for seed: {value!r}"]
+    assert not out.exists()
+
+
 def test_unknown_input_mode_in_config_exits_1(tmp_path, capsys):
     docs = _write_docs(tmp_path)
     config = tmp_path / "run.cfg"

@@ -77,6 +77,13 @@ def test_custom_guard_list(tmp_path):
     ]
 
 
+def test_a_guard_list_line_ends_only_at_a_newline(tmp_path):
+    path = tmp_path / "guards.txt"
+    # str.splitlines would also cut at U+2028, U+0085 and the form feed
+    path.write_text("foo.\u2028bar.\nbaz.\x85qux.\x0cend.\n", encoding="utf-8")
+    assert load_guard_list(path) == ("foo.\u2028bar.", "baz.\x85qux.\x0cend.")
+
+
 # pieces of the texts the splitter and tokenizer are checked on against
 # their oracles: terminators and detached punctuation, spaces and tabs,
 # the line breaks and other whitespace that neither counts as a space

@@ -1,13 +1,16 @@
-"""The builders' fan-out, where each forked worker reads the input up to
-the end of its own contiguous block and builds that block: at --workers
-2 and 3 every build writes the bytes of --workers 1, also when a
-worker's block is empty; a worker reads nothing past its block; a
-worker's failure, which it sends to the parent before it exits, its
-death, whatever multiprocessing start method the caller has set, and
-Ctrl-C leave --out as it was and no worker process behind; the first
-error of an input is the same at any worker count; and the one
-write-and-count loop counts a range in parts as it counts it whole."""
+"""The builders' fan-out, where the parent builds the first contiguous
+block and each forked worker reads the input up to the end of its own
+block and builds that block: at --workers 2 and 3 every build writes the
+bytes of --workers 1, also when a worker's block is empty; --workers N
+forks N - 1 workers and appends no part of the first block; a worker
+reads nothing past its block; a worker's failure, which it sends to the
+parent before it exits, its death, a fork that fails, whatever
+multiprocessing start method the caller has set, and Ctrl-C leave --out
+as it was and no worker process behind; the first error of an input is
+the same at any worker count; and the one write-and-count loop counts a
+range in parts as it counts it whole."""
 
+import errno
 import io
 import itertools
 import json
@@ -114,10 +117,87 @@ def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, comm
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     # 40 trees make 2 blocks of 20: line 40 ends the last, whose worker has
     # written 19 records to its part files when the parse fails, and the
-    # first block has been appended to the staged outputs
+    # parent has built the first block into the staged outputs
     _tree_file(trees, [*texts[:-1], "(S (NP"])
     assert main(argv) == 3
     assert "error: line 40:" in capsys.readouterr().err
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+# run with a build's argv, it prints how many times the build forked, the
+# suffixes of the part files it appended and whether signal was loaded
+SHAPE = """
+import json, os, sys
+from nextphrase import cli, fanout
+
+forks, parts = [], []
+fork, append_part = os.fork, fanout._append_part
+
+
+def counted_fork():
+    forks.append(1)
+    return fork()
+
+
+def recorded_append_part(sink, path):
+    parts.append(path.rsplit(".", 1)[1])
+    append_part(sink, path)
+
+
+os.fork, fanout._append_part = counted_fork, recorded_append_part
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, len(forks), parts, "signal" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_parent_builds_block_0_and_forks_a_worker_per_other_block(tmp_path, workers):
+    trees = _tree_file(tmp_path / "trees.txt", [DOG, SHOP, EAT_PIE] * 3)
+    out = tmp_path / "out"
+    argv = ["build-npp", str(trees), "--out", str(out), "--workers", str(workers)]
+    result = subprocess.run(
+        [sys.executable, "-c", SHAPE, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    code, forks, parts, signal_loaded = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert forks == workers - 1
+    # one part per worker's block, and none of block 0
+    assert parts == [str(worker) for worker in range(1, workers)]
+    if workers == 1:
+        assert not signal_loaded
+
+
+def test_a_fork_that_fails_exits_4_and_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    rng = random.Random(8)
+    trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(30)])
+    out = tmp_path / "out"
+    argv = ["build-npp", str(trees), "--out", str(out), "--workers", "3"]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    # worker 1 is forked and building when worker 2 cannot be
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: could not start a worker process: [Errno {errno.EAGAIN}] "
+        f"{os.strerror(errno.EAGAIN)}\n"
+    )
+    assert len(forks) == 2
+    _assert_no_child_process()
     assert list(out.glob(".nextphrase-*")) == []
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
@@ -200,7 +280,7 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
 
     # the forked workers inherit the patch; 40 trees make 2 blocks of 20,
     # and worker 1 dies in its block, which the parent reaches after it
-    # has appended worker 0's block to the staged outputs
+    # has built block 0 into the staged outputs
     monkeypatch.setattr(cli, "_npp_outcomes", dying)
     capsys.readouterr()
     assert main(argv) == 4
@@ -222,8 +302,7 @@ def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, mon
 
 
 # 40 trees make 2 blocks of 20: a malformed tree on line 2 or on line 12
-# fails worker 0's block, near its start or in its middle.  Either way
-# worker 0 sends the exception in place of its block's counts and exits
+# fails block 0, which the parent builds, near its start or in its middle
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
@@ -236,7 +315,7 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
             yield index, text
 
     # every pass reads the input from the second block on slowly, so
-    # worker 0 has failed and exited while worker 1 still builds
+    # the parent's block has failed while worker 1 still builds
     monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
@@ -244,9 +323,8 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
     trees = _tree_file(tmp_path / "trees.txt", texts)
     out = tmp_path / "out"
     argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
-    # the exception is on the failed worker's pipe before its end, and the
-    # parent reads that pipe first, so it meets the parse error, not a
-    # closed pipe: never exit 4
+    # the parent meets the parse error in its own block, before it reads
+    # a worker's pipe, and kills worker 1: never exit 4
     for _ in range(3):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
