@@ -25,7 +25,9 @@ be forked or died, for example when it was killed or ran out of memory.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
+import itertools
 import json
 import os
 import random
@@ -46,15 +48,15 @@ from .corpus import (
     document_files,
     format_stats_table,
     iter_documents,
-    iter_sentence_texts,
     load_guard_list,
     make_sentence_id,
     read_entries,
+    read_text,
     split_counts,
     split_sentences,
     tokenize,
 )
-from .fanout import WorkerDied, fan_out, open_sink
+from .fanout import InputChanged, WorkerDied, fan_out, open_sink
 from .instances import (
     MAX_CHOICES,
     MoreChoicesThanLetters,
@@ -290,6 +292,24 @@ def _tree_id(name: str, line_index: int) -> str:
     return f"{name}:{line_index:08d}"
 
 
+def _sentence_counts(path, mode: str, guards: Sequence[str]) -> Iterator[int]:
+    """Each document's sentence count, in document order: the count pass of
+    build-pairs and of stats."""
+    for _, document in iter_documents(path, mode):
+        yield len(split_sentences(document, guards))
+
+
+def _documents(path, mode: str) -> Iterator[tuple[int, str | Path]]:
+    """A raw-text build pass's items, ``(doc_index, document)``: a document
+    is its line, or in dir mode its file, which only the process that
+    builds its block reads."""
+    return enumerate(document_files(path)) if mode == "dir" else iter_documents(path, mode)
+
+
+def _split(document: str | Path, guards: Sequence[str]) -> list[str]:
+    return split_sentences(read_text(document) if isinstance(document, Path) else document, guards)
+
+
 # ---------------------------------------------------------- subcommands
 
 
@@ -379,9 +399,26 @@ def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], name: str) -> tuple
     return _pair_outcomes(split, _tree_id(name, line_index), tokens)
 
 
-def _text_pair_outcomes(record: tuple[int, tuple[str, str]]) -> tuple:
-    split, (sentence_id, text) = record
-    return _pair_outcomes(split, sentence_id, tokenize(text))
+def _text_pair_outcomes(
+    item: tuple[int, str | Path],
+    splits: bytearray,
+    starts: Sequence[int],
+    name: str,
+    guards: Sequence[str],
+) -> Iterator:
+    """A document's outcomes, one per sentence; ``starts[d]`` is the
+    position of document d's first sentence, and ``splits`` gives each
+    position's split."""
+    doc_index, document = item
+    first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
+    sentences = _split(document, guards)
+    if len(sentences) != counted:
+        raise InputChanged(
+            f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
+        )
+    for position, sentence in enumerate(sentences):
+        sentence_id = make_sentence_id(name, doc_index, position)
+        yield from _pair_outcomes(splits[first + position], sentence_id, tokenize(sentence))
 
 
 def cmd_build_pairs(args: argparse.Namespace) -> int:
@@ -391,23 +428,31 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         # the count pass reads tree lines unparsed: each tree is parsed once,
         # where its block is built
         total = sum(1 for _ in iter_tree_lines(args.input))
-        open_sentences = functools.partial(iter_tree_lines, args.input)
-        outcomes_of = functools.partial(_tree_pair_outcomes, name=name)
+        splits = assign_splits(total, config.ratios, config.seed)
+        items, outcomes_of = total, functools.partial(_tree_pair_outcomes, name=name)
+
+        def open_items():
+            return zip(splits, iter_tree_lines(args.input))
+
     else:
-        # each document is split once; the sentence texts are held for the
-        # build pass and tokenized where their block is built
-        texts = list(iter_sentence_texts(args.input, config.input_mode, name, _guards(config)))
-        total = len(texts)
-        open_sentences = functools.partial(iter, texts)
-        outcomes_of = _text_pair_outcomes
+        from array import array  # an extension module; only raw-text builds need it
+
+        # the count pass keeps one number per document, where its first
+        # sentence sits; each document is split again where its block is built
+        guards = _guards(config)
+        per_document = _sentence_counts(args.input, config.input_mode, guards)
+        starts = array("q", itertools.accumulate(per_document, initial=0))
+        total, items = starts[-1], len(starts) - 1
+        splits = assign_splits(total, config.ratios, config.seed)
+        outcomes_of = functools.partial(
+            _text_pair_outcomes, splits=splits, starts=starts, name=name, guards=guards
+        )
+        open_items = functools.partial(_documents, args.input, config.input_mode)
     sentence_counts = split_counts(total, config.ratios)
-    splits = assign_splits(total, config.ratios, config.seed)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
         data = sinks[: len(names)]
-        built = fan_out(
-            outcomes_of, lambda: zip(splits, open_sentences()), data, config.workers, total
-        )
+        built = fan_out(outcomes_of, open_items, data, config.workers, items)
         counts = {
             "sentences_read": total,
             "pairs_written": sum(built.written),
@@ -423,17 +468,21 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
 
 
 def _nsp_outcomes(
-    item: tuple[int, list[str]],
+    item: tuple[int, str | Path],
     pool: Sequence[str],
-    own: dict[int, list[int]],
+    own: tuple[Sequence[int], Sequence[int]],
     seed: int,
     distractors: int,
     name: str,
+    guards: Sequence[str],
 ) -> Iterator:
-    """A document's outcomes, one per context; ``own`` lists each
-    document's positions in pool."""
-    doc_index, sentences = item
-    others = PoolView(pool, own.get(doc_index, []))
+    """A document's outcomes, one per context.  ``own`` is two sequences
+    in step, sorted: each pool position's document, and the position."""
+    doc_index, document = item
+    owners, positions = own
+    first = bisect.bisect_left(owners, doc_index)
+    others = PoolView(pool, positions[first:bisect.bisect_right(owners, doc_index, first)])
+    sentences = _split(document, guards)
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
@@ -448,23 +497,29 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
+    from array import array  # an extension module; only raw-text builds need it
+
     name = Path(args.input).stem
     guards = _guards(config)
-    documents = [
-        (doc_index, split_sentences(document, guards))
-        for doc_index, document in iter_documents(args.input, config.input_mode)
-    ]
-    pool, _ = _reservoir(
-        ((doc_index, sentence) for doc_index, sentences in documents for sentence in sentences),
-        config.pool_cap,
-        random.Random(config.seed),
-    )
+    documents = 0
+
+    def sentences() -> Iterator[tuple[int, str]]:
+        nonlocal documents
+        for documents, (doc_index, document) in enumerate(
+            iter_documents(args.input, config.input_mode), 1
+        ):
+            for sentence in split_sentences(document, guards):
+                yield doc_index, sentence
+
+    # the pool pass keeps the pool and no document; each document is split
+    # again where its block is built
+    pool, _ = _reservoir(sentences(), config.pool_cap, random.Random(config.seed))
     texts = [sentence for _, sentence in pool]
-    # each document's own pool positions, ascending; distractors skip them
-    own: dict[int, list[int]] = {}
-    for position, (doc_index, _) in enumerate(pool):
-        own.setdefault(doc_index, []).append(position)
-    # forked workers inherit the documents and the pool with these partials
+    # the pool positions by document, ascending; distractors skip a document's own
+    order = sorted(range(len(pool)), key=lambda position: pool[position][0])
+    own = (array("q", [pool[position][0] for position in order]), array("q", order))
+    del pool, order
+    # forked workers inherit the pool and its owners with this partial
     outcomes_of = functools.partial(
         _nsp_outcomes,
         pool=texts,
@@ -472,11 +527,11 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         seed=config.seed,
         distractors=config.distractors,
         name=name,
+        guards=guards,
     )
+    open_items = functools.partial(_documents, args.input, config.input_mode)
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(
-            outcomes_of, functools.partial(iter, documents), sinks[:1], config.workers, len(documents)
-        )
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, documents)
         counts = {
             "contexts_read": built.read,
             "instances_written": built.written[0],
@@ -512,10 +567,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for path, name in zip(args.inputs, names):
         if config.input_mode == "treebank":
             # the non-blank lines build-pairs splits; no tree is parsed
-            records = iter_tree_lines(path)
+            total = sum(1 for _ in iter_tree_lines(path))
         else:
-            records = iter_sentence_texts(path, config.input_mode, name, guards)
-        total = sum(1 for _ in records)
+            total = sum(_sentence_counts(path, config.input_mode, guards))
         rows.append((name, split_counts(total, config.ratios)))
     print(format_stats_table(rows))
     if args.out:
@@ -622,6 +676,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # an input that is not UTF-8 fails as I/O
     except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    # only a build reads its input twice, and a build has one input
+    except InputChanged as exc:
+        print(f"error: {args.input}: changed while it was read: {exc}", file=sys.stderr)
         return EXIT_IO
     except WorkerDied as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,19 +160,6 @@ def iter_documents(path, mode: str) -> Iterator[tuple[int, str]]:
         raise ValueError(f"unknown input mode: {mode!r}")
 
 
-def iter_sentence_texts(
-    path,
-    mode: str,
-    corpus_name: str | None = None,
-    guards: Sequence[str] = DEFAULT_GUARDS,
-) -> Iterator[tuple[str, str]]:
-    """(sentence id, text) of every sentence; each document is split once."""
-    name = corpus_name if corpus_name is not None else Path(path).stem
-    for doc_index, document in iter_documents(path, mode):
-        for sent_index, sentence in enumerate(split_sentences(document, guards)):
-            yield make_sentence_id(name, doc_index, sent_index), sentence
-
-
 def split_counts(n: int, ratios: Sequence[float]) -> dict[str, int]:
     """Rows per split, in SPLIT_NAMES order, of n rows cut by ratios.
 

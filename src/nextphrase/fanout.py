@@ -9,8 +9,10 @@ builds block 0 straight into the sinks; each other block k is built by
 a forked worker process, which reads the items itself, up to the end of
 block k, and writes its block into part files, and this process appends
 the parts in block order.  So the output bytes and counts do not depend
-on the worker count.  The part files are written next to the sinks, so
-the sinks' directory must be the caller's own.
+on the worker count.  Each process reads the items anew, so a block
+whose items end before its counted end fails with ``InputChanged``.
+The part files are written next to the sinks, so the sinks' directory
+must be the caller's own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence,
 
 class WorkerDied(RuntimeError):
     """A worker process could not be forked, or ended before it sent its block's counts."""
+
+
+class InputChanged(ValueError):
+    """The input changed between the pass that counted it and a later pass."""
 
 
 class RangeCounts(NamedTuple):
@@ -67,6 +73,18 @@ def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextI
     return RangeCounts(read, tuple(written), skips)
 
 
+def _block(open_items: Callable[[], Iterable], bounds: Sequence[int], k: int) -> Iterator:
+    """Block k of a new pass over the items: those from ``bounds[k]`` up to
+    ``bounds[k + 1]``, none read past its end; raises InputChanged when the
+    items end before it does."""
+    start, stop = bounds[k], bounds[k + 1]
+    end = start
+    for end, item in enumerate(itertools.islice(open_items(), start, stop), start + 1):
+        yield item
+    if end < stop:
+        raise InputChanged(f"it ended before item {stop} of the {bounds[-1]} counted")
+
+
 def _serve(
     outcomes_of: Callable,
     open_items: Callable[[], Iterable],
@@ -82,8 +100,7 @@ def _serve(
     try:
         with ExitStack() as stack:
             parts = [stack.enter_context(open_sink(f"{name}.{worker}")) for name in sink_names]
-            block = itertools.islice(open_items(), bounds[worker], bounds[worker + 1])
-            reply = tuple(_write_range(outcomes_of, block, parts))
+            reply = tuple(_write_range(outcomes_of, _block(open_items, bounds, worker), parts))
     except Exception as exc:
         import pickle  # only a failed worker sends an exception
 
@@ -192,7 +209,8 @@ def fan_out(
     ``open_items``, and each reads the items itself.  That is why the
     items come from a call: an iterator that had read from a file before
     the fork would share the file's offset with every worker.  An
-    exception in a block is raised here in block order; a worker that
+    exception in a block is raised here in block order, ``InputChanged``
+    when a block's items end before the block does; a worker that
     dies fails the build with ``WorkerDied`` when its block's turn comes,
     and one that cannot be forked at once.  Workers write their part
     files ``<sink name>.<worker>`` next to the sinks, and a failed run can
@@ -203,7 +221,7 @@ def fan_out(
         _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds
     )
     with _forked(serve, workers) as (results, pids):
-        counts = _write_range(outcomes_of, itertools.islice(open_items(), bounds[1]), sinks)
+        counts = _write_range(outcomes_of, _block(open_items, bounds, 0), sinks)
         for worker in range(1, workers):
             # the counts come first: the parts are whole once they are in
             counts = add_counts(counts, _result(results, pids, worker))

@@ -7,8 +7,15 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
-from nextphrase.corpus import DEFAULT_GUARDS, split_counts
+from nextphrase.corpus import (
+    DEFAULT_GUARDS,
+    iter_documents,
+    make_sentence_id,
+    split_counts,
+    split_sentences,
+)
 from nextphrase.metrics import (
     EvalReport,
     MeteorStats,
@@ -441,6 +448,15 @@ def evaluate_oracle(segments):
         segments=detail,
         metadata=metadata,
     )
+
+
+def iter_sentence_texts(path, mode, corpus_name=None, guards=DEFAULT_GUARDS):
+    """(sentence id, text) of every sentence, each document split once:
+    the sentences that raw-text build-pairs builds, in its order."""
+    name = corpus_name if corpus_name is not None else Path(path).stem
+    for doc_index, document in iter_documents(path, mode):
+        for sent_index, sentence in enumerate(split_sentences(document, guards)):
+            yield make_sentence_id(name, doc_index, sent_index), sentence
 
 
 def assign_splits_oracle(n, ratios, seed):

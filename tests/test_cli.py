@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
+from nextphrase import cli
 from nextphrase.cli import (
     PipelineConfig,
     _npp_outcomes,
@@ -20,12 +21,12 @@ from nextphrase.cli import (
     _tree_pair_outcomes,
     main,
 )
-from nextphrase.corpus import detokenize, iter_sentence_texts, tokenize
+from nextphrase.corpus import detokenize, tokenize
 from nextphrase.instances import SkipReason, build_completion_pairs
 
 import oracles
 from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
-from oracles import parse_prompt, tree_root
+from oracles import iter_sentence_texts, parse_prompt, tree_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -755,21 +756,80 @@ def test_build_pairs_escape_heavy_tokens_round_trip(tmp_path):
     assert seen == sum(len(t) - 1 for t in tokens.values()) > 0
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_build_pairs_splits_each_document_once(tmp_path, monkeypatch, workers):
-    docs = _write_docs(tmp_path)
-    split = nextphrase.corpus.split_sentences
-    documents = []
+# five documents, so that at --workers 2 block 0 is documents 0 and 1
+FIVE_DOCUMENTS = [
+    "The sky is blue. It rains often.",
+    "Dogs bark loudly. Cats nap all day. Birds sing.",
+    "We stay inside. Tea is hot.",
+    "Thanks, Bob. See you soon.",
+    "One more line here. And the last one.",
+]
+RAW_TEXT_BUILDS = {"build-pairs": [], "build-nsp": ["--pool-cap", "3"]}
 
-    def counted(document, *args, **kwargs):
-        documents.append(document)
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(RAW_TEXT_BUILDS))
+def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
+    tmp_path, monkeypatch, command, workers
+):
+    # the count pass splits every document and keeps no sentence; the
+    # build pass reads the documents only as far as the fan-out asks for
+    # them, and splits each in the process that builds its block
+    docs = tmp_path / "docs.txt"
+    docs.write_text("".join(doc + "\n" for doc in FIVE_DOCUMENTS), encoding="utf-8")
+    split, read = cli.split_sentences, cli.iter_documents
+    splits, passes = [], []
+
+    def counted_split(document, *args, **kwargs):
+        splits.append(FIVE_DOCUMENTS.index(document))
         return split(document, *args, **kwargs)
 
-    monkeypatch.setattr(nextphrase.corpus, "split_sentences", counted)
+    def counted_read(*args, **kwargs):
+        passes.append(0)
+        for item in read(*args, **kwargs):
+            passes[-1] += 1
+            yield item
+
+    monkeypatch.setattr(cli, "split_sentences", counted_split)
+    monkeypatch.setattr(cli, "iter_documents", counted_read)
     out = tmp_path / "out"
-    assert main(["build-pairs", str(docs), "--out", str(out), "--workers", workers]) == 0
-    assert len(documents) == len(set(documents)) == 2
-    assert _manifest(out)["counts"]["sentences_read"] == 6
+    argv = [command, str(docs), "--out", str(out), "--workers", workers]
+    assert main([*argv, *RAW_TEXT_BUILDS[command]]) == 0
+    # this process's splits and reads; a worker's are its own
+    block_0 = range(5) if workers == "1" else range(2)
+    assert splits == [*range(5), *block_0]
+    assert passes == [5, len(block_0)]
+    # 11 sentences, and a context is each sentence but a document's last
+    expected = {"build-pairs": ("sentences_read", 11), "build-nsp": ("contexts_read", 6)}
+    key, count = expected[command]
+    assert _manifest(out)["counts"][key] == count
+
+
+def test_a_dir_worker_reads_only_the_documents_of_its_block(tmp_path, monkeypatch):
+    root = tmp_path / "docs"
+    root.mkdir()
+    for index, document in enumerate(FIVE_DOCUMENTS):
+        (root / f"{index}.txt").write_text(document, encoding="utf-8")
+    log = tmp_path / "read.log"
+    read = cli.read_text
+
+    def logged(path):
+        # appended by whichever process builds the document's block
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {Path(path).stem}\n")
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_text", logged)
+    argv = ["build-pairs", str(root), "--input-mode", "dir", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--workers", "2"]) == 0
+    readers = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, stem = line.split()
+        readers.setdefault(int(pid), []).append(int(stem))
+    # the count pass reads every file through iter_documents; the build
+    # pass reads each file once, in the process of its block
+    assert readers.pop(os.getpid()) == [0, 1]
+    assert list(readers.values()) == [[2, 3, 4]]
 
 
 def test_build_pairs_reconstruction(tmp_path):
@@ -1109,6 +1169,33 @@ def test_stats_and_build_pairs_split_a_treebank_alike(tmp_path, capsys):
     row = table.splitlines()[1].split()
     assert row[0] == "trees"
     assert sum(int(count) for count in row[1:]) == 30
+
+
+def test_stats_and_build_pairs_split_raw_text_alike(tmp_path, capsys):
+    rng = random.Random(4)
+    lines = []
+    for index in range(30):
+        sentences = [
+            " ".join(random_sentence(rng, 1, 8)).capitalize() + rng.choice(".!?")
+            for _ in range(rng.randint(1, 5))
+        ]
+        # a guard inside an email, and blank lines, which are no document
+        lines.append(" ".join(sentences) + (" Dr. Who waves." if index % 3 == 0 else ""))
+        if index % 4 == 0:
+            lines.append("  \t")
+    docs = tmp_path / "emails.txt"
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    total = sum(1 for _ in iter_sentence_texts(docs, "lines"))
+    assert main(["stats", str(docs)]) == 0
+    table = capsys.readouterr().out
+    for seed in ("5", "6"):
+        out = tmp_path / f"out{seed}"
+        assert main(["build-pairs", str(docs), "--seed", seed, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == table
+        assert _manifest(out)["counts"]["sentences_read"] == total
+    row = table.splitlines()[1].split()
+    assert row[0] == "emails"
+    assert sum(int(count) for count in row[1:]) == total > 30
 
 
 def test_a_treebank_reads_no_guard_list(tmp_path, capsys):

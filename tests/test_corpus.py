@@ -11,14 +11,18 @@ from nextphrase.corpus import (
     detokenize,
     format_stats_table,
     iter_documents,
-    iter_sentence_texts,
     load_guard_list,
     split_counts,
     split_sentences,
     tokenize,
 )
 
-from oracles import assign_splits_oracle, split_sentences_oracle, tokenize_oracle
+from oracles import (
+    assign_splits_oracle,
+    iter_sentence_texts,
+    split_sentences_oracle,
+    tokenize_oracle,
+)
 
 
 def test_split_on_terminator_before_capital():

@@ -6,11 +6,14 @@ forks N - 1 workers and appends no part of the first block; a worker
 reads nothing past its block; a worker's failure, which it sends to the
 parent before it exits, its death, a fork that fails, whatever
 multiprocessing start method the caller has set, and Ctrl-C leave --out
-as it was and no worker process behind; the first error of an input is
-the same at any worker count; and the one write-and-count loop counts a
-range in parts as it counts it whole."""
+as it was and no worker process behind; an input that ends before its
+counted end, or a raw-text document whose sentence count changed since
+the count, exits 2 and leaves --out as it was; the first error of an
+input is the same at any worker count; and the one write-and-count loop
+counts a range in parts as it counts it whole."""
 
 import errno
+import functools
 import io
 import itertools
 import json
@@ -34,7 +37,7 @@ from nextphrase import cli, fanout
 from nextphrase.cli import _text_pair_outcomes, main
 from nextphrase.instances import SkipReason
 
-from conftest import DOG, EAT_PIE, SHOP, list_tree, random_sentence, random_tree_text
+from conftest import DOG, EAT_PIE, SHOP, WORDS, list_tree, random_sentence, random_tree_text
 
 SRC = str(Path(nextphrase.corpus.__file__).parents[1])
 
@@ -247,6 +250,144 @@ def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
             assert skips[0] == skips[1] == skips[2], command
 
 
+# a sentence from a small vocabulary, a sign-off that many emails share
+# (so that a distractor can repeat the answer), a one-word sentence with
+# no pair, and a guarded abbreviation
+EMAIL_SENTENCES = st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(
+        lambda words: " ".join(words).capitalize() + "."
+    ),
+    st.sampled_from(["Thanks, Bob.", "Hello.", "See Dr. Who soon!"]),
+)
+# up to 6 emails, so that at --workers 3 a block can be empty; a blank
+# email is no document in lines mode and a document of no sentence in dir mode
+EMAILS = st.lists(st.lists(EMAIL_SENTENCES, max_size=4).map(" ".join), max_size=6)
+
+
+def _email_input(scratch: Path, emails: list[str], mode: str) -> Path:
+    if mode == "lines":
+        return _tree_file(scratch / "emails.txt", emails)
+    root = scratch / "emails"
+    root.mkdir()
+    for index, email in enumerate(emails):
+        (root / f"{index}.txt").write_text(email, encoding="utf-8")
+    return root
+
+
+def _accounted(command: str, written: dict) -> bool:
+    """Every sentence (or context) read is written or counted as a skip."""
+    counts = written["manifest.json"]
+    skipped = sum(counts["skips"].values())
+    if command == "build-nsp":
+        return counts["contexts_read"] == counts["instances_written"] + skipped
+    # a sentence with pairs is written once per pair
+    ids = set()
+    for name in ("pairs_train.jsonl", "pairs_dev.jsonl", "pairs_test.jsonl"):
+        for line in written[name].split(b"\n")[:-1]:
+            ids.add(json.loads(line)["id"].rpartition("#")[0])
+    return counts["sentences_read"] == len(ids) + skipped
+
+
+@settings(max_examples=20, deadline=None)
+@given(EMAILS, st.sampled_from(["lines", "dir"]), st.integers(1, 8), st.integers(0, 2**16))
+@example(["Thanks, Bob. It rains.", "", "Thanks, Bob. Hello."], "dir", 2, 0)
+def test_raw_text_builds_write_the_same_at_one_two_and_three_workers(emails, mode, pool, seed):
+    options = {"build-pairs": [], "build-nsp": ["--pool-cap", str(pool)]}
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = _email_input(Path(scratch), emails, mode)
+        for command in ("build-pairs", "build-nsp"):
+            written = []
+            for workers in ("1", "2", "3"):
+                out = Path(scratch) / f"{command}-{workers}"
+                argv = [command, str(corpus), "--input-mode", mode, *options[command]]
+                argv += ["--seed", str(seed), "--workers", workers, "--out", str(out)]
+                assert main(argv) == 0
+                written.append(_written(out))
+                assert _accounted(command, written[-1]), command
+            skips = [list(w["manifest.json"]["skips"]) for w in written]
+            assert written[0] == written[1] == written[2], command
+            assert skips[0] == skips[1] == skips[2], command
+
+
+def _changed_after_the_count(monkeypatch, reader: str, change) -> None:
+    """Make every pass over the input after the first, the count, read
+    ``change(items)`` of its items; a forked worker inherits the change."""
+    original = getattr(cli, reader)
+    calls = []
+
+    def changed(*args, **kwargs):
+        calls.append(1)
+        items = original(*args, **kwargs)
+        return items if len(calls) == 1 else change(list(items))
+
+    monkeypatch.setattr(cli, reader, changed)
+
+
+# build, the reader its passes call, and an input of five items
+CHANGED_INPUTS = {
+    "build-npp": ("iter_tree_lines", [DOG, SHOP, EAT_PIE, DOG, SHOP], []),
+    "build-pairs-treebank": (
+        "iter_tree_lines", [DOG, SHOP, EAT_PIE, DOG, SHOP], ["--input-mode", "treebank"]
+    ),
+    "build-pairs": ("iter_documents", ["It rains. We hide."] * 5, []),
+    "build-nsp": ("iter_documents", ["It rains. We hide."] * 5, ["--pool-cap", "3"]),
+}
+
+
+def _before(argv: list[str], out: Path) -> dict:
+    assert main([*argv, "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("build", sorted(CHANGED_INPUTS))
+def test_an_input_that_ends_before_its_counted_end_exits_2(
+    tmp_path, capsys, monkeypatch, build, workers
+):
+    reader, texts, options = CHANGED_INPUTS[build]
+    source = _tree_file(tmp_path / "input.txt", texts)
+    out = tmp_path / "out"
+    argv = [build.partition("-treebank")[0], str(source), *options, "--workers", workers]
+    before = _before(argv, out)
+    # the last item, which the last block builds, is gone when it is read
+    _changed_after_the_count(monkeypatch, reader, lambda items: items[:-1])
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source}: changed while it was read: it ended before item 5 of the 5 counted\n"
+    )
+    _assert_no_child_process()
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("change", ["gained", "lost"])
+def test_a_document_whose_sentence_count_changes_exits_2(
+    tmp_path, capsys, monkeypatch, change, workers
+):
+    reader, texts, options = CHANGED_INPUTS["build-pairs"]
+    docs = _tree_file(tmp_path / "docs.txt", texts)
+    out = tmp_path / "out"
+    argv = ["build-pairs", str(docs), "--workers", workers]
+    before = _before(argv, out)
+    edit = {"gained": "It rains. We hide. We wait.", "lost": "It rains and we hide."}
+    # document 3 is in the last block at both worker counts
+    _changed_after_the_count(
+        monkeypatch, reader, lambda items: [*items[:3], (3, edit[change]), *items[4:]]
+    )
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    sentences = 3 if change == "gained" else 1
+    assert capsys.readouterr().err == (
+        f"error: {docs}: changed while it was read: document 3 has {sentences} sentences, "
+        "where 2 were counted\n"
+    )
+    _assert_no_child_process()
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 @pytest.fixture
 def start_method(request):
     """The multiprocessing start method the calling program has set, put
@@ -407,12 +548,15 @@ def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
 def test_a_long_sentence_is_written_one_pair_at_a_time():
     # 2,000 tokens of 5 characters: each pair line is about 12 kB and all
     # 1,999 of them about 24 MB, so the bound fails when they are joined
+    # as one document of one sentence, which the build splits and tokenizes
     text = " ".join(f"w{i:04d}" for i in range(2000))
-    record = (0, ("doc:0", text))
+    outcomes_of = functools.partial(
+        _text_pair_outcomes, splits=bytearray(1), starts=[0, 1], name="doc", guards=()
+    )
     with fanout.open_sink(os.devnull) as sink:
         tracemalloc.start()
         try:
-            counts = fanout._write_range(_text_pair_outcomes, [record], [sink])
+            counts = fanout._write_range(outcomes_of, [(0, text)], [sink])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
