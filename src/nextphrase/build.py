@@ -1,0 +1,402 @@
+"""The three build commands: build-npp, build-nsp and build-pairs.
+
+Only a build imports this module, and with it the fan-out and the
+instance builders, so ``evaluate``, ``stats`` and ``debug-phrases``
+load neither.  Every build run writes its outputs plus ``stats.json``
+and ``manifest.json`` (config snapshot, input digests, counts, skip
+histogram) into a private ``.nextphrase-*`` directory inside ``--out``,
+where its worker processes, each reading the input itself up to the
+end of its own block, write their part files too; at the end the
+outputs are renamed into ``--out`` together, the manifest last.
+Re-running with the same config and inputs reproduces every output byte
+for byte; only the manifest timestamp moves.  A run that fails leaves ``--out`` as it
+was, and every run deletes its private directory, so it deletes nothing
+it did not create.
+"""
+
+from __future__ import annotations
+
+import argparse
+import bisect
+import functools
+import itertools
+import random
+import sys
+from json.encoder import encode_basestring as _quote
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
+
+from . import __version__
+from .cli import (
+    EXIT_DATA,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_WORKER,
+    PipelineConfig,
+    UsageError,
+    _guards,
+    _info,
+    _json_text,
+    _output_files,
+    _sentence_counts,
+    resolve_config,
+)
+from .corpus import (
+    SPLIT_NAMES,
+    assign_splits,
+    document_files,
+    format_stats_table,
+    iter_documents,
+    make_sentence_id,
+    read_text,
+    split_counts,
+    split_sentences,
+    tokenize,
+)
+from .fanout import InputChanged, WorkerDied, fan_out
+from .instances import (
+    MAX_CHOICES,
+    MoreChoicesThanLetters,
+    PoolView,
+    Skip,
+    SkipReason,
+    build_npp_instance,
+    build_nsp_instance,
+    record_rng,
+    serialize_npp,
+    serialize_nsp,
+    sha256,
+)
+from .phrases import extract_phrases
+from .treebank import iter_tree_lines, parse_tree_line
+
+
+def file_sha256(path) -> str:
+    digest = sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+# Every JSON-lines record is built with _quote, the string quoting of
+# json.dumps(..., ensure_ascii=False): it escapes character by character,
+# writes non-ASCII as it is and never touches a space.
+def _record_line(sentence_id: str, prompt: str, target: str) -> str:
+    """One NPP or NSP record, the bytes of json.dumps of its dict plus a newline."""
+    return (
+        f'{{"id": {_quote(sentence_id)}, "input": {_quote(prompt)}, '
+        f'"target": {_quote(target)}}}\n'
+    )
+
+
+# the last two outputs of every build; the manifest is renamed into place last
+_BUILD_META = ("stats.json", "manifest.json")
+
+
+def _finish_build(
+    sinks: Sequence[TextIO],
+    args: argparse.Namespace,
+    config: PipelineConfig,
+    counts: dict,
+    stats: dict,
+) -> None:
+    """Write stats.json and manifest.json into the last two of a build's sinks.
+
+    The manifest's config lists the keys the subcommand has flags for.
+    """
+    import datetime  # only a finished build stamps the time
+
+    inputs = document_files(args.input) if config.input_mode == "dir" else [Path(args.input)]
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "config": {key: value for key, value in config._asdict().items() if hasattr(args, key)},
+        "inputs": {str(path): file_sha256(path) for path in inputs},
+        "counts": counts,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    for sink, payload in zip(sinks[-2:], (stats, manifest)):
+        sink.write(_json_text(payload))
+
+
+def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
+    """k items drawn uniformly from items, and how many items there were."""
+    chosen: list = []
+    seen = 0
+    for seen, item in enumerate(items, 1):
+        if seen <= k:
+            chosen.append(item)
+        else:
+            slot = rng.randrange(seen)
+            if slot < k:
+                chosen[slot] = item
+    return chosen, seen
+
+
+def _tree_id(name: str, line_index: int) -> str:
+    return f"{name}:{line_index:08d}"
+
+
+def _documents(path, mode: str) -> Iterator[tuple[int, str | Path]]:
+    """A raw-text build pass's items, ``(doc_index, document)``: a document
+    is its line, or in dir mode its file, which only the process that
+    builds its block reads."""
+    return enumerate(document_files(path)) if mode == "dir" else iter_documents(path, mode)
+
+
+def _split(document: str | Path, guards: Sequence[str]) -> list[str]:
+    return split_sentences(read_text(document) if isinstance(document, Path) else document, guards)
+
+
+def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
+    """The summary line of a finished NPP or NSP build."""
+    _info(
+        f"{args.command}: {counts[read_key]} {read_key.split('_')[0]} -> "
+        f"{counts['instances_written']} instances ({sum(counts['skips'].values())} skipped)"
+    )
+
+
+def _npp_outcomes(item: tuple[int, str], seed: int, min_size: int, name: str) -> Iterator:
+    """The one outcome of a tree line: its NPP record, or its skip reason."""
+    line_index, line = item
+    tree = parse_tree_line(line_index, line)
+    sentence_id = _tree_id(name, line_index)
+    groups = extract_phrases(tree)
+    rng = record_rng(seed, sentence_id)
+    built = build_npp_instance(tree, groups, rng, sentence_id, min_size)
+    if isinstance(built, Skip):
+        yield built.reason.value
+    else:
+        yield 0, 1, (_record_line(sentence_id, *serialize_npp(built)),)
+
+
+def cmd_build_npp(args: argparse.Namespace) -> int:
+    config = resolve_config(args)
+    name = Path(args.input).stem
+    sampled: dict = {}
+    open_items = functools.partial(iter_tree_lines, args.input)
+    if config.sample is not None:
+        picked, sampled["sentences_scanned"] = _reservoir(
+            open_items(), config.sample, random.Random(config.seed)
+        )
+        open_items = functools.partial(iter, sorted(picked))
+    # counted at any worker count, so that an input's first error does not
+    # depend on it: this pass reads every line, unparsed, before any build
+    total = sum(1 for _ in open_items())
+    outcomes_of = functools.partial(
+        _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
+    )
+    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, total)
+        counts = {
+            "sentences_read": built.read,
+            "instances_written": built.written[0],
+            "skips": built.skips,
+            **sampled,
+        }
+        _finish_build(sinks, args, config, counts, counts)
+    _log_records(args, counts, "sentences_read")
+    return EXIT_OK
+
+
+def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
+    """How many completion pairs a sentence has, and a generator of their
+    JSON lines: a long sentence is never held whole.
+
+    Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
+    "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
+    newline: each token is quoted once, and since quoting never touches a
+    space, joining quoted tokens quotes the joined text.
+    """
+    body = [_quote(token)[1:-1] for token in tokens]
+    head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
+    lines = (
+        f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
+        for k in range(1, len(body))
+    )
+    return max(len(body) - 1, 0), lines
+
+
+def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple:
+    """The one outcome of a sentence: its pairs for its split's sink, or
+    too_short; a sentence without pairs still keeps its split slot."""
+    pairs, lines = _pair_lines(sentence_id, tokens)
+    return ((split, pairs, lines) if pairs else SkipReason.TOO_SHORT.value,)
+
+
+def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], name: str) -> tuple:
+    split, (line_index, line) = record
+    tokens = parse_tree_line(line_index, line).tokens
+    return _pair_outcomes(split, _tree_id(name, line_index), tokens)
+
+
+def _text_pair_outcomes(
+    item: tuple[int, str | Path],
+    splits: bytearray,
+    starts: Sequence[int],
+    name: str,
+    guards: Sequence[str],
+) -> Iterator:
+    """A document's outcomes, one per sentence; ``starts[d]`` is the
+    position of document d's first sentence, and ``splits`` gives each
+    position's split."""
+    doc_index, document = item
+    first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
+    sentences = _split(document, guards)
+    if len(sentences) != counted:
+        raise InputChanged(
+            f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
+        )
+    for position, sentence in enumerate(sentences):
+        sentence_id = make_sentence_id(name, doc_index, position)
+        yield from _pair_outcomes(splits[first + position], sentence_id, tokenize(sentence))
+
+
+def cmd_build_pairs(args: argparse.Namespace) -> int:
+    config = resolve_config(args)
+    name = args.name or Path(args.input).stem
+    if config.input_mode == "treebank":
+        # the count pass reads tree lines unparsed: each tree is parsed once,
+        # where its block is built
+        total = sum(1 for _ in iter_tree_lines(args.input))
+        splits = assign_splits(total, config.ratios, config.seed)
+        items, outcomes_of = total, functools.partial(_tree_pair_outcomes, name=name)
+
+        def open_items():
+            return zip(splits, iter_tree_lines(args.input))
+
+    else:
+        from array import array  # an extension module; only raw-text builds need it
+
+        # the count pass keeps one number per document, where its first
+        # sentence sits; each document is split again where its block is built
+        guards = _guards(config)
+        per_document = _sentence_counts(args.input, config.input_mode, guards)
+        starts = array("q", itertools.accumulate(per_document, initial=0))
+        total, items = starts[-1], len(starts) - 1
+        splits = assign_splits(total, config.ratios, config.seed)
+        outcomes_of = functools.partial(
+            _text_pair_outcomes, splits=splits, starts=starts, name=name, guards=guards
+        )
+        open_items = functools.partial(_documents, args.input, config.input_mode)
+    sentence_counts = split_counts(total, config.ratios)
+    names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
+    with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
+        data = sinks[: len(names)]
+        built = fan_out(outcomes_of, open_items, data, config.workers, items)
+        counts = {
+            "sentences_read": total,
+            "pairs_written": sum(built.written),
+            "skips": built.skips,
+            "sentences": sentence_counts,
+            "pairs": dict(zip(SPLIT_NAMES, built.written)),
+        }
+        stats = {"dataset": name, **counts, "total_sentences": total}
+        _finish_build(sinks, args, config, counts, stats)
+    print(format_stats_table([(name, sentence_counts)]))
+    _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
+    return EXIT_OK
+
+
+def _nsp_outcomes(
+    item: tuple[int, str | Path],
+    pool: Sequence[str],
+    own: tuple[Sequence[int], Sequence[int]],
+    seed: int,
+    distractors: int,
+    name: str,
+    guards: Sequence[str],
+) -> Iterator:
+    """A document's outcomes, one per context.  ``own`` is two sequences
+    in step, sorted: each pool position's document, and the position."""
+    doc_index, document = item
+    owners, positions = own
+    first = bisect.bisect_left(owners, doc_index)
+    others = PoolView(pool, positions[first:bisect.bisect_right(owners, doc_index, first)])
+    sentences = _split(document, guards)
+    for position in range(len(sentences) - 1):
+        sentence_id = make_sentence_id(name, doc_index, position)
+        rng = record_rng(seed, sentence_id)
+        built = build_nsp_instance(sentences, position, others, rng, sentence_id, distractors)
+        if isinstance(built, Skip):
+            yield built.reason.value
+        else:
+            yield 0, 1, (_record_line(sentence_id, *serialize_nsp(built)),)
+
+
+def cmd_build_nsp(args: argparse.Namespace) -> int:
+    config = resolve_config(args)
+    # one letter per choice, and the answer takes one of them
+    if not 1 <= config.distractors < MAX_CHOICES:
+        raise UsageError(f"distractors must be between 1 and {MAX_CHOICES - 1}")
+    if config.input_mode not in ("lines", "dir"):
+        raise UsageError("build-nsp reads raw text (input mode lines or dir)")
+    from array import array  # an extension module; only raw-text builds need it
+
+    name = Path(args.input).stem
+    guards = _guards(config)
+    documents = 0
+
+    def sentences() -> Iterator[tuple[int, str]]:
+        nonlocal documents
+        for documents, (doc_index, document) in enumerate(
+            iter_documents(args.input, config.input_mode), 1
+        ):
+            for sentence in split_sentences(document, guards):
+                yield doc_index, sentence
+
+    # the pool pass keeps the pool and no document; each document is split
+    # again where its block is built
+    pool, _ = _reservoir(sentences(), config.pool_cap, random.Random(config.seed))
+    texts = [sentence for _, sentence in pool]
+    # the pool positions by document, ascending; distractors skip a document's own
+    order = sorted(range(len(pool)), key=lambda position: pool[position][0])
+    own = (array("q", [pool[position][0] for position in order]), array("q", order))
+    del pool, order
+    # forked workers inherit the pool and its owners with this partial
+    outcomes_of = functools.partial(
+        _nsp_outcomes,
+        pool=texts,
+        own=own,
+        seed=config.seed,
+        distractors=config.distractors,
+        name=name,
+        guards=guards,
+    )
+    open_items = functools.partial(_documents, args.input, config.input_mode)
+    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, documents)
+        counts = {
+            "contexts_read": built.read,
+            "instances_written": built.written[0],
+            "skips": built.skips,
+        }
+        _finish_build(sinks, args, config, counts, counts)
+    _log_records(args, counts, "contexts_read")
+    return EXIT_OK
+
+
+_COMMANDS = {
+    "build-npp": cmd_build_npp,
+    "build-nsp": cmd_build_nsp,
+    "build-pairs": cmd_build_pairs,
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the build command that args names.  The errors that only a
+    build raises get their exit codes here, so that the other commands
+    never load the modules that define them; cli.main maps the rest."""
+    try:
+        return _COMMANDS[args.command](args)
+    except MoreChoicesThanLetters as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    # a build reads its input twice, and has one input
+    except InputChanged as exc:
+        print(f"error: {args.input}: changed while it was read: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER

@@ -18,7 +18,7 @@ import functools
 import random
 import re
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 DEFAULT_GUARDS = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.", "ca.",
@@ -77,6 +77,11 @@ def text_lines(path) -> Iterator[str]:
             yield from handle
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+
+
+def open_sink(path) -> TextIO:
+    """A text output file: UTF-8, ``\\n`` line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def read_entries(path) -> list[str]:

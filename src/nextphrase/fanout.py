@@ -25,6 +25,8 @@ import shutil
 from contextlib import ExitStack, contextmanager
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
+from .corpus import open_sink
+
 
 class WorkerDied(RuntimeError):
     """A worker process could not be forked, or ended before it sent its block's counts."""
@@ -49,11 +51,6 @@ def add_counts(first: RangeCounts, then: RangeCounts) -> RangeCounts:
         skips[reason] = skips.get(reason, 0) + count
     written = tuple(a + b for a, b in zip(first.written, then.written))
     return RangeCounts(first.read + then.read, written, skips)
-
-
-def open_sink(path) -> TextIO:
-    """A text output file: UTF-8, ``\\n`` line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextIO]) -> RangeCounts:

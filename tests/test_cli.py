@@ -12,15 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
-from nextphrase import cli
-from nextphrase.cli import (
-    PipelineConfig,
-    _npp_outcomes,
-    _pair_lines,
-    _record_line,
-    _tree_pair_outcomes,
-    main,
-)
+from nextphrase import build, cli
+from nextphrase.build import _npp_outcomes, _pair_lines, _record_line, _tree_pair_outcomes
+from nextphrase.cli import PipelineConfig, main
 from nextphrase.corpus import detokenize, tokenize
 from nextphrase.instances import SkipReason, build_completion_pairs
 
@@ -296,6 +290,39 @@ def test_importing_the_cli_does_not_load(tmp_path, module):
         assert result.stdout.splitlines()[-1] == "False", result.stdout
 
 
+# what only the build commands load; the other commands run none of it
+BUILD_ONLY = ("nextphrase.build", "nextphrase.fanout", "nextphrase.instances")
+
+
+@pytest.mark.parametrize(
+    "command", ["evaluate", "stats", "debug-phrases", "build-npp", "build-nsp", "build-pairs"]
+)
+def test_only_a_build_loads_the_builders(tmp_path, command):
+    trees, docs, out = _write_trees(tmp_path), _write_docs(tmp_path), str(tmp_path / "out")
+    argv = {
+        "evaluate": _evaluate_argv(tmp_path / "report.txt"),
+        "stats": ["stats", str(docs)],
+        "debug-phrases": ["debug-phrases", str(trees)],
+        "build-npp": ["build-npp", str(trees), "--out", out],
+        "build-nsp": ["build-nsp", str(docs), "--out", out],
+        "build-pairs": ["build-pairs", str(docs), "--out", out],
+    }[command]
+    code = (
+        "import sys; from nextphrase.cli import main; code = main(sys.argv[1:]); "
+        f"print(code, *(name in sys.modules for name in {BUILD_ONLY!r}))"
+    )
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = str(command.startswith("build-"))
+    assert result.stdout.splitlines()[-1].split() == ["0", *[loaded] * len(BUILD_ONLY)]
+
+
 def test_build_summary_lines(tmp_path, capsys):
     trees = tmp_path / "one.txt"
     trees.write_text(f"{EAT_PIE}\n", encoding="utf-8")
@@ -507,6 +534,22 @@ def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
     err = _assert_one_error_line(capsys)
     assert err == f"error: {candidates}: line 1 is not UTF-8 (byte 1: invalid start byte)"
     assert _files_under(report.parent) == before
+
+
+# the results are printed only once the files are in place, so a run
+# that cannot write them prints its error line alone
+@pytest.mark.parametrize("command", ["evaluate", "stats"])
+def test_a_run_that_cannot_put_its_files_in_place_prints_no_result(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv, blocked = _evaluate_argv(out / "report.txt"), out / "report.txt.json"
+    else:
+        argv, blocked = ["stats", str(_write_docs(tmp_path)), "--out", str(out)], out / "stats.json"
+    blocked.mkdir(parents=True)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: output is a directory: {blocked}"]
 
 
 def test_usage_error_exits_1(tmp_path, capsys):
@@ -790,8 +833,10 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
             passes[-1] += 1
             yield item
 
-    monkeypatch.setattr(cli, "split_sentences", counted_split)
-    monkeypatch.setattr(cli, "iter_documents", counted_read)
+    # the count pass of build-pairs is cli._sentence_counts, which stats shares
+    for module in (cli, build):
+        monkeypatch.setattr(module, "split_sentences", counted_split)
+        monkeypatch.setattr(module, "iter_documents", counted_read)
     out = tmp_path / "out"
     argv = [command, str(docs), "--out", str(out), "--workers", workers]
     assert main([*argv, *RAW_TEXT_BUILDS[command]]) == 0
@@ -811,7 +856,7 @@ def test_a_dir_worker_reads_only_the_documents_of_its_block(tmp_path, monkeypatc
     for index, document in enumerate(FIVE_DOCUMENTS):
         (root / f"{index}.txt").write_text(document, encoding="utf-8")
     log = tmp_path / "read.log"
-    read = cli.read_text
+    read = build.read_text
 
     def logged(path):
         # appended by whichever process builds the document's block
@@ -819,7 +864,7 @@ def test_a_dir_worker_reads_only_the_documents_of_its_block(tmp_path, monkeypatc
             handle.write(f"{os.getpid()} {Path(path).stem}\n")
         return read(path)
 
-    monkeypatch.setattr(cli, "read_text", logged)
+    monkeypatch.setattr(build, "read_text", logged)
     argv = ["build-pairs", str(root), "--input-mode", "dir", "--out", str(tmp_path / "out")]
     assert main([*argv, "--workers", "2"]) == 0
     readers = {}

@@ -33,8 +33,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
-from nextphrase import cli, fanout
-from nextphrase.cli import _text_pair_outcomes, main
+from nextphrase import build, cli, fanout
+from nextphrase.build import _text_pair_outcomes
+from nextphrase.cli import main
 from nextphrase.instances import SkipReason
 
 from conftest import DOG, EAT_PIE, SHOP, WORDS, list_tree, random_sentence, random_tree_text
@@ -320,7 +321,9 @@ def _changed_after_the_count(monkeypatch, reader: str, change) -> None:
         items = original(*args, **kwargs)
         return items if len(calls) == 1 else change(list(items))
 
-    monkeypatch.setattr(cli, reader, changed)
+    # build-pairs counts raw text with cli._sentence_counts, which stats shares
+    for module in (cli, build):
+        monkeypatch.setattr(module, reader, changed)
 
 
 # build, the reader its passes call, and an input of five items
@@ -412,7 +415,7 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
     argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
     assert main(argv) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    original = cli._npp_outcomes
+    original = build._npp_outcomes
 
     def dying(item, **options):
         if item[0] == 22:
@@ -422,7 +425,7 @@ def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
     # the forked workers inherit the patch; 40 trees make 2 blocks of 20,
     # and worker 1 dies in its block, which the parent reaches after it
     # has built block 0 into the staged outputs
-    monkeypatch.setattr(cli, "_npp_outcomes", dying)
+    monkeypatch.setattr(build, "_npp_outcomes", dying)
     capsys.readouterr()
     assert main(argv) == 4
     # one error line and the worker's exit status, no traceback
@@ -447,7 +450,7 @@ def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, mon
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
-    original = cli.iter_tree_lines
+    original = build.iter_tree_lines
 
     def slow_from_the_second_block(path):
         for index, text in original(path):
@@ -457,7 +460,7 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
 
     # every pass reads the input from the second block on slowly, so
     # the parent's block has failed while worker 1 still builds
-    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_second_block)
+    monkeypatch.setattr(build, "iter_tree_lines", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     texts[line - 1] = "(S (NP"
@@ -497,9 +500,9 @@ def test_the_first_error_of_an_input_is_the_same_at_any_worker_count(tmp_path, c
 # the file that $STARTED names, and then build slowly
 SLOW = """
 import os, time
-from nextphrase import cli
+from nextphrase import build
 
-original = cli._npp_outcomes
+original = build._npp_outcomes
 
 
 def outcomes(item, **options):
@@ -508,7 +511,7 @@ def outcomes(item, **options):
     return original(item, **options)
 
 
-cli._npp_outcomes = outcomes
+build._npp_outcomes = outcomes
 """
 
 
