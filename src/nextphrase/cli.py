@@ -66,6 +66,10 @@ class UsageError(Exception):
     pass
 
 
+class Terminated(BaseException):
+    """SIGTERM arrived while a command's outputs were staged."""
+
+
 class PipelineConfig(NamedTuple):
     seed: int = 0
     min_group_size: int = 2
@@ -159,6 +163,37 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _terminated(signum, frame):
+    raise Terminated
+
+
+@contextmanager
+def _sigterm_unwinds() -> Iterator[None]:
+    """While the block runs, SIGTERM raises Terminated in it, as SIGINT
+    raises KeyboardInterrupt, so that its cleanup runs; then the process
+    ends by SIGTERM, as it would have without the block.  Outside the
+    main thread, which alone gets signals, or where the caller has set a
+    SIGTERM handler, this changes nothing."""
+    import _signal  # the core of signal, loaded at start-up: signal itself loads enum
+
+    if _signal.getsignal(_signal.SIGTERM) != _signal.SIG_DFL:
+        yield
+        return
+    try:
+        _signal.signal(_signal.SIGTERM, _terminated)
+    except ValueError:  # not the main thread
+        yield
+        return
+    try:
+        yield
+    except Terminated:
+        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+        os.kill(os.getpid(), _signal.SIGTERM)
+        raise
+    finally:
+        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+
+
 @contextmanager
 def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]:
     """Open one sink per name in a new private directory inside out_dir.
@@ -166,9 +201,11 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
     When the block completes the files move into out_dir under their
     names, in order; when anything raises, none moves.  Either way the
     staging directory goes last, with the part files the block's worker
-    processes wrote there, after the block has stopped them.  So a run
-    deletes nothing it did not create: once its outputs are in place, it
-    warns about each other staging directory in out_dir and keeps it.
+    processes wrote there, after the block has stopped them; SIGTERM
+    counts as a failure, and ends the process once the directory is
+    gone.  So a run deletes nothing it did not create: once its outputs
+    are in place, it warns about each other staging directory in out_dir
+    and keeps it.
     """
     import tempfile  # here, not at the top: only a command that writes needs it
 
@@ -177,14 +214,15 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
         # a file cannot replace a directory: fail before any output moves
         if (out_dir / name).is_dir():
             raise IsADirectoryError(f"output is a directory: {out_dir / name}")
-    staging = Path(tempfile.mkdtemp(prefix=".nextphrase-", dir=out_dir))
-    try:
-        with ExitStack() as stack:
-            yield [stack.enter_context(open_sink(staging / name)) for name in names]
-        for name in names:
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging)
+    with _sigterm_unwinds():
+        staging = Path(tempfile.mkdtemp(prefix=".nextphrase-", dir=out_dir))
+        try:
+            with ExitStack() as stack:
+                yield [stack.enter_context(open_sink(staging / name)) for name in names]
+            for name in names:
+                os.replace(staging / name, out_dir / name)
+        finally:
+            shutil.rmtree(staging)
     for stale in sorted(out_dir.glob(".nextphrase-*")):
         if stale.is_dir():
             print(
@@ -250,11 +288,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_debug_phrases(args: argparse.Namespace) -> int:
-    for _, tree in read_treebank(args.input):
-        groups = extract_phrases(tree)
-        for kind, spans in groups.items():
-            for span in spans:
-                print(f"{kind}\t{span.start}\t{span.end}\t{span.text}")
+    rows = [
+        f"{kind}\t{span.start}\t{span.end}\t{span.text}\n"
+        for _, tree in read_treebank(args.input)
+        for kind, spans in extract_phrases(tree).items()
+        for span in spans
+    ]
+    # as evaluate and stats, printed once every tree has parsed
+    sys.stdout.writelines(rows)
     return EXIT_OK
 
 

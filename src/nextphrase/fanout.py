@@ -4,11 +4,12 @@ A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
 each input item's outcomes.  An outcome is either a skip reason (a
 ``str``) or a ``(sink index, records written, lines)`` triple whose
 lines go to that sink; each outcome counts as one record read.
-The items are cut into one contiguous block per worker.  This process
-builds block 0 straight into the sinks; each other block k is built by
-a forked worker process, which reads the items itself, up to the end of
-block k, and writes its block into part files, and this process appends
-the parts in block order.  So the output bytes and counts do not depend
+The items are cut into one contiguous block per worker, or one per
+item when there are fewer items than workers, so that no block is
+empty.  This process builds block 0 straight into the sinks; each other
+block k is built by a forked worker process, which reads the items
+itself, up to the end of block k, and writes its block into part files,
+and this process appends the parts in block order.  So the output bytes and counts do not depend
 on the worker count.  Each process reads the items anew, so a block
 whose items end before its counted end fails with ``InputChanged``.
 The part files are written next to the sinks, so the sinks' directory
@@ -108,9 +109,15 @@ def _serve(
 def _worker(serve: Callable, worker: int, result_fd: int):
     """The body of a forked worker, which ends only through os._exit: it
     never unwinds into the parent's frames, runs the parent's atexit
-    handlers or flushes the parent's buffers."""
+    handlers or flushes the parent's buffers.  SIGTERM ends it at once,
+    whatever handler the parent set; SIGINT stays blocked, since the
+    parent stops its workers on Ctrl-C."""
     code = 1
     try:
+        import signal  # loaded already: the parent imported it to fork
+
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         with open(result_fd, "wb") as results:
             serve(worker, results)
         code = 0
@@ -135,10 +142,9 @@ def _forked(serve: Callable, workers: int) -> Iterator[tuple[dict, dict]]:
         if workers > 1:
             import signal  # only a build with workers forks
 
-            # SIGINT waits while the workers start, so that every worker forked
-            # has its pid recorded, and it stays blocked in the workers: on
-            # Ctrl-C the parent stops them
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            # SIGINT and SIGTERM wait while the workers start, so that every
+            # worker forked has its pid recorded when the parent stops them
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
             try:
                 for worker in range(1, workers):
                     result_end, result_fd = os.pipe()
@@ -199,11 +205,12 @@ def fan_out(
     ``outcomes_of(item)`` gives an item's outcomes (see the module
     docstring), each call of ``open_items()`` gives a new iterator over
     the items, and ``total`` is their number, which the caller counts.
-    They are cut into one contiguous block per worker, of
-    ``total // workers`` items or one more; this process builds block 0
-    and forks a worker for each other block (POSIX only), so the caller
-    must run no other thread.  The workers inherit ``outcomes_of`` and
-    ``open_items``, and each reads the items itself.  That is why the
+    They are cut into ``min(workers, total)`` contiguous blocks, or one
+    when there is no item, of ``total // blocks`` items or one more, so
+    no block is empty; this process builds block 0 and forks a worker
+    for each other block (POSIX only), so the caller must run no other
+    thread.  The workers inherit ``outcomes_of`` and ``open_items``, and
+    each reads the items itself.  That is why the
     items come from a call: an iterator that had read from a file before
     the fork would share the file's offset with every worker.  An
     exception in a block is raised here in block order, ``InputChanged``
@@ -213,6 +220,8 @@ def fan_out(
     files ``<sink name>.<worker>`` next to the sinks, and a failed run can
     leave some behind, so the sinks' directory must be the caller's own.
     """
+    # a block per item at most: an empty block would cost a fork and its part files
+    workers = max(1, min(workers, total))
     bounds = [total * k // workers for k in range(workers + 1)]
     serve = functools.partial(
         _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import enum
 import random
-import string
 from typing import NamedTuple, Sequence
 
 from .corpus import detokenize
@@ -41,7 +40,9 @@ NSP_PREFIX = "generate next sentence:"
 # encodings; a real newline would not survive line-oriented files
 _SEPARATOR = " \\n "
 
-MAX_CHOICES = len(string.ascii_uppercase)
+# the choice letters: string.ascii_uppercase, without loading string
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+MAX_CHOICES = len(_LETTERS)
 
 
 class MoreChoicesThanLetters(ValueError):
@@ -214,7 +215,7 @@ def render_prompt(prefix: str, query: str, choices: Sequence[str]) -> str:
         raise MoreChoicesThanLetters(f"{len(choices)} choices exceed A-Z")
     lettered = " ".join(
         f"({letter}) {text}"
-        for letter, text in zip(string.ascii_uppercase, choices)
+        for letter, text in zip(_LETTERS, choices)
     )
     return f"{prefix} {query}{_SEPARATOR}{lettered}"
 

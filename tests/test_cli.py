@@ -1,10 +1,14 @@
+import datetime
 import hashlib
 import json
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -175,8 +179,9 @@ def test_build_npp_min_group_size_flag(tmp_path):
 
 
 def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
-    # build-pairs parses in the worker too, so at 2 workers the error
-    # crosses the Pool and must keep its type and line number
+    # build-pairs parses in the worker too, so at 2 workers the error on
+    # line 2, in the worker's block, crosses its result pipe and must keep
+    # its type and line number
     trees = tmp_path / "bad.txt"
     trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
     commands = (["build-npp"], ["build-pairs", "--input-mode", "treebank"])
@@ -288,6 +293,67 @@ def test_importing_the_cli_does_not_load(tmp_path, module):
             env={**os.environ, "PYTHONPATH": src},
         )
         assert result.stdout.splitlines()[-1] == "False", result.stdout
+
+
+@pytest.mark.parametrize("command", ["build-npp", "build-nsp", "build-pairs"])
+def test_a_build_loads_neither_string_nor_datetime(tmp_path, command):
+    # the choice letters are a constant and the manifest's time comes
+    # from time; a module the interpreter loaded before the build counts
+    # as not loaded by it
+    trees = tmp_path / "one.txt"
+    trees.write_text(f"{EAT_PIE}\n", encoding="utf-8")
+    docs = tmp_path / "doc.txt"
+    docs.write_text("It rains. We hide. Thanks, Bob.\n", encoding="utf-8")
+    source = docs if command == "build-nsp" else trees
+    argv = [command, str(source), "--out", str(tmp_path / "out")]
+    if command == "build-pairs":
+        argv += ["--input-mode", "treebank"]
+    code = (
+        "import sys; names = ('string', 'datetime'); "
+        "before = [name in sys.modules for name in names]; "
+        "from nextphrase.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *(name in sys.modules and not was for name, was in zip(names, before)))"
+    )
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.splitlines()[-1].split() == ["0", "False", "False"]
+
+
+def test_a_run_puts_back_sigterm_and_runs_outside_the_main_thread(tmp_path):
+    # a run handles SIGTERM while its outputs are staged, and only there;
+    # only the main thread can set a handler, so elsewhere a run goes without
+    trees = _write_trees(tmp_path)
+    assert main(["build-npp", str(trees), "--out", str(tmp_path / "main")]) == 0
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    codes = []
+    argv = ["build-npp", str(trees), "--out", str(tmp_path / "thread")]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert (tmp_path / "thread" / "instances.jsonl").read_bytes() == (
+        tmp_path / "main" / "instances.jsonl"
+    ).read_bytes()
+
+
+def test_created_at_is_the_time_of_the_run_in_utc(tmp_path):
+    trees = _write_trees(tmp_path)
+    out = tmp_path / "out"
+    start = datetime.datetime.now(datetime.timezone.utc)
+    assert main(["build-npp", str(trees), "--out", str(out)]) == 0
+    end = datetime.datetime.now(datetime.timezone.utc)
+    created_at = _manifest(out)["created_at"]
+    # isoformat's layout, always with six microsecond digits
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", created_at), created_at
+    stamp = datetime.datetime.fromisoformat(created_at)
+    assert stamp.utcoffset() == datetime.timedelta(0)
+    assert start - datetime.timedelta(seconds=2) <= stamp <= end + datetime.timedelta(seconds=2)
 
 
 # what only the build commands load; the other commands run none of it
@@ -1024,7 +1090,7 @@ def test_build_nsp_line_separator_stays_inside_its_record(tmp_path):
 
 
 def test_build_nsp_workers_2_writes_the_same_bytes(tmp_path):
-    # enough documents for several Pool chunks; a pool cap below the
+    # enough documents for a block of many per worker; a pool cap below the
     # sentence count leaves some documents with no sentence in the pool,
     # and shared sign-offs make some draws ambiguous
     rng = random.Random(5)
@@ -1323,6 +1389,19 @@ def test_bad_ratios_exit_1_before_the_input_is_read(tmp_path, capsys):
         assert main(argv) == 1, argv
         assert _assert_one_error_line(capsys) == "error: ratios sum to 1.5, expected 1"
     assert not out.exists()
+
+
+def test_debug_phrases_prints_nothing_when_a_tree_fails(tmp_path, capsys):
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(S (NP (PRP She)) (VP (VBZ naps)))\n(S (NP\n", encoding="utf-8")
+    assert main(["debug-phrases", str(trees)]) == 3
+    # as evaluate and stats, no partial output: the good tree's phrases are
+    # printed only once every tree has parsed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: line 2: input is not a single well-formed tree"
+    ]
 
 
 def test_debug_phrases_tsv(tmp_path, capsys):

@@ -1,16 +1,17 @@
 """The builders' fan-out, where the parent builds the first contiguous
 block and each forked worker reads the input up to the end of its own
 block and builds that block: at --workers 2 and 3 every build writes the
-bytes of --workers 1, also when a worker's block is empty; --workers N
-forks N - 1 workers and appends no part of the first block; a worker
-reads nothing past its block; a worker's failure, which it sends to the
-parent before it exits, its death, a fork that fails, whatever
-multiprocessing start method the caller has set, and Ctrl-C leave --out
-as it was and no worker process behind; an input that ends before its
-counted end, or a raw-text document whose sentence count changed since
-the count, exits 2 and leaves --out as it was; the first error of an
-input is the same at any worker count; and the one write-and-count loop
-counts a range in parts as it counts it whole."""
+bytes of --workers 1, also on fewer records than workers; --workers N
+forks min(N, records) - 1 workers, so no block is empty, and appends no
+part of the first block; a worker reads nothing past its block; a
+worker's failure, which it sends to the parent before it exits, its
+death, a fork that fails, whatever multiprocessing start method the
+caller has set, Ctrl-C and SIGTERM leave --out as it was and no worker
+process behind, and SIGTERM still ends the build by SIGTERM; an input
+that ends before its counted end, or a raw-text document whose sentence
+count changed since the count, exits 2 and leaves --out as it was; the
+first error of an input is the same at any worker count; and the one
+write-and-count loop counts a range in parts as it counts it whole."""
 
 import errno
 import functools
@@ -70,8 +71,8 @@ def _tree_file(path: Path, texts) -> Path:
 
 def _inputs(tmp_path: Path) -> tuple[Path, Path, Path]:
     """A treebank and a document file, each long enough for a block of
-    several items per worker, and a treebank of one tree, whose block is
-    the last worker's while the other blocks are empty."""
+    several items per worker, and a treebank of one tree, which the
+    parent builds alone at any worker count."""
     rng = random.Random(7)
     texts = [random_tree_text(rng, 5, 4) for _ in range(30)] + [SHOP, EAT_PIE, DOG, *LATE_SKIPS]
     lines = []
@@ -129,8 +130,9 @@ def test_a_failure_in_the_last_range_leaves_out_as_it_was(tmp_path, capsys, comm
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-# run with a build's argv, it prints how many times the build forked, the
-# suffixes of the part files it appended and whether signal was loaded
+# run with a build's argv, it prints the build's exit status, how many
+# times it forked, the suffixes of the part files it appended and whether
+# signal was loaded
 SHAPE = """
 import json, os, sys
 from nextphrase import cli, fanout
@@ -155,11 +157,9 @@ print(json.dumps([code, len(forks), parts, "signal" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_the_parent_builds_block_0_and_forks_a_worker_per_other_block(tmp_path, workers):
-    trees = _tree_file(tmp_path / "trees.txt", [DOG, SHOP, EAT_PIE] * 3)
-    out = tmp_path / "out"
-    argv = ["build-npp", str(trees), "--out", str(out), "--workers", str(workers)]
+def _shape(argv: list[str]) -> list:
+    """[exit status, forks, part suffixes appended, signal loaded] of a build
+    run with argv in a fresh process."""
     result = subprocess.run(
         [sys.executable, "-c", SHAPE, *argv],
         capture_output=True,
@@ -167,13 +167,42 @@ def test_the_parent_builds_block_0_and_forks_a_worker_per_other_block(tmp_path, 
         check=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    code, forks, parts, signal_loaded = json.loads(result.stdout.splitlines()[-1])
-    assert code == 0
-    assert forks == workers - 1
-    # one part per worker's block, and none of block 0
-    assert parts == [str(worker) for worker in range(1, workers)]
-    if workers == 1:
-        assert not signal_loaded
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# (trees, --workers, forks): a block per worker, but never more blocks than trees
+@pytest.mark.parametrize(
+    "trees, workers, forks",
+    [
+        pytest.param(9, 1, 0, id="1"),
+        pytest.param(9, 2, 1, id="2"),
+        pytest.param(9, 3, 2, id="3"),
+        pytest.param(0, 3, 0, id="3-workers-0-trees"),
+        pytest.param(1, 3, 0, id="3-workers-1-tree"),
+        pytest.param(2, 3, 1, id="3-workers-2-trees"),
+    ],
+)
+def test_the_parent_builds_block_0_and_forks_a_worker_per_other_block(
+    tmp_path, trees, workers, forks
+):
+    texts = ([DOG, SHOP, EAT_PIE] * 3)[:trees]
+    argv = ["build-npp", str(_tree_file(tmp_path / "trees.txt", texts))]
+    argv += ["--out", str(tmp_path / "out"), "--workers", str(workers)]
+    # one part per worker's block, and none of block 0; signal only to fork
+    parts = [str(worker) for worker in range(1, forks + 1)]
+    assert _shape(argv) == [0, forks, parts, forks > 0]
+
+
+@pytest.mark.parametrize("command", ["build-nsp", "build-pairs"])
+def test_a_one_document_build_forks_nothing_at_two_workers(tmp_path, command):
+    docs = _tree_file(tmp_path / "docs.txt", ["It rains. We hide. Thanks, Bob."])
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        argv = [command, str(docs), "--out", str(out), "--seed", "3", "--workers", workers]
+        assert _shape(argv) == [0, 0, [], False]
+        written.append(_written(out))
+    assert written[0] == written[1]
 
 
 def test_a_fork_that_fails_exits_4_and_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
@@ -235,7 +264,7 @@ GENERATED = st.integers(0, 2**32 - 1).map(lambda seed: random_tree_text(random.R
 @example(([DOG] + [SHOP, EAT_PIE] * 10 + [ONE_TOKEN], [list_tree(27)]), 0)
 def test_two_workers_merge_counts_as_one_worker_counts(corpus, seed):
     head, tail = corpus
-    # at --workers 3 a 1- or 2-tree corpus leaves a worker's block empty
+    # at --workers 3 a 1- or 2-tree corpus forks fewer workers than asked for
     with tempfile.TemporaryDirectory() as scratch:
         trees = _tree_file(Path(scratch) / "trees.txt", head + tail)
         for command, options in TREE_BUILDS.items():
@@ -260,8 +289,9 @@ EMAIL_SENTENCES = st.one_of(
     ),
     st.sampled_from(["Thanks, Bob.", "Hello.", "See Dr. Who soon!"]),
 )
-# up to 6 emails, so that at --workers 3 a block can be empty; a blank
-# email is no document in lines mode and a document of no sentence in dir mode
+# up to 6 emails, so that --workers 3 can fork fewer workers than it asks
+# for; a blank email is no document in lines mode and a document of no
+# sentence in dir mode
 EMAILS = st.lists(st.lists(EMAIL_SENTENCES, max_size=4).map(" ".join), max_size=6)
 
 
@@ -496,8 +526,8 @@ def test_the_first_error_of_an_input_is_the_same_at_any_worker_count(tmp_path, c
             _assert_no_child_process()
 
 
-# imported, it makes build-npp's outcomes mark that a worker builds, in
-# the file that $STARTED names, and then build slowly
+# imported, it makes build-npp's outcomes append the pid of the process
+# that builds to the file that $STARTED names, and then build slowly
 SLOW = """
 import os, time
 from nextphrase import build
@@ -506,7 +536,8 @@ original = build._npp_outcomes
 
 
 def outcomes(item, **options):
-    open(os.environ["STARTED"], "a").close()
+    with open(os.environ["STARTED"], "a") as started:
+        started.write(f"{os.getpid()}\\n")
     time.sleep(0.1)
     return original(item, **options)
 
@@ -515,14 +546,20 @@ build._npp_outcomes = outcomes
 """
 
 
-def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
+def _stopped_build(tmp_path: Path, workers: str, stop) -> tuple[int, bytes]:
+    """The exit status and standard error of a slow build-npp of 40 trees,
+    run in a session of its own into tmp_path / "out", which holds the
+    bytes of a finished build before it; once every one of its processes
+    builds, ``stop(its pid, the pids that build)`` runs.  Afterwards no
+    process of its session is left, and --out is as it was."""
     (tmp_path / "slow.py").write_text(SLOW, encoding="utf-8")
     rng = random.Random(6)
     trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
     out = tmp_path / "out"
+    argv = ["build-npp", str(trees), "--out", str(out), "--workers", workers]
+    before = _before(argv, out)
     started = tmp_path / "started"
-    argv = ["build-npp", str(trees), "--out", str(out), "--workers", "2"]
-    # a session of its own, so that Ctrl-C can go to its whole process group
+    # a session of its own, so that a signal can go to its whole process group
     build = subprocess.Popen(
         [sys.executable, "-c", "import slow, sys; from nextphrase.cli import main; sys.exit(main())", *argv],
         stderr=subprocess.PIPE,
@@ -530,22 +567,49 @@ def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
         start_new_session=True,
     )
     try:
+        builders: set[int] = set()
         deadline = time.monotonic() + 60
-        while not started.exists() and build.poll() is None and time.monotonic() < deadline:
+        while len(builders) < int(workers) and build.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert started.exists()
-        os.killpg(build.pid, signal.SIGINT)
+            if started.exists():
+                builders = set(map(int, started.read_text(encoding="utf-8").split()))
+        assert len(builders) == int(workers)
+        stop(build.pid, builders)
         _, err = build.communicate(timeout=60)
     finally:
         if build.poll() is None:
             os.killpg(build.pid, signal.SIGKILL)
             build.wait()
-    assert build.returncode == -signal.SIGINT
-    assert b"KeyboardInterrupt" in err
     # no process of the group is left: the workers were stopped and reaped
     with pytest.raises(ProcessLookupError):
         os.killpg(build.pid, 0)
-    assert list(out.iterdir()) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    return build.returncode, err
+
+
+def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
+    code, err = _stopped_build(tmp_path, "2", lambda pid, _: os.killpg(pid, signal.SIGINT))
+    assert code == -signal.SIGINT
+    assert b"KeyboardInterrupt" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sigterm_stops_the_workers_and_leaves_out_as_it_was(tmp_path, workers):
+    code, err = _stopped_build(tmp_path, workers, lambda pid, _: os.killpg(pid, signal.SIGTERM))
+    # the staging directory is gone, and the build still ends by SIGTERM
+    assert code == -signal.SIGTERM
+    assert err == b""
+
+
+def test_sigterm_to_a_worker_alone_fails_the_build_with_exit_4(tmp_path):
+    def stop_the_worker(pid, builders):
+        (worker,) = builders - {pid}
+        os.kill(worker, signal.SIGTERM)
+
+    # the worker does not run the parent's SIGTERM handler: it dies at once
+    code, err = _stopped_build(tmp_path, "2", stop_the_worker)
+    assert code == 4
+    assert err == b"error: a worker process died: killed by signal 15\n"
 
 
 def test_a_long_sentence_is_written_one_pair_at_a_time():
