@@ -15,11 +15,13 @@ the builders, the fan-out or the instance code.  Exit codes: 0 ok, 1
 usage or config error, 2 input I/O error or an input that is not UTF-8,
 3 data contract violation (malformed tree, mismatched eval files), 4 a
 worker process could not be forked or died, for example when it was
-killed or ran out of memory.
+killed or ran out of memory.  Ctrl-C and SIGTERM end a run by their
+signal, with no traceback, once its staged outputs are deleted.
 """
 
 from __future__ import annotations
 
+import _signal  # the core of signal, loaded at start-up: signal itself loads enum
 import argparse
 import json
 import os
@@ -95,7 +97,7 @@ def load_config_file(path) -> dict[str, str]:
 
 def _parse_ratios(text: str) -> tuple[float, ...]:
     try:
-        parts = tuple(float(p) for p in text.split(","))
+        parts = tuple([float(p) for p in text.split(",")])
     except ValueError:
         raise UsageError(f"bad ratios: {text!r}") from None
     if len(parts) != 3:
@@ -167,6 +169,13 @@ def _terminated(signum, frame):
     raise Terminated
 
 
+def _end_by(signum: int) -> None:
+    """End this process by the default action of signum, so that its
+    caller sees the signal; raises ValueError outside the main thread."""
+    _signal.signal(signum, _signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
+
+
 @contextmanager
 def _sigterm_unwinds() -> Iterator[None]:
     """While the block runs, SIGTERM raises Terminated in it, as SIGINT
@@ -174,8 +183,6 @@ def _sigterm_unwinds() -> Iterator[None]:
     ends by SIGTERM, as it would have without the block.  Outside the
     main thread, which alone gets signals, or where the caller has set a
     SIGTERM handler, this changes nothing."""
-    import _signal  # the core of signal, loaded at start-up: signal itself loads enum
-
     if _signal.getsignal(_signal.SIGTERM) != _signal.SIG_DFL:
         yield
         return
@@ -187,8 +194,7 @@ def _sigterm_unwinds() -> Iterator[None]:
     try:
         yield
     except Terminated:
-        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-        os.kill(os.getpid(), _signal.SIGTERM)
+        _end_by(_signal.SIGTERM)
         raise
     finally:
         _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
@@ -392,6 +398,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        # Ctrl-C ends the run by SIGINT, as it would without Python's
+        # handler, once the outputs' cleanup has run, and prints no
+        # traceback; not where the caller set a handler of its own
+        if _signal.getsignal(_signal.SIGINT) is _signal.default_int_handler:
+            try:
+                _end_by(_signal.SIGINT)
+            except ValueError:  # not the main thread
+                pass
+        raise
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ def add_counts(first: RangeCounts, then: RangeCounts) -> RangeCounts:
     skips = dict(first.skips)
     for reason, count in then.skips.items():
         skips[reason] = skips.get(reason, 0) + count
-    written = tuple(a + b for a, b in zip(first.written, then.written))
+    written = tuple([a + b for a, b in zip(first.written, then.written)])
     return RangeCounts(first.read + then.read, written, skips)
 
 

@@ -132,7 +132,7 @@ def build_npp_instance(
         sentence_id=sentence_id,
         phrase_type=phrase_type,
         partial_query=tree.tokens[:answer_span.start],
-        choices=tuple(s.text for s in shuffled),
+        choices=tuple([s.text for s in shuffled]),
         answer=answer_span.text,
         answer_index=answer_index,
     )

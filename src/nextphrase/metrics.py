@@ -62,13 +62,13 @@ class EvalSegment(_Segment):
     def ngrams(self) -> tuple[tuple[Counter, tuple[Counter, ...]], ...]:
         """Per order 1..MAX_ORDER: the candidate's n-gram counts and one
         Counter per reference, counted once for BLEU, METEOR and CIDEr."""
-        return tuple(
+        return tuple([
             (
                 _ngram_counts(self.candidate, n),
-                tuple(_ngram_counts(reference, n) for reference in self.references),
+                tuple([_ngram_counts(reference, n) for reference in self.references]),
             )
             for n in range(1, MAX_ORDER + 1)
-        )
+        ])
 
     @functools.cached_property
     def bleu_counts(self) -> tuple[int, ...]:
@@ -499,7 +499,7 @@ def _lines(path) -> Iterator[str]:
 
 def _references(line: str) -> tuple[tuple[str, ...], ...]:
     """The normalized references of a line; tab separates them."""
-    return tuple(normalize(reference) for reference in line.split("\t"))
+    return tuple([normalize(reference) for reference in line.split("\t")])
 
 
 def _segment(candidate: str, references: str) -> EvalSegment:
@@ -530,7 +530,7 @@ def evaluate_files(candidates_path, references_path) -> EvalReport:
     candidates = sum(1 for _ in _lines(candidates_path))
     references, frequency = _document_frequency(
         # interned, the n-gram keys of the frequencies share one string per word
-        tuple(tuple(map(sys.intern, tokens)) for tokens in _references(line))
+        tuple([tuple([sys.intern(token) for token in tokens]) for tokens in _references(line)])
         for line in _lines(references_path)
     )
     _check_counts(candidates, references)

@@ -48,11 +48,11 @@ def extract_phrases(tree: ConstituencyTree) -> PhraseGroups:
         # a subtree is the block right after its root in pre-order and
         # every constituent spans a token, so the next same-label row is
         # a descendant exactly when it starts before this row's end
-        kept[label] = tuple(
+        kept[label] = tuple([
             PhraseSpan(label, start, end, " ".join(tree.tokens[start:end]))
             for (_, start, end), after in zip(rows, rows[1:] + [None])
             if after is None or after[1] >= end
-        )
+        ])
     return PhraseGroups(np=kept["NP"], vp=kept["VP"], pp=kept["PP"])
 
 

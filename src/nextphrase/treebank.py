@@ -156,7 +156,7 @@ def parse_ptb(text: str) -> ConstituencyTree:
     # then ends where it ends
     if len(rows) > 1 and rows[0][0] in _WRAPPER_LABELS and rows[1][2] == rows[0][2]:
         del rows[0]
-    return ConstituencyTree(tuple(tokens), tuple(map(tuple, rows)))
+    return ConstituencyTree(tuple(tokens), tuple([tuple(row) for row in rows]))
 
 
 def iter_tree_lines(path) -> Iterator[tuple[int, str]]:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -599,6 +600,53 @@ def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
     assert main(_evaluate_argv(report, candidates)) == 2
     err = _assert_one_error_line(capsys)
     assert err == f"error: {candidates}: line 1 is not UTF-8 (byte 1: invalid start byte)"
+    assert _files_under(report.parent) == before
+
+
+# evaluate scores every segment before it stages any output; here the
+# scoring touches the file that $STARTED names and then waits
+SLOW_EVALUATE = """
+import os, time
+from nextphrase import cli
+
+
+def evaluate_files(*paths):
+    open(os.environ["STARTED"], "w").close()
+    time.sleep(60)
+
+
+cli.evaluate_files = evaluate_files
+"""
+
+
+def test_ctrl_c_ends_evaluate_by_sigint_with_no_traceback(tmp_path):
+    (tmp_path / "slow.py").write_text(SLOW_EVALUATE, encoding="utf-8")
+    report = tmp_path / "ev" / "report.txt"
+    assert main(_evaluate_argv(report)) == 0
+    before = _files_under(report.parent)
+    started = tmp_path / "started"
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-c", "import slow, sys; from nextphrase.cli import main; sys.exit(main())",
+         *_evaluate_argv(report)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)]), "STARTED": str(started)},
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists()
+        run.send_signal(signal.SIGINT)
+        out, err = run.communicate(timeout=60)
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+    # as Python ends on an uncaught Ctrl-C, by SIGINT, but silently
+    assert run.returncode == -signal.SIGINT
+    assert (out, err) == (b"", b"")
     assert _files_under(report.parent) == before
 
 

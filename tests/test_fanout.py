@@ -590,7 +590,7 @@ def _stopped_build(tmp_path: Path, workers: str, stop) -> tuple[int, bytes]:
 def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
     code, err = _stopped_build(tmp_path, "2", lambda pid, _: os.killpg(pid, signal.SIGINT))
     assert code == -signal.SIGINT
-    assert b"KeyboardInterrupt" in err
+    assert err == b""
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
