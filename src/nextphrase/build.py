@@ -21,7 +21,6 @@ import bisect
 import functools
 import itertools
 import random
-import sys
 import time
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
@@ -29,10 +28,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .cli import (
-    EXIT_DATA,
-    EXIT_IO,
     EXIT_OK,
-    EXIT_WORKER,
     PipelineConfig,
     UsageError,
     _guards,
@@ -44,6 +40,7 @@ from .cli import (
 )
 from .corpus import (
     SPLIT_NAMES,
+    InputChanged,
     assign_splits,
     document_files,
     format_stats_table,
@@ -54,10 +51,9 @@ from .corpus import (
     split_sentences,
     tokenize,
 )
-from .fanout import InputChanged, WorkerDied, fan_out
+from .fanout import fan_out
 from .instances import (
     MAX_CHOICES,
-    MoreChoicesThanLetters,
     PoolView,
     Skip,
     SkipReason,
@@ -151,8 +147,22 @@ def _documents(path, mode: str) -> Iterator[tuple[int, str | Path]]:
     return enumerate(document_files(path)) if mode == "dir" else iter_documents(path, mode)
 
 
-def _split(document: str | Path, guards: Sequence[str]) -> list[str]:
-    return split_sentences(read_text(document) if isinstance(document, Path) else document, guards)
+def _split_again(
+    item: tuple[int, str | Path], starts: Sequence[int], guards: Sequence[str]
+) -> tuple[int, list[str]]:
+    """The position of a document's first sentence and its sentences, split
+    anew; ``starts[d]`` is where document d's first sentence sat in the
+    pass that counted them.  Raises InputChanged when the document has
+    another number of sentences than was counted."""
+    doc_index, document = item
+    text = read_text(document) if isinstance(document, Path) else document
+    sentences = split_sentences(text, guards)
+    first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
+    if len(sentences) != counted:
+        raise InputChanged(
+            f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
+        )
+    return first, sentences
 
 
 def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
@@ -247,15 +257,9 @@ def _text_pair_outcomes(
     """A document's outcomes, one per sentence; ``starts[d]`` is the
     position of document d's first sentence, and ``splits`` gives each
     position's split."""
-    doc_index, document = item
-    first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
-    sentences = _split(document, guards)
-    if len(sentences) != counted:
-        raise InputChanged(
-            f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
-        )
+    first, sentences = _split_again(item, starts, guards)
     for position, sentence in enumerate(sentences):
-        sentence_id = make_sentence_id(name, doc_index, position)
+        sentence_id = make_sentence_id(name, item[0], position)
         yield from _pair_outcomes(splits[first + position], sentence_id, tokenize(sentence))
 
 
@@ -309,18 +313,20 @@ def _nsp_outcomes(
     item: tuple[int, str | Path],
     pool: Sequence[str],
     own: tuple[Sequence[int], Sequence[int]],
+    starts: Sequence[int],
     seed: int,
     distractors: int,
     name: str,
     guards: Sequence[str],
 ) -> Iterator:
     """A document's outcomes, one per context.  ``own`` is two sequences
-    in step, sorted: each pool position's document, and the position."""
-    doc_index, document = item
+    in step, sorted: each pool position's document, and the position;
+    ``starts[d]`` is the position of document d's first sentence."""
+    doc_index = item[0]
     owners, positions = own
     first = bisect.bisect_left(owners, doc_index)
     others = PoolView(pool, positions[first:bisect.bisect_right(owners, doc_index, first)])
-    sentences = _split(document, guards)
+    _, sentences = _split_again(item, starts, guards)
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
@@ -342,18 +348,18 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
 
     name = Path(args.input).stem
     guards = _guards(config)
-    documents = 0
+    # where each document's first sentence sits, and the end of the last
+    starts = array("q", [0])
 
     def sentences() -> Iterator[tuple[int, str]]:
-        nonlocal documents
-        for documents, (doc_index, document) in enumerate(
-            iter_documents(args.input, config.input_mode), 1
-        ):
-            for sentence in split_sentences(document, guards):
+        for doc_index, document in iter_documents(args.input, config.input_mode):
+            split = split_sentences(document, guards)
+            starts.append(starts[-1] + len(split))
+            for sentence in split:
                 yield doc_index, sentence
 
-    # the pool pass keeps the pool and no document; each document is split
-    # again where its block is built
+    # the pool pass keeps the pool, and of each document where its first
+    # sentence sits; each document is split again where its block is built
     pool, _ = _reservoir(sentences(), config.pool_cap, random.Random(config.seed))
     texts = [sentence for _, sentence in pool]
     # the pool positions by document, ascending; distractors skip a document's own
@@ -365,6 +371,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         _nsp_outcomes,
         pool=texts,
         own=own,
+        starts=starts,
         seed=config.seed,
         distractors=config.distractors,
         name=name,
@@ -372,7 +379,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     )
     open_items = functools.partial(_documents, args.input, config.input_mode)
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, documents)
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, len(starts) - 1)
         counts = {
             "contexts_read": built.read,
             "instances_written": built.written[0],
@@ -383,26 +390,9 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
+# the build commands by name: cli.main runs them and maps their errors to exit codes
+COMMANDS = {
     "build-npp": cmd_build_npp,
     "build-nsp": cmd_build_nsp,
     "build-pairs": cmd_build_pairs,
 }
-
-
-def run(args: argparse.Namespace) -> int:
-    """Run the build command that args names.  The errors that only a
-    build raises get their exit codes here, so that the other commands
-    never load the modules that define them; cli.main maps the rest."""
-    try:
-        return _COMMANDS[args.command](args)
-    except MoreChoicesThanLetters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    # a build reads its input twice, and has one input
-    except InputChanged as exc:
-        print(f"error: {args.input}: changed while it was read: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except WorkerDied as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORKER

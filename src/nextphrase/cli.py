@@ -11,12 +11,13 @@ This module parses the command line and runs the command it names.
 ``evaluate``, ``stats`` and ``debug-phrases`` live here; the three
 build commands live in ``nextphrase.build``, which ``main`` imports only
 once it has parsed a build command, so the other commands never load
-the builders, the fan-out or the instance code.  Exit codes: 0 ok, 1
-usage or config error, 2 input I/O error or an input that is not UTF-8,
-3 data contract violation (malformed tree, mismatched eval files), 4 a
-worker process could not be forked or died, for example when it was
-killed or ran out of memory.  Ctrl-C and SIGTERM end a run by their
-signal, with no traceback, once its staged outputs are deleted.
+the builders, the fan-out or the instance code.  Exit codes, all set in
+``main``: 0 ok, 1 usage or config error, 2 input I/O error, an input
+that is not UTF-8 or one that changed while a build read it, 3 data
+contract violation (malformed tree, mismatched eval files), 4 a worker
+process could not be forked or died, for example when it was killed or
+ran out of memory.  Ctrl-C and SIGTERM end a run by their signal, with
+no traceback, once its staged outputs and its workers are gone.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ import json
 import os
 import shutil
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
     DEFAULT_GUARDS,
+    InputChanged,
     NotUtf8,
     RatioSumInvalid,
     format_stats_table,
@@ -69,7 +71,7 @@ class UsageError(Exception):
 
 
 class Terminated(BaseException):
-    """SIGTERM arrived while a command's outputs were staged."""
+    """SIGTERM arrived while a command ran."""
 
 
 class PipelineConfig(NamedTuple):
@@ -177,27 +179,31 @@ def _end_by(signum: int) -> None:
 
 
 @contextmanager
-def _sigterm_unwinds() -> Iterator[None]:
+def _signals_end_the_run() -> Iterator[None]:
     """While the block runs, SIGTERM raises Terminated in it, as SIGINT
     raises KeyboardInterrupt, so that its cleanup runs; then the process
-    ends by SIGTERM, as it would have without the block.  Outside the
-    main thread, which alone gets signals, or where the caller has set a
-    SIGTERM handler, this changes nothing."""
-    if _signal.getsignal(_signal.SIGTERM) != _signal.SIG_DFL:
-        yield
-        return
-    try:
-        _signal.signal(_signal.SIGTERM, _terminated)
-    except ValueError:  # not the main thread
-        yield
-        return
+    ends by that signal, with no traceback.  A signal whose handler the
+    caller set is left alone, and so is every signal outside the main
+    thread, which alone gets them."""
+    sigterm = _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
+    if sigterm:
+        try:
+            _signal.signal(_signal.SIGTERM, _terminated)
+        except ValueError:  # not the main thread
+            sigterm = False
     try:
         yield
-    except Terminated:
+    except Terminated:  # raised only by the handler set above, in the main thread
         _end_by(_signal.SIGTERM)
         raise
+    except KeyboardInterrupt:
+        if _signal.getsignal(_signal.SIGINT) is _signal.default_int_handler:
+            with suppress(ValueError):  # not the main thread
+                _end_by(_signal.SIGINT)
+        raise
     finally:
-        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+        if sigterm:
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
 
 
 @contextmanager
@@ -205,13 +211,12 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
     """Open one sink per name in a new private directory inside out_dir.
 
     When the block completes the files move into out_dir under their
-    names, in order; when anything raises, none moves.  Either way the
-    staging directory goes last, with the part files the block's worker
-    processes wrote there, after the block has stopped them; SIGTERM
-    counts as a failure, and ends the process once the directory is
-    gone.  So a run deletes nothing it did not create: once its outputs
-    are in place, it warns about each other staging directory in out_dir
-    and keeps it.
+    names, in order; when anything raises, Ctrl-C and SIGTERM among
+    them, none moves.  Either way the staging directory goes last, with
+    the files the block's worker processes wrote there, after the block
+    has stopped them.  So a run deletes nothing it did not create: once
+    its outputs are in place, it warns about each other staging directory
+    in out_dir and keeps it.
     """
     import tempfile  # here, not at the top: only a command that writes needs it
 
@@ -220,15 +225,14 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
         # a file cannot replace a directory: fail before any output moves
         if (out_dir / name).is_dir():
             raise IsADirectoryError(f"output is a directory: {out_dir / name}")
-    with _sigterm_unwinds():
-        staging = Path(tempfile.mkdtemp(prefix=".nextphrase-", dir=out_dir))
-        try:
-            with ExitStack() as stack:
-                yield [stack.enter_context(open_sink(staging / name)) for name in names]
-            for name in names:
-                os.replace(staging / name, out_dir / name)
-        finally:
-            shutil.rmtree(staging)
+    staging = Path(tempfile.mkdtemp(prefix=".nextphrase-", dir=out_dir))
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open_sink(staging / name)) for name in names]
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging)
     for stale in sorted(out_dir.glob(".nextphrase-*")):
         if stale.is_dir():
             print(
@@ -316,7 +320,7 @@ class _Parser(argparse.ArgumentParser):
 def _build(args: argparse.Namespace) -> int:
     from . import build  # only a build loads the builders, the fan-out and instances
 
-    return build.run(args)
+    return build.COMMANDS[args.command](args)
 
 
 def _add_build(
@@ -386,28 +390,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        with _signals_end_the_run():
+            return args.func(args)
     except (UsageError, RatioSumInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # nextphrase.build.run maps the errors that only a build raises
     except (TreebankError, CountMismatch, SingleSegmentCorpus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except InputChanged as exc:
+        print(f"error: {args.input}: changed while it was read: {exc}", file=sys.stderr)
+        return EXIT_IO
+    # the fan-out's WorkerDied, caught here without loading the fan-out
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     # an input that is not UTF-8 fails as I/O
     except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KeyboardInterrupt:
-        # Ctrl-C ends the run by SIGINT, as it would without Python's
-        # handler, once the outputs' cleanup has run, and prints no
-        # traceback; not where the caller set a handler of its own
-        if _signal.getsignal(_signal.SIGINT) is _signal.default_int_handler:
-            try:
-                _end_by(_signal.SIGINT)
-            except ValueError:  # not the main thread
-                pass
-        raise
 
 
 if __name__ == "__main__":

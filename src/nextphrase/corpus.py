@@ -46,6 +46,10 @@ class NotUtf8(ValueError):
     """An input file has a line that is not UTF-8."""
 
 
+class InputChanged(ValueError):
+    """The input changed between the pass that counted it and a later pass."""
+
+
 def _not_utf8(path) -> NotUtf8:
     """The error of a file that failed to decode, naming its first line
     that is not UTF-8: only this error path reads the file again, as

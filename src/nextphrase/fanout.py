@@ -8,12 +8,14 @@ The items are cut into one contiguous block per worker, or one per
 item when there are fewer items than workers, so that no block is
 empty.  This process builds block 0 straight into the sinks; each other
 block k is built by a forked worker process, which reads the items
-itself, up to the end of block k, and writes its block into part files,
-and this process appends the parts in block order.  So the output bytes and counts do not depend
-on the worker count.  Each process reads the items anew, so a block
-whose items end before its counted end fails with ``InputChanged``.
-The part files are written next to the sinks, so the sinks' directory
-must be the caller's own.
+itself, up to the end of block k, and writes its block into part files
+and its counts into a file of their own.  This process reaps the
+workers in block order: a worker that exited 0 has its counts read and
+its parts appended, and any other exit fails the build.  So the output
+bytes and counts do not depend on the worker count.  Each process reads
+the items anew, so a block whose items end before its counted end fails
+with ``InputChanged``.  The workers' files are written next to the
+sinks, so the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
@@ -24,17 +26,13 @@ import marshal
 import os
 import shutil
 from contextlib import ExitStack, contextmanager
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .corpus import open_sink
-
-
-class WorkerDied(RuntimeError):
-    """A worker process could not be forked, or ended before it sent its block's counts."""
+from .corpus import InputChanged, open_sink
 
 
-class InputChanged(ValueError):
-    """The input changed between the pass that counted it and a later pass."""
+class WorkerDied(ChildProcessError):
+    """A worker process could not be forked, or did not exit 0."""
 
 
 class RangeCounts(NamedTuple):
@@ -89,54 +87,53 @@ def _serve(
     sink_names: Sequence[str],
     bounds: Sequence[int],
     worker: int,
-    results: BinaryIO,
 ) -> None:
     """Worker ``worker``'s body: build the items from ``bounds[worker]`` up
     to ``bounds[worker + 1]`` into the part files ``<sink name>.<worker>``,
-    reading none past the end, and send its one message, the counts as a
-    plain tuple or, when the block failed, the exception pickled."""
+    reading none past the end, and write its counts file, with ``marshal``,
+    the counts as a plain tuple or, when the block failed, the exception
+    pickled."""
     try:
         with ExitStack() as stack:
             parts = [stack.enter_context(open_sink(f"{name}.{worker}")) for name in sink_names]
             reply = tuple(_write_range(outcomes_of, _block(open_items, bounds, worker), parts))
     except Exception as exc:
-        import pickle  # only a failed worker sends an exception
+        import pickle  # only a failed worker writes an exception
 
         reply = pickle.dumps(exc)
-    marshal.dump(reply, results)
+    with open(f"{sink_names[0]}.{worker}.counts", "wb") as counts:
+        marshal.dump(reply, counts)
 
 
-def _worker(serve: Callable, worker: int, result_fd: int):
-    """The body of a forked worker, which ends only through os._exit: it
-    never unwinds into the parent's frames, runs the parent's atexit
-    handlers or flushes the parent's buffers.  SIGTERM ends it at once,
-    whatever handler the parent set; SIGINT stays blocked, since the
-    parent stops its workers on Ctrl-C."""
+def _worker(serve: Callable, worker: int):
+    """The body of a forked worker, which ends only through os._exit, with
+    status 0 once serve has returned: it never unwinds into the parent's
+    frames, runs the parent's atexit handlers or flushes the parent's
+    buffers.  SIGTERM ends it at once, whatever handler the parent set;
+    SIGINT stays blocked, since the parent stops its workers on Ctrl-C."""
     code = 1
     try:
         import signal  # loaded already: the parent imported it to fork
 
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-        with open(result_fd, "wb") as results:
-            serve(worker, results)
+        serve(worker)
         code = 0
     finally:
         os._exit(code)
 
 
 @contextmanager
-def _forked(serve: Callable, workers: int) -> Iterator[tuple[dict, dict]]:
+def _forked(serve: Callable, workers: int) -> Iterator[dict[int, int]]:
     """Workers 1 to workers - 1 forked, none at one worker, worker k
-    running serve(k, results) on a result pipe of its own; the parent
-    gets ({worker: result stream}, {worker: pid}).
+    running serve(k); the parent gets {worker: pid}, from which whoever
+    reaps a worker removes it.
 
-    On leaving, every worker is reaped; when the with body raised, the
-    workers still running are killed first.  So no worker runs, or
-    writes a part, once this has returned.  A fork that fails raises
+    On leaving, every worker still in it is reaped; when the with body
+    raised, those workers are killed first.  So no worker runs, or
+    writes a file, once this has returned.  A fork that fails raises
     WorkerDied.
     """
-    results: dict[int, BinaryIO] = {}
     pids: dict[int, int] = {}
     try:
         if workers > 1:
@@ -147,19 +144,15 @@ def _forked(serve: Callable, workers: int) -> Iterator[tuple[dict, dict]]:
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
             try:
                 for worker in range(1, workers):
-                    result_end, result_fd = os.pipe()
-                    results[worker] = open(result_end, "rb")
                     try:
                         pids[worker] = os.fork()
-                        if pids[worker] == 0:
-                            _worker(serve, worker, result_fd)
                     except OSError as exc:
                         raise WorkerDied(f"could not start a worker process: {exc}") from exc
-                    finally:
-                        os.close(result_fd)
+                    if pids[worker] == 0:
+                        _worker(serve, worker)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield results, pids
+        yield pids
     except BaseException:
         # pids is empty unless signal was imported above
         for pid in pids.values():
@@ -168,20 +161,21 @@ def _forked(serve: Callable, workers: int) -> Iterator[tuple[dict, dict]]:
     finally:
         for pid in pids.values():
             os.waitpid(pid, 0)
-        for stream in results.values():
-            stream.close()
 
 
-def _result(results: dict, pids: dict, worker: int) -> RangeCounts:
-    """The counts of a worker's block, read from it; raises what failed it."""
-    try:
-        reply = marshal.load(results[worker])
-    except EOFError:
-        # the worker's pipe closed before its message: reap it and name its status
-        _, status = os.waitpid(pids.pop(worker), 0)
-        code = os.waitstatus_to_exitcode(status)
+def _result(pids: dict[int, int], worker: int, path: str) -> RangeCounts:
+    """The counts of a worker's block: reap the worker, and remove it from
+    pids, then read its counts file at path and delete it; raises what
+    failed the block, or WorkerDied when the worker did not exit 0."""
+    _, status = os.waitpid(pids[worker], 0)
+    del pids[worker]
+    code = os.waitstatus_to_exitcode(status)
+    if code:
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise WorkerDied(f"a worker process died: {how}") from None
+        raise WorkerDied(f"a worker process died: {how}")
+    with open(path, "rb") as counts:
+        reply = marshal.load(counts)
+    os.unlink(path)
     if isinstance(reply, bytes):
         import pickle
 
@@ -214,11 +208,13 @@ def fan_out(
     items come from a call: an iterator that had read from a file before
     the fork would share the file's offset with every worker.  An
     exception in a block is raised here in block order, ``InputChanged``
-    when a block's items end before the block does; a worker that
-    dies fails the build with ``WorkerDied`` when its block's turn comes,
-    and one that cannot be forked at once.  Workers write their part
-    files ``<sink name>.<worker>`` next to the sinks, and a failed run can
-    leave some behind, so the sinks' directory must be the caller's own.
+    when a block's items end before the block does; a worker that does
+    not exit 0, killed or not, fails the build with ``WorkerDied`` when
+    its block's turn comes, and one that cannot be forked at once.
+    Workers write their part files ``<sink name>.<worker>`` and their
+    counts file ``<first sink name>.<worker>.counts`` next to the sinks,
+    and a failed run can leave some behind, so the sinks' directory must
+    be the caller's own.
     """
     # a block per item at most: an empty block would cost a fork and its part files
     workers = max(1, min(workers, total))
@@ -226,11 +222,11 @@ def fan_out(
     serve = functools.partial(
         _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds
     )
-    with _forked(serve, workers) as (results, pids):
+    with _forked(serve, workers) as pids:
         counts = _write_range(outcomes_of, _block(open_items, bounds, 0), sinks)
         for worker in range(1, workers):
-            # the counts come first: the parts are whole once they are in
-            counts = add_counts(counts, _result(results, pids, worker))
+            # the counts come first: the parts are whole once the worker has exited 0
+            counts = add_counts(counts, _result(pids, worker, f"{sinks[0].name}.{worker}.counts"))
             for sink in sinks:
                 _append_part(sink, f"{sink.name}.{worker}")
     return counts

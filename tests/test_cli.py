@@ -181,8 +181,8 @@ def test_build_npp_min_group_size_flag(tmp_path):
 
 def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
     # build-pairs parses in the worker too, so at 2 workers the error on
-    # line 2, in the worker's block, crosses its result pipe and must keep
-    # its type and line number
+    # line 2, in the worker's block, crosses to the parent in the worker's
+    # counts file and must keep its type and line number
     trees = tmp_path / "bad.txt"
     trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
     commands = (["build-npp"], ["build-pairs", "--input-mode", "treebank"])
@@ -262,7 +262,7 @@ def test_build_npp_skips_group_beyond_the_letters(tmp_path):
 
 
 # what a --workers 2 build loads none of either: its workers are forked
-# and talk over plain pipes
+# and report through files and their exit status
 NOT_LOADED_BY_A_FORKED_BUILD = ("multiprocessing", "concurrent.futures", "logging")
 
 
@@ -327,7 +327,7 @@ def test_a_build_loads_neither_string_nor_datetime(tmp_path, command):
 
 
 def test_a_run_puts_back_sigterm_and_runs_outside_the_main_thread(tmp_path):
-    # a run handles SIGTERM while its outputs are staged, and only there;
+    # a run handles SIGTERM while its command runs, and puts SIG_DFL back;
     # only the main thread can set a handler, so elsewhere a run goes without
     trees = _write_trees(tmp_path)
     assert main(["build-npp", str(trees), "--out", str(tmp_path / "main")]) == 0
@@ -619,7 +619,10 @@ cli.evaluate_files = evaluate_files
 """
 
 
-def test_ctrl_c_ends_evaluate_by_sigint_with_no_traceback(tmp_path):
+def _stopped_evaluate(tmp_path: Path, signum: int) -> None:
+    """Send signum to an evaluate run while it scores, before it stages any
+    output: as Python ends on an uncaught Ctrl-C, it ends by the signal,
+    but silently, and leaves the report directory as it was."""
     (tmp_path / "slow.py").write_text(SLOW_EVALUATE, encoding="utf-8")
     report = tmp_path / "ev" / "report.txt"
     assert main(_evaluate_argv(report)) == 0
@@ -638,16 +641,24 @@ def test_ctrl_c_ends_evaluate_by_sigint_with_no_traceback(tmp_path):
         while not started.exists() and run.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
         assert started.exists()
-        run.send_signal(signal.SIGINT)
+        run.send_signal(signum)
         out, err = run.communicate(timeout=60)
     finally:
         if run.poll() is None:
             run.kill()
             run.wait()
-    # as Python ends on an uncaught Ctrl-C, by SIGINT, but silently
-    assert run.returncode == -signal.SIGINT
+    assert run.returncode == -signum
     assert (out, err) == (b"", b"")
     assert _files_under(report.parent) == before
+
+
+def test_ctrl_c_ends_evaluate_by_sigint_with_no_traceback(tmp_path):
+    _stopped_evaluate(tmp_path, signal.SIGINT)
+
+
+def test_sigterm_ends_evaluate_by_sigterm_with_no_traceback(tmp_path):
+    # SIGTERM unwinds the whole command, not only while outputs are staged
+    _stopped_evaluate(tmp_path, signal.SIGTERM)
 
 
 # the results are printed only once the files are in place, so a run

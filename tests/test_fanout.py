@@ -4,7 +4,7 @@ block and builds that block: at --workers 2 and 3 every build writes the
 bytes of --workers 1, also on fewer records than workers; --workers N
 forks min(N, records) - 1 workers, so no block is empty, and appends no
 part of the first block; a worker reads nothing past its block; a
-worker's failure, which it sends to the parent before it exits, its
+worker's failure, which it leaves in its counts file before it exits, its
 death, a fork that fails, whatever multiprocessing start method the
 caller has set, Ctrl-C and SIGTERM leave --out as it was and no worker
 process behind, and SIGTERM still ends the build by SIGTERM; an input
@@ -237,11 +237,10 @@ def test_a_fork_that_fails_exits_4_and_leaves_out_as_it_was(tmp_path, capsys, mo
 
 def test_a_worker_builds_its_block_and_reads_nothing_past_its_end(tmp_path):
     endless = itertools.count()
-    results = io.BytesIO()
     sink = str(tmp_path / "out")
     # worker 1 of 2, its block items 3 to 5 of an endless input
-    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1, results)
-    assert marshal.loads(results.getvalue()) == (3, (3,), {})
+    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1)
+    assert marshal.loads(Path(f"{sink}.1.counts").read_bytes()) == (3, (3,), {})
     assert Path(f"{sink}.1").read_text(encoding="utf-8") == "3\n4\n5\n"
     assert next(endless) == 6
 
@@ -394,15 +393,23 @@ def test_an_input_that_ends_before_its_counted_end_exits_2(
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("change", ["gained", "lost"])
+# the ids name the change and the worker count, and the build when it is build-nsp
+@pytest.mark.parametrize(
+    "build, change, workers",
+    [
+        pytest.param(build, change, workers, id="-".join([*named, change, workers]))
+        for build, named in (("build-pairs", []), ("build-nsp", ["build-nsp"]))
+        for change in ("gained", "lost")
+        for workers in ("1", "2")
+    ],
+)
 def test_a_document_whose_sentence_count_changes_exits_2(
-    tmp_path, capsys, monkeypatch, change, workers
+    tmp_path, capsys, monkeypatch, build, change, workers
 ):
-    reader, texts, options = CHANGED_INPUTS["build-pairs"]
+    reader, texts, options = CHANGED_INPUTS[build]
     docs = _tree_file(tmp_path / "docs.txt", texts)
     out = tmp_path / "out"
-    argv = ["build-pairs", str(docs), "--workers", workers]
+    argv = [build, str(docs), *options, "--workers", workers]
     before = _before(argv, out)
     edit = {"gained": "It rains. We hide. We wait.", "lost": "It rains and we hide."}
     # document 3 is in the last block at both worker counts
@@ -433,8 +440,8 @@ def start_method(request):
     multiprocessing.set_start_method(before, force=True)
 
 
-# the workers are forked on plain pipes, so a dead one fails the build the
-# same way whatever start method the calling program has set
+# the workers are forked without multiprocessing, so a dead one fails the
+# build the same way whatever start method the calling program has set
 @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"], indirect=True)
 def test_a_dead_worker_fails_the_build_and_leaves_out_as_it_was(
     tmp_path, capsys, monkeypatch, start_method
@@ -475,6 +482,25 @@ def test_a_worker_that_dies_before_its_first_range_exits_4(tmp_path, capsys, mon
     assert list(out.iterdir()) == []
 
 
+def test_a_worker_killed_after_it_wrote_its_counts_exits_4(tmp_path, capsys, monkeypatch):
+    serve = fanout._serve
+
+    def killed_once_served(*args):
+        serve(*args)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # the counts file is whole, but only a worker that exits 0 is read
+    monkeypatch.setattr(fanout, "_serve", killed_once_served)
+    trees = _tree_file(tmp_path / "trees.txt", [DOG, SHOP])
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--workers", "2"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: a worker process died: killed by signal {signal.SIGKILL.value}\n"
+    )
+    _assert_no_child_process()
+    assert list(out.iterdir()) == []
+
+
 # 40 trees make 2 blocks of 20: a malformed tree on line 2 or on line 12
 # fails block 0, which the parent builds, near its start or in its middle
 @pytest.mark.parametrize("line", [2, 12])
@@ -497,8 +523,8 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
     trees = _tree_file(tmp_path / "trees.txt", texts)
     out = tmp_path / "out"
     argv = [command, str(trees), *TREE_BUILDS[command], "--out", str(out), "--workers", "2"]
-    # the parent meets the parse error in its own block, before it reads
-    # a worker's pipe, and kills worker 1: never exit 4
+    # the parent meets the parse error in its own block, before it waits
+    # for a worker, and kills worker 1: never exit 4
     for _ in range(3):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
