@@ -223,15 +223,21 @@ def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[
     Line k has the bytes of json.dumps of ``{"id": f"{sentence_id}#{k}",
     "p": detokenize(tokens[:k]), "q": detokenize(tokens[k:])}`` plus a
     newline: each token is quoted once, and since quoting never touches a
-    space, joining quoted tokens quotes the joined text.
+    space, the quoted tokens joined once quote the joined text, and each
+    pair's ``p`` and ``q`` are the two sides of a cut sliced out of it.
     """
-    body = [_quote(token)[1:-1] for token in tokens]
+    quoted = [_quote(token)[1:-1] for token in tokens]
+    text = " ".join(quoted)
+    # the k-th end is the quoted length of tokens[:k] without spaces; with
+    # the k - 1 spaces between them p ends at end + k - 1, and q starts
+    # past the space after it
+    ends = itertools.accumulate(map(len, quoted[:-1]))
     head = '{"id": ' + _quote(sentence_id)[:-1] + "#"
     lines = (
-        f'{head}{k}", "p": "{" ".join(body[:k])}", "q": "{" ".join(body[k:])}"}}\n'
-        for k in range(1, len(body))
+        f'{head}{k}", "p": "{text[:end + k - 1]}", "q": "{text[end + k:]}"}}\n'
+        for k, end in enumerate(ends, 1)
     )
-    return max(len(body) - 1, 0), lines
+    return max(len(quoted) - 1, 0), lines
 
 
 def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple:
@@ -243,7 +249,7 @@ def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple
 
 def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], name: str) -> tuple:
     split, (line_index, line) = record
-    tokens = parse_tree_line(line_index, line).tokens
+    tokens = parse_tree_line(line_index, line, spans=False).tokens
     return _pair_outcomes(split, _tree_id(name, line_index), tokens)
 
 

@@ -13,7 +13,9 @@ rather than crashing, so the parser can be pointed at untrusted text.
 A parsed tree is a span table, not a node graph: its tokens plus one
 ``(label, start, end)`` row per constituent, in pre-order.  That is all
 phrase extraction and the builders read, so parsing builds no node
-objects.
+objects.  A caller that reads only the tokens, as ``build-pairs`` does,
+parses with ``spans=False``: the same grammar checks the text and raises
+the same errors, and no span table is built.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class ConstituencyTree(NamedTuple):
     siblings come left to right.  ``start``/``end`` are a half-open token
     range and every constituent covers at least one token, so a row's
     subtree is the block of rows right after it that start before its
-    end, and a row is a leaf exactly when the next row does not.
+    end, and a row is a leaf exactly when the next row does not.  A tree
+    parsed with ``spans=False`` has an empty ``spans``.
     """
 
     tokens: tuple[str, ...]
@@ -85,17 +88,25 @@ _BARE = 4  # a label and a token next to some other item
 _UNLABELED = 5  # a bracketed child where the label belongs
 
 
-def parse_ptb(text: str) -> ConstituencyTree:
+def parse_ptb(text: str, spans: bool = True) -> ConstituencyTree:
     """Parse one bracketed tree.
 
     Raises UnbalancedBrackets, MalformedLabel, or EmptyConstituent on
     malformed input; never anything else.  The parser is iterative, so
-    pathologically deep input cannot blow the interpreter stack.
+    pathologically deep input cannot blow the interpreter stack.  With
+    ``spans=False`` it checks the text with the same grammar and raises
+    the same errors, but builds no span table: the tree's ``spans`` is
+    empty.
     """
-    rows: list[list] = []  # [label, start, end] per open bracket, in pre-order
+    rows: list[list] = []  # [label as read, start, end] per open bracket, in pre-order
     tokens: list[str] = []
-    enclosing: list[tuple[list, int, str | None]] = []  # (row, state, token)
+    # (row, state, token) of each open bracket's parent, row None at top level
+    enclosing: list[tuple[list | None, int, str | None]] = []
     row: list | None = None  # the innermost open bracket's row; None at top level
+    # without spans every bracket writes into this one row: at an empty
+    # constituent's close its label is the last one read, which the
+    # error names
+    shared = [None, 0, 0]
     state = _OPENED
     token: str | None = None  # the first atom after the label
     trees = 0  # brackets opened at top level
@@ -105,16 +116,18 @@ def parse_ptb(text: str) -> ConstituencyTree:
         if piece == "(":
             if row is None:
                 trees += 1
+            elif state == _LABELED:
+                state = _INNER
+            elif state == _OPENED:
+                state = _UNLABELED
+            elif state == _LEAF:
+                state = _BARE
+            enclosing.append((row, state, token))
+            if spans:
+                row = [None, len(tokens), 0]
+                rows.append(row)
             else:
-                if state == _LABELED:
-                    state = _INNER
-                elif state == _OPENED:
-                    state = _UNLABELED
-                elif state == _LEAF:
-                    state = _BARE
-                enclosing.append((row, state, token))
-            row = [None, len(tokens), 0]
-            rows.append(row)
+                row = shared
             state = _OPENED
             token = None
         elif piece == ")":
@@ -126,21 +139,18 @@ def parse_ptb(text: str) -> ConstituencyTree:
             elif state == _INNER:
                 row[2] = len(tokens)
             elif state == _LABELED:
-                raise EmptyConstituent(f"({row[0]}) has no children and no token")
+                raise EmptyConstituent(f"({_base_label(row[0])}) has no children and no token")
             elif state == _BARE:
                 raise UnbalancedBrackets(
                     f"bare token {token!r} where a bracketed child was expected"
                 )
             else:
                 raise MalformedLabel("constituent is missing its label")
-            if enclosing:
-                row, state, token = enclosing.pop()
-            else:
-                row = None
+            row, state, token = enclosing.pop()
         elif row is None:
             stray = True
         elif state == _OPENED:
-            row[0] = _base_label(piece)
+            row[0] = piece
             state = _LABELED
         elif state == _LABELED:
             state = _LEAF
@@ -154,9 +164,12 @@ def parse_ptb(text: str) -> ConstituencyTree:
         raise UnbalancedBrackets("input is not a single well-formed tree")
     # the wrapper goes only when it is internal with one child, which
     # then ends where it ends
-    if len(rows) > 1 and rows[0][0] in _WRAPPER_LABELS and rows[1][2] == rows[0][2]:
+    if len(rows) > 1 and rows[1][2] == rows[0][2] and _base_label(rows[0][0]) in _WRAPPER_LABELS:
         del rows[0]
-    return ConstituencyTree(tuple(tokens), tuple([tuple(row) for row in rows]))
+    # labels are normalized here, once per row, so a parse without spans
+    # normalizes none
+    table = tuple([(_base_label(label), start, end) for label, start, end in rows])
+    return ConstituencyTree(tuple(tokens), table)
 
 
 def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
@@ -166,14 +179,15 @@ def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
             yield index, line
 
 
-def parse_tree_line(line_index: int, line: str) -> ConstituencyTree:
-    """Parse the treebank line at 0-based line_index.
+def parse_tree_line(line_index: int, line: str, spans: bool = True) -> ConstituencyTree:
+    """Parse the treebank line at 0-based line_index, with or without its
+    span table, as parse_ptb does.
 
     A parse error keeps its type and gains a ``line N:`` prefix, N
     counted from 1.
     """
     try:
-        return parse_ptb(line)
+        return parse_ptb(line, spans)
     except TreebankError as exc:
         raise type(exc)(f"line {line_index + 1}: {exc}") from None
 

@@ -179,19 +179,29 @@ def test_build_npp_min_group_size_flag(tmp_path):
     assert _manifest(out)["counts"]["skips"] == {"no_eligible_group": 3}
 
 
-def test_build_npp_malformed_tree_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ("(S (NP", "input is not a single well-formed tree"),
+        ("(S (NP-SBJ))", "(NP) has no children and no token"),
+        ("((NN dog))", "constituent is missing its label"),
+    ],
+    ids=["UnbalancedBrackets", "EmptyConstituent", "MalformedLabel"],
+)
+def test_build_npp_malformed_tree_exits_3(tmp_path, capsys, tree, message):
     # build-pairs parses in the worker too, so at 2 workers the error on
     # line 2, in the worker's block, crosses to the parent in the worker's
-    # counts file and must keep its type and line number
+    # counts file and must keep its type and line number; it parses
+    # without spans, and must still print build-npp's line word for word
     trees = tmp_path / "bad.txt"
-    trees.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
+    trees.write_text(f"{DOG}\n{tree}\n", encoding="utf-8")
     commands = (["build-npp"], ["build-pairs", "--input-mode", "treebank"])
     for command in commands:
         for workers in ("1", "2"):
             out = tmp_path / f"{command[0]}-{workers}"
             argv = [*command, str(trees), "--out", str(out), "--workers", workers]
             assert main(argv) == 3, argv
-            assert "error: line 2:" in capsys.readouterr().err, argv
+            assert capsys.readouterr().err == f"error: line 2: {message}\n", argv
             assert list(out.glob(".nextphrase-*")) == [], argv
             assert list(out.glob("pairs_*.jsonl")) == [], argv
 

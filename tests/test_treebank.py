@@ -209,6 +209,22 @@ def _oracle_outcome(text):
     return ("tree", tokens, spans, root)
 
 
+def _tokens_outcome(text):
+    """("error", class, message), or ("tree", tokens) of a parse without
+    spans, whose span table must be empty."""
+    try:
+        tree = parse_ptb(text, spans=False)
+    except TreebankError as exc:
+        return ("error", type(exc), str(exc))
+    assert tree.spans == ()
+    return ("tree", tree.tokens)
+
+
+def _without_spans(outcome):
+    """What a parse without spans must give where the oracle gave outcome."""
+    return outcome[:2] if outcome[0] == "tree" else outcome
+
+
 @given(
     st.lists(st.sampled_from(FUZZ_PIECES), max_size=24).flatmap(
         lambda pieces: st.sampled_from((" ".join(pieces), "".join(pieces)))
@@ -217,7 +233,9 @@ def _oracle_outcome(text):
     | st.text(max_size=30)
 )
 def test_parse_matches_node_building_oracle(text):
-    assert _outcome(parse_ptb, text) == _oracle_outcome(text)
+    expected = _oracle_outcome(text)
+    assert _outcome(parse_ptb, text) == expected
+    assert _tokens_outcome(text) == _without_spans(expected)
 
 
 def test_parse_matches_oracle_on_seeded_fuzz():
@@ -229,5 +247,11 @@ def test_parse_matches_oracle_on_seeded_fuzz():
     for _ in range(100_000):
         pieces = rng.choices(FUZZ_PIECES, k=rng.randint(0, 16))
         texts.append((" " if rng.random() < 0.5 else "").join(pieces))
-    mismatches = [t for t in texts if _outcome(parse_ptb, t) != _oracle_outcome(t)]
+    mismatches = []
+    for text in texts:
+        expected = _oracle_outcome(text)
+        if _outcome(parse_ptb, text) != expected:
+            mismatches.append(text)
+        if _tokens_outcome(text) != _without_spans(expected):
+            mismatches.append(text)
     assert mismatches == []
