@@ -122,18 +122,24 @@ def _finish_build(
         sink.write(_json_text(payload))
 
 
-def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, int]:
-    """k items drawn uniformly from items, and how many items there were."""
+def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, Sequence[int], int]:
+    """k items drawn uniformly from items, in step with them an ``array('q')``
+    of where each sat in items, and how many items there were."""
+    from array import array  # an extension module; a build without a reservoir skips it
+
     chosen: list = []
+    where = array("q")
     seen = 0
     for seen, item in enumerate(items, 1):
         if seen <= k:
             chosen.append(item)
+            where.append(seen - 1)
         else:
             slot = rng.randrange(seen)
             if slot < k:
                 chosen[slot] = item
-    return chosen, seen
+                where[slot] = seen - 1
+    return chosen, where, seen
 
 
 def _tree_id(name: str, line_index: int) -> str:
@@ -193,7 +199,7 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
     sampled: dict = {}
     open_items = functools.partial(iter_tree_lines, args.input)
     if config.sample is not None:
-        picked, sampled["sentences_scanned"] = _reservoir(
+        picked, _, sampled["sentences_scanned"] = _reservoir(
             open_items(), config.sample, random.Random(config.seed)
         )
         open_items = functools.partial(iter, sorted(picked))
@@ -343,6 +349,38 @@ def _nsp_outcomes(
             yield 0, 1, (_record_line(sentence_id, *serialize_nsp(built)),)
 
 
+def _nsp_pool(
+    documents: Iterable[Sequence[str]], cap: int, rng: random.Random
+) -> tuple[list[str], tuple[Sequence[int], Sequence[int]], Sequence[int]]:
+    """The distractor pool of the documents' sentences, ``own`` and ``starts``:
+    ``own`` is each pool position's document, ascending, and in step the
+    position, so that distractors can skip a document's own; ``starts[d]``
+    is where document d's first sentence sits, and the last item is where
+    the last document ends.  A pool entry costs its text, a list slot and
+    16 bytes of arrays."""
+    from array import array  # an extension module; only raw-text builds need it
+
+    starts = array("q", [0])
+
+    def sentences() -> Iterator[str]:
+        for split in documents:
+            starts.append(starts[-1] + len(split))
+            yield from split
+
+    pool, where, _ = _reservoir(sentences(), cap, rng)
+    size = len(pool)
+    # a sentence's document is the last one starting at or before it; one
+    # sort of owner * size + position orders the positions by document,
+    # and within a document by position
+    packed = sorted(
+        (bisect.bisect_right(starts, stream) - 1) * size + position
+        for position, stream in enumerate(where)
+    )
+    del where
+    owners = array("q", (key // size for key in packed))
+    return pool, (owners, array("q", (key % size for key in packed))), starts
+
+
 def cmd_build_nsp(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     # one letter per choice, and the answer takes one of them
@@ -350,32 +388,19 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         raise UsageError(f"distractors must be between 1 and {MAX_CHOICES - 1}")
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
-    from array import array  # an extension module; only raw-text builds need it
-
     name = Path(args.input).stem
     guards = _guards(config)
-    # where each document's first sentence sits, and the end of the last
-    starts = array("q", [0])
-
-    def sentences() -> Iterator[tuple[int, str]]:
-        for doc_index, document in iter_documents(args.input, config.input_mode):
-            split = split_sentences(document, guards)
-            starts.append(starts[-1] + len(split))
-            for sentence in split:
-                yield doc_index, sentence
-
+    documents = (
+        split_sentences(document, guards)
+        for _, document in iter_documents(args.input, config.input_mode)
+    )
     # the pool pass keeps the pool, and of each document where its first
     # sentence sits; each document is split again where its block is built
-    pool, _ = _reservoir(sentences(), config.pool_cap, random.Random(config.seed))
-    texts = [sentence for _, sentence in pool]
-    # the pool positions by document, ascending; distractors skip a document's own
-    order = sorted(range(len(pool)), key=lambda position: pool[position][0])
-    own = (array("q", [pool[position][0] for position in order]), array("q", order))
-    del pool, order
+    pool, own, starts = _nsp_pool(documents, config.pool_cap, random.Random(config.seed))
     # forked workers inherit the pool and its owners with this partial
     outcomes_of = functools.partial(
         _nsp_outcomes,
-        pool=texts,
+        pool=pool,
         own=own,
         starts=starts,
         seed=config.seed,

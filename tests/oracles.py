@@ -459,6 +459,24 @@ def iter_sentence_texts(path, mode, corpus_name=None, guards=DEFAULT_GUARDS):
             yield make_sentence_id(name, doc_index, sent_index), sentence
 
 
+def nsp_pool_oracle(documents, cap, rng):
+    """build-nsp's distractor pool and its index by document, from a
+    reservoir of ``(doc_index, text)`` tuples and a stable sort of the pool
+    positions keyed by their document.  Returns the pool texts, each
+    sorted position's document, and the sorted positions."""
+    pool = []
+    items = ((doc_index, text) for doc_index, texts in enumerate(documents) for text in texts)
+    for seen, item in enumerate(items, 1):
+        if seen <= cap:
+            pool.append(item)
+        else:
+            slot = rng.randrange(seen)
+            if slot < cap:
+                pool[slot] = item
+    order = sorted(range(len(pool)), key=lambda position: pool[position][0])
+    return [text for _, text in pool], [pool[position][0] for position in order], order
+
+
 def assign_splits_oracle(n, ratios, seed):
     """The split index per position from a shuffled list, cut by split_counts."""
     order = list(range(n))

@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
@@ -158,6 +159,28 @@ def test_build_npp_sample(tmp_path):
     assert manifest["counts"]["sentences_scanned"] == 40
     assert manifest["counts"]["sentences_read"] == 5
     assert len(_records(out / "instances.jsonl")) == 5
+
+
+@given(
+    st.lists(st.integers(0, 6), max_size=25).flatmap(
+        lambda counts: st.tuples(st.just(counts), st.integers(1, sum(counts) + 3))
+    ),
+    st.integers(0, 2**16),
+)
+@example(([0, 3, 0, 0, 2, 5, 0], 2), 7)
+@example(([0, 3, 0, 0, 2, 5, 0], 11), 7)
+@example(([0, 0], 1), 0)
+@example(([], 1), 0)
+def test_nsp_pool_equals_the_tuple_oracle(counts_and_cap, seed):
+    counts, cap = counts_and_cap
+    documents = [[f"{d}.{i}" for i in range(n)] for d, n in enumerate(counts)]
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    pool, (owners, positions), starts = build._nsp_pool(iter(documents), cap, rng)
+    expected = oracles.nsp_pool_oracle(documents, cap, oracle_rng)
+    assert (pool, list(owners), list(positions)) == expected
+    assert list(starts) == [0, *itertools.accumulate(counts)]
+    # the same draws, and no more
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_build_npp_empty_input(tmp_path):

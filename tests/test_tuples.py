@@ -5,6 +5,9 @@ so CPython allocates a tuple of 10 slots and shrinks it.  Each call then
 leaves a freshly allocated small tuple on a free list once it is freed,
 and a build that makes one per record parks memory that grows with its
 input until those free lists are full.
+
+``build-nsp`` keeps its distractor pool as texts plus arrays, with no
+tuple or boxed document number per pool sentence.
 """
 
 import ast
@@ -15,8 +18,10 @@ import sys
 from pathlib import Path
 
 import nextphrase
+from nextphrase.corpus import DEFAULT_GUARDS, split_sentences
 
-from conftest import random_tree_text
+from conftest import random_sentence, random_tree_text
+from oracles import nsp_pool_oracle
 
 PACKAGE = Path(nextphrase.__file__).parent
 SRC = str(PACKAGE.parent)
@@ -97,3 +102,50 @@ def test_build_npp_holds_no_more_after_ten_times_the_trees(tmp_path):
     # the bound leaves room for what CPython parks by itself, such as
     # freed 20-item tuples, which 3.11 keeps on a free list but never reuses
     assert int(done.stdout) < 256 * 1024
+
+
+# build-nsp at each pool cap in one process, each traced on its own
+# after a first build that loads what a build loads
+POOL_PEAKS = """
+import sys, tracemalloc
+from nextphrase.cli import main
+emails, out = sys.argv[1:3]
+peaks = []
+for cap in sys.argv[3:]:
+    tracemalloc.start()
+    assert main(["build-nsp", emails, "--out", out + cap, "--pool-cap", cap]) == 0
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(*peaks[1:])
+"""
+
+
+def test_build_nsp_pays_few_bytes_per_pool_entry_beyond_its_text(tmp_path):
+    rng = random.Random(30)
+    emails = [
+        " ".join(
+            " ".join(random_sentence(rng, 3, 12)).capitalize() + "."
+            for _ in range(rng.randint(2, 8))
+        )
+        for _ in range(800)
+    ]
+    path = tmp_path / "emails.txt"
+    path.write_text("".join(email + "\n" for email in emails), encoding="utf-8")
+    documents = [split_sentences(email, DEFAULT_GUARDS) for email in emails]
+    caps = (200, 2000)
+    assert sum(map(len, documents)) > caps[1]
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_PEAKS, str(path), str(tmp_path / "out"), "1", *map(str, caps)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    small, large = map(int, done.stdout.split())
+    # the pool's texts at each cap, drawn with the build's default seed
+    texts = [nsp_pool_oracle(documents, cap, random.Random(0))[0] for cap in caps]
+    text_bytes = sum(map(sys.getsizeof, texts[1])) - sum(map(sys.getsizeof, texts[0]))
+    per_entry = (large - small - text_bytes) / (caps[1] - caps[0])
+    # 65-78 B with a (doc_index, text) tuple per entry and a sort keyed by
+    # a lambda, 18-33 B with the texts and two arrays (3.10 to 3.13)
+    assert per_entry < 48
