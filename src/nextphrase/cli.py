@@ -412,4 +412,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as __main__, this file is not the module nextphrase.cli that the
+    # builders import, so main here would not catch their UsageError;
+    # the process entry runs that module's main
+    from nextphrase.__main__ import main as run
+
+    run()

@@ -1,5 +1,7 @@
 import datetime
+import gc
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
 import nextphrase.treebank
-from nextphrase import build, cli
+from nextphrase import __main__ as entry, build, cli
 from nextphrase.build import _npp_outcomes, _pair_lines, _record_line, _tree_pair_outcomes
 from nextphrase.cli import PipelineConfig, main
 from nextphrase.corpus import detokenize, tokenize
@@ -1506,3 +1508,87 @@ def test_debug_phrases_tsv(tmp_path, capsys):
         "NP\t4\t5\tpie",
         "VP\t3\t5\teat pie",
     ]
+
+
+# ---------------------------------------------------- the process entry
+
+# every way to start a run in a fresh process: the installed script runs
+# the function that python -m nextphrase runs
+ENTRY_MODULES = ("nextphrase", "nextphrase.cli")
+
+
+def _run_module(module, argv):
+    """One run of the command line in a fresh process, as python -m module."""
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+@pytest.mark.parametrize(
+    "case, code, err",
+    [
+        ("stats", 0, ""),
+        ("distractors", 1, "error: distractors must be between 1 and 25\n"),
+        ("workers", 1, "error: workers must be >= 1\n"),
+        ("malformed-tree", 3, "error: line 2: input is not a single well-formed tree\n"),
+    ],
+    ids=["stats", "distractors", "workers", "malformed-tree"],
+)
+def test_a_process_entry_prints_and_exits_as_main_does(tmp_path, capsys, module, case, code, err):
+    # the usage errors are raised in nextphrase.build, which imports the
+    # UsageError of nextphrase.cli, not of a cli.py that runs as __main__
+    docs, out = str(_write_docs(tmp_path)), str(tmp_path / "out")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
+    argv = {
+        "stats": ["stats", docs],
+        "distractors": ["build-nsp", docs, "--out", out, "--distractors", "30"],
+        "workers": ["build-pairs", docs, "--out", out, "--workers", "0"],
+        "malformed-tree": ["build-npp", str(bad), "--out", out],
+    }[case]
+    assert main(argv) == code
+    in_process = capsys.readouterr()
+    assert in_process.err == err
+    done = _run_module(module, argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, in_process.out, err)
+    if case == "stats":
+        assert done.stdout.startswith("Dataset  Train  Dev  Test\n")
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+def test_a_process_entry_writes_the_golden_report(tmp_path, module):
+    report = tmp_path / "report.txt"
+    done = _run_module(module, _evaluate_argv(report))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
+    assert (tmp_path / "report.txt.json").read_bytes() == (DATA / "golden_report.json").read_bytes()
+
+
+def test_the_installed_script_is_the_process_entry():
+    # a text match, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\nnextphrase = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert target, pyproject
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is entry.main
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["build-npp", str(_write_trees(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_once_before_main_and_exits_with_its_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as stop:
+        entry.main()
+    assert calls == ["freeze", "main"]
+    assert stop.value.code == 3
