@@ -1,15 +1,33 @@
 """The process entry of the command line.
 
 ``nextphrase``, ``python -m nextphrase`` and ``python -m nextphrase.cli``
-all start a run through ``main`` here.  A caller that runs a command in
-its own process calls ``nextphrase.cli.main(argv)`` instead, which
-leaves the garbage collector as it found it.
+all start a run through ``main`` here, which alone sets what belongs to
+the process: the frozen start-up heap and the stop signals.  A program
+that runs a command inside itself calls ``nextphrase.cli.main(argv)``,
+which touches neither, and gets Ctrl-C as ``KeyboardInterrupt``.
 """
 
+import _signal  # the core of signal, loaded at start-up: signal itself loads enum
 import gc
+import os
 import sys
 
 from . import cli
+
+
+class Terminated(BaseException):
+    """SIGTERM arrived while the command ran."""
+
+
+def _terminated(signum, frame):
+    raise Terminated
+
+
+def _end_by(signum: int) -> None:
+    """End this process by the default action of signum, so that its
+    parent sees the signal."""
+    _signal.signal(signum, _signal.SIG_DFL)
+    os.kill(os.getpid(), signum)
 
 
 def main() -> None:
@@ -21,9 +39,28 @@ def main() -> None:
     included, so no collection walks them again.  What the command makes
     is not frozen: it is still collected and finalized at exit, and a
     file it leaks still warns there.
+
+    While the command runs, SIGTERM raises ``Terminated`` in it, as
+    SIGINT raises ``KeyboardInterrupt``, so that its cleanup runs; then
+    the process ends by that signal, with no traceback.  A SIGTERM that
+    the parent process left ignored stays ignored.
     """
     gc.freeze()
-    sys.exit(cli.main())
+    sigterm = _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
+    if sigterm:
+        _signal.signal(_signal.SIGTERM, _terminated)
+    try:
+        code = cli.main()
+    except Terminated:
+        _end_by(_signal.SIGTERM)
+        raise
+    except KeyboardInterrupt:
+        _end_by(_signal.SIGINT)
+        raise
+    finally:  # a SIGTERM while the process exits prints no traceback
+        if sigterm:
+            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

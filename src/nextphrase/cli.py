@@ -16,19 +16,20 @@ the builders, the fan-out or the instance code.  Exit codes, all set in
 that is not UTF-8 or one that changed while a build read it, 3 data
 contract violation (malformed tree, mismatched eval files), 4 a worker
 process could not be forked or died, for example when it was killed or
-ran out of memory.  Ctrl-C and SIGTERM end a run by their signal, with
-no traceback, once its staged outputs and its workers are gone.
+ran out of memory; ``--help`` and ``--version`` exit 0.  ``main`` sets no
+signal handler: Ctrl-C raises KeyboardInterrupt out of it once the run's
+staged outputs and its workers are gone, and ``nextphrase.__main__``
+ends a process by the signal.
 """
 
 from __future__ import annotations
 
-import _signal  # the core of signal, loaded at start-up: signal itself loads enum
 import argparse
 import json
 import os
 import shutil
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
@@ -68,10 +69,6 @@ INPUT_MODES = ("lines", "dir", "treebank")
 
 class UsageError(Exception):
     pass
-
-
-class Terminated(BaseException):
-    """SIGTERM arrived while a command ran."""
 
 
 class PipelineConfig(NamedTuple):
@@ -165,45 +162,6 @@ def _guards(config: PipelineConfig) -> tuple[str, ...]:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _terminated(signum, frame):
-    raise Terminated
-
-
-def _end_by(signum: int) -> None:
-    """End this process by the default action of signum, so that its
-    caller sees the signal; raises ValueError outside the main thread."""
-    _signal.signal(signum, _signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
-@contextmanager
-def _signals_end_the_run() -> Iterator[None]:
-    """While the block runs, SIGTERM raises Terminated in it, as SIGINT
-    raises KeyboardInterrupt, so that its cleanup runs; then the process
-    ends by that signal, with no traceback.  A signal whose handler the
-    caller set is left alone, and so is every signal outside the main
-    thread, which alone gets them."""
-    sigterm = _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
-    if sigterm:
-        try:
-            _signal.signal(_signal.SIGTERM, _terminated)
-        except ValueError:  # not the main thread
-            sigterm = False
-    try:
-        yield
-    except Terminated:  # raised only by the handler set above, in the main thread
-        _end_by(_signal.SIGTERM)
-        raise
-    except KeyboardInterrupt:
-        if _signal.getsignal(_signal.SIGINT) is _signal.default_int_handler:
-            with suppress(ValueError):  # not the main thread
-                _end_by(_signal.SIGINT)
-        raise
-    finally:
-        if sigterm:
-            _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
 
 
 @contextmanager
@@ -312,9 +270,16 @@ def cmd_debug_phrases(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- parser
 
 
+class _ParserExit(Exception):
+    """--help or --version printed what it was asked for; args[0] is the exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1, not argparse's default 2
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # called only by --help and --version
+        raise _ParserExit(status)
 
 
 def _build(args: argparse.Namespace) -> int:
@@ -383,15 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with _signals_end_the_run():
-            return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except _ParserExit as done:
+        return done.args[0]
     except (UsageError, RatioSumInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -362,11 +362,13 @@ def test_a_build_loads_neither_string_nor_datetime(tmp_path, command):
 
 
 def test_a_run_puts_back_sigterm_and_runs_outside_the_main_thread(tmp_path):
-    # a run handles SIGTERM while its command runs, and puts SIG_DFL back;
-    # only the main thread can set a handler, so elsewhere a run goes without
+    # main sets no signal handler, which only the main thread could set;
+    # the process entry handles the stop signals
     trees = _write_trees(tmp_path)
+    sigint = signal.getsignal(signal.SIGINT)
     assert main(["build-npp", str(trees), "--out", str(tmp_path / "main")]) == 0
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    assert signal.getsignal(signal.SIGINT) is sigint
     codes = []
     argv = ["build-npp", str(trees), "--out", str(tmp_path / "thread")]
     thread = threading.Thread(target=lambda: codes.append(main(argv)))
@@ -655,9 +657,10 @@ cli.evaluate_files = evaluate_files
 
 
 def _stopped_evaluate(tmp_path: Path, signum: int) -> None:
-    """Send signum to an evaluate run while it scores, before it stages any
-    output: as Python ends on an uncaught Ctrl-C, it ends by the signal,
-    but silently, and leaves the report directory as it was."""
+    """Send signum to an evaluate run, started through the process entry,
+    while it scores, before it stages any output: as Python ends on an
+    uncaught Ctrl-C, it ends by the signal, but silently, and leaves the
+    report directory as it was."""
     (tmp_path / "slow.py").write_text(SLOW_EVALUATE, encoding="utf-8")
     report = tmp_path / "ev" / "report.txt"
     assert main(_evaluate_argv(report)) == 0
@@ -665,7 +668,7 @@ def _stopped_evaluate(tmp_path: Path, signum: int) -> None:
     started = tmp_path / "started"
     src = str(Path(nextphrase.corpus.__file__).parents[1])
     run = subprocess.Popen(
-        [sys.executable, "-c", "import slow, sys; from nextphrase.cli import main; sys.exit(main())",
+        [sys.executable, "-c", "import slow; from nextphrase.__main__ import main; main()",
          *_evaluate_argv(report)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -1567,6 +1570,22 @@ def test_a_process_entry_writes_the_golden_report(tmp_path, module):
     assert (done.returncode, done.stderr) == (0, "")
     assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
     assert (tmp_path / "report.txt.json").read_bytes() == (DATA / "golden_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+@pytest.mark.parametrize("argv", [["--version"], ["stats", "--help"]], ids=["version", "help"])
+def test_version_and_help_print_and_return_0(capsys, monkeypatch, module, argv):
+    # in process, main returns argparse's status rather than raise SystemExit
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the help at
+    assert main(argv) == 0
+    in_process = capsys.readouterr()
+    assert in_process.err == ""
+    if argv == ["--version"]:
+        assert in_process.out == "0.1.0\n"
+    else:
+        assert in_process.out.startswith("usage: nextphrase stats [-h] [--ratios A,B,C]\n")
+    done = _run_module(module, argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, in_process.out, "")
 
 
 def test_the_installed_script_is_the_process_entry():

@@ -7,7 +7,9 @@ part of the first block; a worker reads nothing past its block; a
 worker's failure, which it leaves in its counts file before it exits, its
 death, a fork that fails, whatever multiprocessing start method the
 caller has set, Ctrl-C and SIGTERM leave --out as it was and no worker
-process behind, and SIGTERM still ends the build by SIGTERM; an input
+process behind, SIGTERM still ends the build by SIGTERM, a SIGTERM that
+the caller left ignored stops nothing, and Ctrl-C reaches a program that
+runs cli.main in its own process as KeyboardInterrupt; an input
 that ends before its counted end, or a raw-text document whose sentence
 count changed since the count, exits 2 and leaves --out as it was; the
 first error of an input is the same at any worker count; and the one
@@ -572,34 +574,51 @@ build._npp_outcomes = outcomes
 """
 
 
-def _stopped_build(tmp_path: Path, workers: str, stop) -> tuple[int, bytes]:
-    """The exit status and standard error of a slow build-npp of 40 trees,
-    run in a session of its own into tmp_path / "out", which holds the
-    bytes of a finished build before it; once every one of its processes
-    builds, ``stop(its pid, the pids that build)`` runs.  Afterwards no
-    process of its session is left, and --out is as it was."""
+# python -c runs one of these on the argv of a build after it imports slow
+THROUGH_THE_ENTRY = "import slow; from nextphrase.__main__ import main; main()"
+IN_PROCESS = """
+import slow, sys
+from nextphrase.cli import main
+try:
+    main()
+except KeyboardInterrupt:
+    sys.stderr.write("caught KeyboardInterrupt\\n")
+"""
+
+
+def _slow_argv(tmp_path: Path, workers: str) -> list[str]:
+    """A build-npp of 40 trees, which builds slowly once tmp_path's slow.py is imported."""
     (tmp_path / "slow.py").write_text(SLOW, encoding="utf-8")
     rng = random.Random(6)
     trees = _tree_file(tmp_path / "trees.txt", [random_tree_text(rng, 5, 4) for _ in range(40)])
-    out = tmp_path / "out"
-    argv = ["build-npp", str(trees), "--out", str(out), "--workers", workers]
-    before = _before(argv, out)
+    return ["build-npp", str(trees), "--workers", workers]
+
+
+def _slow_build(
+    tmp_path: Path, argv: list[str], stop, code: str = THROUGH_THE_ENTRY, **popen
+) -> tuple[int, bytes]:
+    """The exit status and standard error of python -c code on argv, a slow
+    build, run in a session of its own with the further Popen options;
+    once every one of its processes builds, ``stop(its pid, the pids that
+    build)`` runs.  Afterwards no process of its session is left."""
+    workers = int(argv[argv.index("--workers") + 1])
     started = tmp_path / "started"
     # a session of its own, so that a signal can go to its whole process group
     build = subprocess.Popen(
-        [sys.executable, "-c", "import slow, sys; from nextphrase.cli import main; sys.exit(main())", *argv],
+        [sys.executable, "-c", code, *argv],
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)]), "STARTED": str(started)},
         start_new_session=True,
+        **popen,
     )
     try:
         builders: set[int] = set()
         deadline = time.monotonic() + 60
-        while len(builders) < int(workers) and build.poll() is None and time.monotonic() < deadline:
+        while len(builders) < workers and build.poll() is None and time.monotonic() < deadline:
             time.sleep(0.01)
             if started.exists():
                 builders = set(map(int, started.read_text(encoding="utf-8").split()))
-        assert len(builders) == int(workers)
+        assert len(builders) == workers
         stop(build.pid, builders)
         _, err = build.communicate(timeout=60)
     finally:
@@ -609,8 +628,21 @@ def _stopped_build(tmp_path: Path, workers: str, stop) -> tuple[int, bytes]:
     # no process of the group is left: the workers were stopped and reaped
     with pytest.raises(ProcessLookupError):
         os.killpg(build.pid, 0)
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     return build.returncode, err
+
+
+def _stopped_build(
+    tmp_path: Path, workers: str, stop, code: str = THROUGH_THE_ENTRY
+) -> tuple[int, bytes]:
+    """The exit status and standard error of a slow build (see _slow_build)
+    into tmp_path / "out", which holds the bytes of a finished build
+    before it; afterwards --out is as it was."""
+    out = tmp_path / "out"
+    argv = _slow_argv(tmp_path, workers)
+    before = _before(argv, out)
+    result = _slow_build(tmp_path, [*argv, "--out", str(out)], stop, code)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    return result
 
 
 def test_ctrl_c_stops_the_workers_and_leaves_out_as_it_was(tmp_path):
@@ -625,6 +657,29 @@ def test_sigterm_stops_the_workers_and_leaves_out_as_it_was(tmp_path, workers):
     # the staging directory is gone, and the build still ends by SIGTERM
     assert code == -signal.SIGTERM
     assert err == b""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ctrl_c_reaches_an_in_process_caller_once_the_build_is_gone(tmp_path, workers):
+    code, err = _stopped_build(tmp_path, workers, lambda pid, _: os.killpg(pid, signal.SIGINT), IN_PROCESS)
+    # cli.main raised KeyboardInterrupt to its caller, whose handler ran
+    assert (code, err) == (0, b"caught KeyboardInterrupt\n")
+    assert list((tmp_path / "out").glob(".nextphrase-*")) == []
+
+
+def test_a_sigterm_the_caller_left_ignored_does_not_stop_the_build(tmp_path, capsys):
+    argv = _slow_argv(tmp_path, "1")
+    assert main([*argv, "--out", str(tmp_path / "undisturbed")]) == 0
+    info = capsys.readouterr().err.encode()
+    out = tmp_path / "out"
+    code, err = _slow_build(
+        tmp_path,
+        [*argv, "--out", str(out)],
+        lambda pid, _: os.kill(pid, signal.SIGTERM),
+        preexec_fn=lambda: signal.signal(signal.SIGTERM, signal.SIG_IGN),
+    )
+    assert (code, err) == (0, info)
+    assert _written(out) == _written(tmp_path / "undisturbed")
 
 
 def test_sigterm_to_a_worker_alone_fails_the_build_with_exit_4(tmp_path):
