@@ -1,8 +1,9 @@
 """The process entry of the command line.
 
-``nextphrase``, ``python -m nextphrase`` and ``python -m nextphrase.cli``
-all start a run through ``main`` here, which alone sets what belongs to
-the process: the frozen start-up heap and the stop signals.  A program
+``nextphrase`` and ``python -m nextphrase`` both start a run through
+``main`` here, which alone sets what belongs to the process: the frozen
+start-up heap and the stop signals.  ``nextphrase.cli`` is a plain
+module, so ``python -m nextphrase.cli`` starts no run.  A program
 that runs a command inside itself calls ``nextphrase.cli.main(argv)``,
 which touches neither, and gets Ctrl-C as ``KeyboardInterrupt``.
 """

@@ -28,14 +28,13 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .cli import (
-    EXIT_OK,
     PipelineConfig,
     UsageError,
+    _document_sentences,
     _guards,
     _info,
     _json_text,
     _output_files,
-    _sentence_counts,
     resolve_config,
 )
 from .corpus import (
@@ -193,7 +192,7 @@ def _npp_outcomes(item: tuple[int, str], seed: int, min_size: int, name: str) ->
         yield 0, 1, (_record_line(sentence_id, *serialize_npp(built)),)
 
 
-def cmd_build_npp(args: argparse.Namespace) -> int:
+def cmd_build_npp(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = Path(args.input).stem
     sampled: dict = {}
@@ -219,7 +218,6 @@ def cmd_build_npp(args: argparse.Namespace) -> int:
         }
         _finish_build(sinks, args, config, counts, counts)
     _log_records(args, counts, "sentences_read")
-    return EXIT_OK
 
 
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
@@ -253,10 +251,12 @@ def _pair_outcomes(split: int, sentence_id: str, tokens: Sequence[str]) -> tuple
     return ((split, pairs, lines) if pairs else SkipReason.TOO_SHORT.value,)
 
 
-def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], name: str) -> tuple:
-    split, (line_index, line) = record
+def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], splits: bytearray, name: str) -> tuple:
+    """A tree line's outcome; ``record`` is its position among the tree
+    lines and the line, and ``splits`` gives each position's split."""
+    position, (line_index, line) = record
     tokens = parse_tree_line(line_index, line, spans=False).tokens
-    return _pair_outcomes(split, _tree_id(name, line_index), tokens)
+    return _pair_outcomes(splits[position], _tree_id(name, line_index), tokens)
 
 
 def _text_pair_outcomes(
@@ -275,7 +275,7 @@ def _text_pair_outcomes(
         yield from _pair_outcomes(splits[first + position], sentence_id, tokenize(sentence))
 
 
-def cmd_build_pairs(args: argparse.Namespace) -> int:
+def cmd_build_pairs(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
     if config.input_mode == "treebank":
@@ -283,10 +283,10 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         # where its block is built
         total = sum(1 for _ in iter_tree_lines(args.input))
         splits = assign_splits(total, config.ratios, config.seed)
-        items, outcomes_of = total, functools.partial(_tree_pair_outcomes, name=name)
+        items, outcomes_of = total, functools.partial(_tree_pair_outcomes, splits=splits, name=name)
 
         def open_items():
-            return zip(splits, iter_tree_lines(args.input))
+            return enumerate(iter_tree_lines(args.input))
 
     else:
         from array import array  # an extension module; only raw-text builds need it
@@ -294,8 +294,8 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         # the count pass keeps one number per document, where its first
         # sentence sits; each document is split again where its block is built
         guards = _guards(config)
-        per_document = _sentence_counts(args.input, config.input_mode, guards)
-        starts = array("q", itertools.accumulate(per_document, initial=0))
+        documents = _document_sentences(args.input, config.input_mode, guards)
+        starts = array("q", itertools.accumulate(map(len, documents), initial=0))
         total, items = starts[-1], len(starts) - 1
         splits = assign_splits(total, config.ratios, config.seed)
         outcomes_of = functools.partial(
@@ -318,7 +318,6 @@ def cmd_build_pairs(args: argparse.Namespace) -> int:
         _finish_build(sinks, args, config, counts, stats)
     print(format_stats_table([(name, sentence_counts)]))
     _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
-    return EXIT_OK
 
 
 def _nsp_outcomes(
@@ -381,7 +380,7 @@ def _nsp_pool(
     return pool, (owners, array("q", (key % size for key in packed))), starts
 
 
-def cmd_build_nsp(args: argparse.Namespace) -> int:
+def cmd_build_nsp(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     # one letter per choice, and the answer takes one of them
     if not 1 <= config.distractors < MAX_CHOICES:
@@ -390,10 +389,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
     name = Path(args.input).stem
     guards = _guards(config)
-    documents = (
-        split_sentences(document, guards)
-        for _, document in iter_documents(args.input, config.input_mode)
-    )
+    documents = _document_sentences(args.input, config.input_mode, guards)
     # the pool pass keeps the pool, and of each document where its first
     # sentence sits; each document is split again where its block is built
     pool, own, starts = _nsp_pool(documents, config.pool_cap, random.Random(config.seed))
@@ -418,7 +414,6 @@ def cmd_build_nsp(args: argparse.Namespace) -> int:
         }
         _finish_build(sinks, args, config, counts, counts)
     _log_records(args, counts, "contexts_read")
-    return EXIT_OK
 
 
 # the build commands by name: cli.main runs them and maps their errors to exit codes

@@ -7,8 +7,9 @@
     nextphrase stats INPUT [INPUT ...]
     nextphrase debug-phrases TREES
 
-This module parses the command line and runs the command it names.
-``evaluate``, ``stats`` and ``debug-phrases`` live here; the three
+This module parses the command line and runs the command it names; it
+is a plain module, not a program, so ``python -m nextphrase.cli`` starts
+no run.  ``evaluate``, ``stats`` and ``debug-phrases`` live here; the three
 build commands live in ``nextphrase.build``, which ``main`` imports only
 once it has parsed a build command, so the other commands never load
 the builders, the fan-out or the instance code.  Exit codes, all set in
@@ -200,11 +201,11 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
             )
 
 
-def _sentence_counts(path, mode: str, guards: Sequence[str]) -> Iterator[int]:
-    """Each document's sentence count, in document order: the count pass of
-    build-pairs and of stats."""
+def _document_sentences(path, mode: str, guards: Sequence[str]) -> Iterator[list[str]]:
+    """Each document's sentences, in document order: the first pass over raw
+    text of stats, build-pairs and build-nsp."""
     for _, document in iter_documents(path, mode):
-        yield len(split_sentences(document, guards))
+        yield split_sentences(document, guards)
 
 
 # ---------------------------------------------------------- subcommands
@@ -214,7 +215,7 @@ def _info(message: str) -> None:
     print(f"INFO {message}", file=sys.stderr)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     report = evaluate_files(args.candidates, args.references)
     text = render_report(report)
     report_path = Path(args.report)
@@ -224,10 +225,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         json_sink.write(report_to_json(report))
     # printed once the files are in place, so a failed run prints no report
     print(text)
-    return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     names = [Path(path).stem for path in args.inputs]
     for name in names:
@@ -242,7 +242,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             # the non-blank lines build-pairs splits; no tree is parsed
             total = sum(1 for _ in iter_tree_lines(path))
         else:
-            total = sum(_sentence_counts(path, config.input_mode, guards))
+            total = sum(map(len, _document_sentences(path, config.input_mode, guards)))
         rows.append((name, split_counts(total, config.ratios)))
     if args.out:
         payload = {
@@ -252,10 +252,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             sink.write(_json_text(payload))
     # as evaluate, printed once stats.json is in place
     print(format_stats_table(rows))
-    return EXIT_OK
 
 
-def cmd_debug_phrases(args: argparse.Namespace) -> int:
+def cmd_debug_phrases(args: argparse.Namespace) -> None:
     rows = [
         f"{kind}\t{span.start}\t{span.end}\t{span.text}\n"
         for _, tree in read_treebank(args.input)
@@ -264,7 +263,6 @@ def cmd_debug_phrases(args: argparse.Namespace) -> int:
     ]
     # as evaluate and stats, printed once every tree has parsed
     sys.stdout.writelines(rows)
-    return EXIT_OK
 
 
 # --------------------------------------------------------------- parser
@@ -282,10 +280,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(status)
 
 
-def _build(args: argparse.Namespace) -> int:
+def _build(args: argparse.Namespace) -> None:
     from . import build  # only a build loads the builders, the fan-out and instances
 
-    return build.COMMANDS[args.command](args)
+    build.COMMANDS[args.command](args)
 
 
 def _add_build(
@@ -350,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except _ParserExit as done:
         return done.args[0]
     except (UsageError, RatioSumInvalid) as exc:
@@ -370,12 +369,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    # run as __main__, this file is not the module nextphrase.cli that the
-    # builders import, so main here would not catch their UsageError;
-    # the process entry runs that module's main
-    from nextphrase.__main__ import main as run
-
-    run()

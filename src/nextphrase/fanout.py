@@ -13,9 +13,10 @@ and its counts into a file of their own.  This process reaps the
 workers in block order: a worker that exited 0 has its counts read and
 its parts appended, and any other exit fails the build.  So the output
 bytes and counts do not depend on the worker count.  Each process reads
-the items anew, so a block whose items end before its counted end fails
-with ``InputChanged``.  The workers' files are written next to the
-sinks, so the sinks' directory must be the caller's own.
+the items anew, so a block whose items end before its counted end
+fails with ``InputChanged``, and so does the last block when the items
+go on past it.  The workers' files are written next to the sinks, so
+the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
@@ -71,14 +72,18 @@ def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextI
 
 def _block(open_items: Callable[[], Iterable], bounds: Sequence[int], k: int) -> Iterator:
     """Block k of a new pass over the items: those from ``bounds[k]`` up to
-    ``bounds[k + 1]``, none read past its end; raises InputChanged when the
-    items end before it does."""
+    ``bounds[k + 1]``; raises InputChanged when the items end before it
+    does.  Only the last block reads past its end, one item, and raises
+    InputChanged if there is one."""
     start, stop = bounds[k], bounds[k + 1]
+    items = iter(open_items())
     end = start
-    for end, item in enumerate(itertools.islice(open_items(), start, stop), start + 1):
+    for end, item in enumerate(itertools.islice(items, start, stop), start + 1):
         yield item
     if end < stop:
         raise InputChanged(f"it ended before item {stop} of the {bounds[-1]} counted")
+    if stop == bounds[-1] and list(itertools.islice(items, 1)):
+        raise InputChanged(f"it has more than the {stop} items counted")
 
 
 def _serve(
@@ -208,9 +213,10 @@ def fan_out(
     items come from a call: an iterator that had read from a file before
     the fork would share the file's offset with every worker.  An
     exception in a block is raised here in block order, ``InputChanged``
-    when a block's items end before the block does; a worker that does
-    not exit 0, killed or not, fails the build with ``WorkerDied`` when
-    its block's turn comes, and one that cannot be forked at once.
+    when a block's items end before the block does or go on past the
+    last block; a worker that does not exit 0, killed or not, fails the
+    build with ``WorkerDied`` when its block's turn comes, and one that
+    cannot be forked at once.
     Workers write their part files ``<sink name>.<worker>`` and their
     counts file ``<first sink name>.<worker>.counts`` next to the sinks,
     and a failed run can leave some behind, so the sinks' directory must

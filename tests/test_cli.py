@@ -258,7 +258,8 @@ def test_tree_records_build_no_nodes(monkeypatch):
     outcomes = []
     for index, text in enumerate((SHOP, EAT_PIE, DOG, f"(ROOT {SHOP})", list_tree(3))):
         outcomes += _npp_outcomes((index, text), seed=3, min_size=2, name="t")
-        ((_, pairs, lines),) = _tree_pair_outcomes((0, (index, text)), name="t")
+        record = (0, (index, text))
+        ((_, pairs, lines),) = _tree_pair_outcomes(record, splits=bytearray(1), name="t")
         assert pairs and "".join(lines)
     assert any(isinstance(outcome, tuple) for outcome in outcomes)
 
@@ -996,7 +997,8 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
             passes[-1] += 1
             yield item
 
-    # the count pass of build-pairs is cli._sentence_counts, which stats shares
+    # the first pass of build-pairs is cli._document_sentences, which stats
+    # and build-nsp share
     for module in (cli, build):
         monkeypatch.setattr(module, "split_sentences", counted_split)
         monkeypatch.setattr(module, "iter_documents", counted_read)
@@ -1488,6 +1490,39 @@ def test_bad_ratios_exit_1_before_the_input_is_read(tmp_path, capsys):
     assert not out.exists()
 
 
+# each command's arguments after its input, its exit code and its one
+# error line, where {input} is the input's path
+ONE_LINE_ERRORS = {
+    "min-group-size": ("build-npp", ["--min-group-size", "0"], 1, "min-group-size must be >= 1"),
+    "ratios-build-pairs": ("build-pairs", ["--ratios", "a,b,c"], 1, "bad ratios: 'a,b,c'"),
+    "ratios-stats": ("stats", ["--ratios", "a,b,c"], 1, "bad ratios: 'a,b,c'"),
+    "nsp-treebank-config": (
+        "build-nsp",
+        ["--config", "{input}.cfg"],
+        1,
+        "build-nsp reads raw text (input mode lines or dir)",
+    ),
+    **{
+        f"dir-{command}": (command, ["--input-mode", "dir"], 2, "not a directory: {input}")
+        for command in ("build-pairs", "build-nsp", "stats")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LINE_ERRORS))
+def test_an_error_prints_its_line_alone_and_writes_no_out(tmp_path, capsys, case):
+    command, options, code, message = ONE_LINE_ERRORS[case]
+    source = _write_trees(tmp_path) if command == "build-npp" else _write_docs(tmp_path)
+    # the config file of nsp-treebank-config
+    Path(f"{source}.cfg").write_text("input_mode=treebank\n", encoding="utf-8")
+    out = tmp_path / "out"
+    options = [option.format(input=source) for option in options]
+    assert main([command, str(source), *options, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(input=source)}\n")
+    assert not out.exists()
+
+
 def test_debug_phrases_prints_nothing_when_a_tree_fails(tmp_path, capsys):
     trees = tmp_path / "trees.txt"
     trees.write_text("(S (NP (PRP She)) (VP (VBZ naps)))\n(S (NP\n", encoding="utf-8")
@@ -1517,7 +1552,7 @@ def test_debug_phrases_tsv(tmp_path, capsys):
 
 # every way to start a run in a fresh process: the installed script runs
 # the function that python -m nextphrase runs
-ENTRY_MODULES = ("nextphrase", "nextphrase.cli")
+ENTRY_MODULES = ("nextphrase",)
 
 
 def _run_module(module, argv):
@@ -1543,8 +1578,6 @@ def _run_module(module, argv):
     ids=["stats", "distractors", "workers", "malformed-tree"],
 )
 def test_a_process_entry_prints_and_exits_as_main_does(tmp_path, capsys, module, case, code, err):
-    # the usage errors are raised in nextphrase.build, which imports the
-    # UsageError of nextphrase.cli, not of a cli.py that runs as __main__
     docs, out = str(_write_docs(tmp_path)), str(tmp_path / "out")
     bad = tmp_path / "bad.txt"
     bad.write_text(f"{DOG}\n(S (NP\n", encoding="utf-8")
@@ -1586,6 +1619,11 @@ def test_version_and_help_print_and_return_0(capsys, monkeypatch, module, argv):
         assert in_process.out.startswith("usage: nextphrase stats [-h] [--ratios A,B,C]\n")
     done = _run_module(module, argv)
     assert (done.returncode, done.stdout, done.stderr) == (0, in_process.out, "")
+
+
+def test_the_cli_module_starts_no_run(tmp_path):
+    done = _run_module("nextphrase.cli", ["stats", str(_write_docs(tmp_path))])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def test_the_installed_script_is_the_process_entry():

@@ -3,15 +3,16 @@ block and each forked worker reads the input up to the end of its own
 block and builds that block: at --workers 2 and 3 every build writes the
 bytes of --workers 1, also on fewer records than workers; --workers N
 forks min(N, records) - 1 workers, so no block is empty, and appends no
-part of the first block; a worker reads nothing past its block; a
-worker's failure, which it leaves in its counts file before it exits, its
-death, a fork that fails, whatever multiprocessing start method the
-caller has set, Ctrl-C and SIGTERM leave --out as it was and no worker
-process behind, SIGTERM still ends the build by SIGTERM, a SIGTERM that
-the caller left ignored stops nothing, and Ctrl-C reaches a program that
-runs cli.main in its own process as KeyboardInterrupt; an input
-that ends before its counted end, or a raw-text document whose sentence
-count changed since the count, exits 2 and leaves --out as it was; the
+part of the first block; a worker reads nothing past its block, but for
+the last block's one read past its end; a worker's failure, which it
+leaves in its counts file before it exits, its death, a fork that
+fails, whatever multiprocessing start method the caller has set, Ctrl-C
+and SIGTERM leave --out as it was and no worker process behind, SIGTERM
+still ends the build by SIGTERM, a SIGTERM that the caller left ignored
+stops nothing, and Ctrl-C reaches a program that runs cli.main in its
+own process as KeyboardInterrupt; an input that ends before its counted
+end or goes on past it, or a raw-text document whose sentence count
+changed since the count, exits 2 and leaves --out as it was; the
 first error of an input is the same at any worker count; and the one
 write-and-count loop counts a range in parts as it counts it whole."""
 
@@ -23,6 +24,7 @@ import json
 import marshal
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -39,6 +41,7 @@ import nextphrase.corpus
 from nextphrase import build, cli, fanout
 from nextphrase.build import _text_pair_outcomes
 from nextphrase.cli import main
+from nextphrase.corpus import InputChanged
 from nextphrase.instances import SkipReason
 
 from conftest import DOG, EAT_PIE, SHOP, WORDS, list_tree, random_sentence, random_tree_text
@@ -240,11 +243,23 @@ def test_a_fork_that_fails_exits_4_and_leaves_out_as_it_was(tmp_path, capsys, mo
 def test_a_worker_builds_its_block_and_reads_nothing_past_its_end(tmp_path):
     endless = itertools.count()
     sink = str(tmp_path / "out")
-    # worker 1 of 2, its block items 3 to 5 of an endless input
-    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1)
+    # worker 1 of 3, its block items 3 to 5 of an endless input; only the
+    # last block reads past its end
+    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6, 9], 1)
     assert marshal.loads(Path(f"{sink}.1.counts").read_bytes()) == (3, (3,), {})
     assert Path(f"{sink}.1").read_text(encoding="utf-8") == "3\n4\n5\n"
     assert next(endless) == 6
+
+
+def test_the_last_worker_reads_one_item_past_its_end_and_fails_on_it(tmp_path):
+    endless = itertools.count()
+    sink = str(tmp_path / "out")
+    # worker 1 of 2, the last block, items 3 to 5 of an input that goes on
+    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1)
+    failed = pickle.loads(marshal.loads(Path(f"{sink}.1.counts").read_bytes()))
+    assert isinstance(failed, InputChanged)
+    assert str(failed) == "it has more than the 6 items counted"
+    assert next(endless) == 7
 
 
 # at most 5 levels and 4 children, so at most 256 tokens: the pairs of a
@@ -352,7 +367,7 @@ def _changed_after_the_count(monkeypatch, reader: str, change) -> None:
         items = original(*args, **kwargs)
         return items if len(calls) == 1 else change(list(items))
 
-    # build-pairs counts raw text with cli._sentence_counts, which stats shares
+    # the raw-text builds read their first pass with cli._document_sentences
     for module in (cli, build):
         monkeypatch.setattr(module, reader, changed)
 
@@ -393,6 +408,54 @@ def test_an_input_that_ends_before_its_counted_end_exits_2(
     _assert_no_child_process()
     assert list(out.glob(".nextphrase-*")) == []
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def _assert_the_grown_input_exits_2(capsys, argv: list[str], out: Path, before: dict) -> None:
+    """A build of argv, whose input has a sixth item after a count of
+    five, exits 2 with its one line and leaves out as it was."""
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {argv[1]}: changed while it was read: it has more than the 5 items counted\n"
+    )
+    _assert_no_child_process()
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("build", sorted(CHANGED_INPUTS))
+def test_an_input_that_grows_past_its_counted_end_exits_2(
+    tmp_path, capsys, monkeypatch, build, workers
+):
+    reader, texts, options = CHANGED_INPUTS[build]
+    source = _tree_file(tmp_path / "input.txt", texts)
+    out = tmp_path / "out"
+    argv = [build.partition("-treebank")[0], str(source), *options, "--workers", workers]
+    before = _before(argv, out)
+    # a sixth item, which the last block reads past its end
+    _changed_after_the_count(monkeypatch, reader, lambda items: [*items, (5, texts[0])])
+    _assert_the_grown_input_exits_2(capsys, argv, out, before)
+
+
+@pytest.mark.parametrize("build", ["build-nsp", "build-pairs"])
+def test_a_directory_that_gains_a_file_after_the_count_exits_2(
+    tmp_path, capsys, monkeypatch, build
+):
+    docs = _email_input(tmp_path, ["It rains. We hide."] * 5, "dir")
+    out = tmp_path / "out"
+    argv = [build, str(docs), "--input-mode", "dir", "--workers", "2"]
+    before = _before(argv, out)
+    read = cli.iter_documents
+
+    def count_then_grow(*args, **kwargs):
+        yield from read(*args, **kwargs)
+        (docs / "5.txt").write_text("One more. Mail.", encoding="utf-8")
+
+    # the first pass is cli._document_sentences; the files are listed anew
+    # by each block, and the last block finds the sixth
+    monkeypatch.setattr(cli, "iter_documents", count_then_grow)
+    _assert_the_grown_input_exits_2(capsys, argv, out, before)
 
 
 # the ids name the change and the worker count, and the build when it is build-nsp

@@ -522,6 +522,27 @@ def test_streamed_files_report_the_bytes_of_the_list_oracle(drawn, rng):
     assert render_report(streamed) == render_report(expected)
 
 
+def _segments(drawn) -> list[EvalSegment]:
+    return [EvalSegment(tuple(c), tuple([tuple(r) for r in refs])) for c, refs in drawn]
+
+
+@given(
+    st.lists(EVAL_SEGMENTS, min_size=2, max_size=8).flatmap(
+        lambda drawn: st.tuples(st.just(drawn), st.permutations(range(len(drawn))))
+    )
+)
+def test_a_permutation_keeps_the_corpus_scores_bit_equal(drawn_and_order):
+    drawn, order = drawn_and_order
+    report = evaluate(_segments(drawn))
+    permuted = evaluate(_segments([drawn[i] for i in order]))
+    assert (permuted.bleu4, permuted.meteor, permuted.cider) == (
+        report.bleu4, report.meteor, report.cider
+    )
+    # the rows follow the permuted order, each with its segment's scores
+    assert [row.index for row in permuted.segments] == list(range(len(drawn)))
+    assert [row[1:] for row in permuted.segments] == [report.segments[i][1:] for i in order]
+
+
 def test_evaluate_files_checks_counts_before_the_corpus_size(tmp_path):
     candidates, references = _write_eval_files(tmp_path, [(("a",), (("a",),))] * 2)
     references.write_text("a\n", encoding="utf-8")
