@@ -44,7 +44,11 @@ def main() -> None:
     While the command runs, SIGTERM raises ``Terminated`` in it, as
     SIGINT raises ``KeyboardInterrupt``, so that its cleanup runs; then
     the process ends by that signal, with no traceback.  A SIGTERM that
-    the parent process left ignored stays ignored.
+    the parent process left ignored stays ignored.  A closed stdout, as
+    under ``| head``, ends the process by SIGPIPE with no error line, the
+    way a command written in C ends; stdout is flushed here, so that its
+    last buffered lines fail here too and not at exit.  Where there is no
+    SIGPIPE, it is an I/O error, exit 2.
     """
     gc.freeze()
     sigterm = _signal.getsignal(_signal.SIGTERM) == _signal.SIG_DFL
@@ -52,12 +56,18 @@ def main() -> None:
         _signal.signal(_signal.SIGTERM, _terminated)
     try:
         code = cli.main()
+        sys.stdout.flush()
     except Terminated:
         _end_by(_signal.SIGTERM)
         raise
     except KeyboardInterrupt:
         _end_by(_signal.SIGINT)
         raise
+    except BrokenPipeError as exc:
+        if hasattr(_signal, "SIGPIPE"):
+            _end_by(_signal.SIGPIPE)
+        print(f"error: {exc}", file=sys.stderr)
+        code = cli.EXIT_IO
     finally:  # a SIGTERM while the process exits prints no traceback
         if sigterm:
             _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)

@@ -21,6 +21,7 @@ import bisect
 import functools
 import itertools
 import random
+import sys
 import time
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
@@ -32,7 +33,6 @@ from .cli import (
     UsageError,
     _document_sentences,
     _guards,
-    _info,
     _json_text,
     _output_files,
     resolve_config,
@@ -168,6 +168,10 @@ def _split_again(
             f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
         )
     return first, sentences
+
+
+def _info(message: str) -> None:
+    print(f"INFO {message}", file=sys.stderr)
 
 
 def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:

@@ -20,7 +20,10 @@ process could not be forked or died, for example when it was killed or
 ran out of memory; ``--help`` and ``--version`` exit 0.  ``main`` sets no
 signal handler: Ctrl-C raises KeyboardInterrupt out of it once the run's
 staged outputs and its workers are gone, and ``nextphrase.__main__``
-ends a process by the signal.
+ends a process by the signal.  A closed stdout, as under ``| head``,
+raises BrokenPipeError out of ``main``; every command prints only once
+its outputs are in place, so none is lost, and ``nextphrase.__main__``
+ends the process by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -211,10 +214,6 @@ def _document_sentences(path, mode: str, guards: Sequence[str]) -> Iterator[list
 # ---------------------------------------------------------- subcommands
 
 
-def _info(message: str) -> None:
-    print(f"INFO {message}", file=sys.stderr)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> None:
     report = evaluate_files(args.candidates, args.references)
     text = render_report(report)
@@ -359,12 +358,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InputChanged as exc:
-        print(f"error: {args.input}: changed while it was read: {exc}", file=sys.stderr)
+        # a build reads one input; evaluate names the file that changed
+        path = args.input if exc.path is None else exc.path
+        print(f"error: {path}: changed while it was read: {exc}", file=sys.stderr)
         return EXIT_IO
     # the fan-out's WorkerDied, caught here without loading the fan-out
     except ChildProcessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
+    # a closed stdout is no error of the run: the process entry ends it by SIGPIPE
+    except BrokenPipeError:
+        raise
     # an input that is not UTF-8 fails as I/O
     except (OSError, NotUtf8) as exc:
         print(f"error: {exc}", file=sys.stderr)

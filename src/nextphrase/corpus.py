@@ -47,7 +47,15 @@ class NotUtf8(ValueError):
 
 
 class InputChanged(ValueError):
-    """The input changed between the pass that counted it and a later pass."""
+    """The input changed between the pass that counted it and a later pass.
+
+    ``path`` names the file that changed when the command reads more
+    than one; a build, which reads one input, leaves it None.
+    """
+
+    def __init__(self, message: str, path=None) -> None:
+        super().__init__(message)
+        self.path = path
 
 
 def _not_utf8(path) -> NotUtf8:

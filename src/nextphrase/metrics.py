@@ -27,13 +27,14 @@ list too.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
 from collections import Counter, defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import text_lines, tokenize
+from .corpus import InputChanged, text_lines, tokenize
 
 MAX_ORDER = 4
 
@@ -497,6 +498,18 @@ def _lines(path) -> Iterator[str]:
         yield line.removesuffix("\n")
 
 
+def _counted_lines(path, counted: int) -> Iterator[str]:
+    """The lines of path in a later pass, which must be the ``counted`` of
+    the first: InputChanged when the file ends before them or has more."""
+    end = 0
+    for end, line in enumerate(_lines(path), 1):
+        if end > counted:
+            raise InputChanged(f"it has more than the {counted} lines counted", path)
+        yield line
+    if end < counted:
+        raise InputChanged(f"it ended after line {end} of the {counted} counted", path)
+
+
 def _references(line: str) -> tuple[tuple[str, ...], ...]:
     """The normalized references of a line; tab separates them."""
     return tuple([normalize(reference) for reference in line.split("\t")])
@@ -525,7 +538,11 @@ def evaluate_files(candidates_path, references_path) -> EvalReport:
     The first pass counts the lines of both files and builds the
     document frequencies, so a count mismatch or a one-segment corpus
     is raised before any segment is scored.  The second pass zips the
-    files again and scores one segment at a time.
+    files again and scores one segment at a time.  A file that ends
+    before the count of the first pass, or goes on past it, raises
+    InputChanged naming that file, so no report is made from frequencies
+    of other lines than those scored.  Only the count is checked: a file
+    rewritten with as many lines is scored against its old frequencies.
     """
     candidates = sum(1 for _ in _lines(candidates_path))
     references, frequency = _document_frequency(
@@ -534,8 +551,15 @@ def evaluate_files(candidates_path, references_path) -> EvalReport:
         for line in _lines(references_path)
     )
     _check_counts(candidates, references)
-    segments = map(_segment, _lines(candidates_path), _lines(references_path))
-    return _score(segments, references, frequency)
+    # strict, zip reads both files to their ends, so a line that either
+    # file gained is read and fails; each file's own count check raises
+    # before zip could find the two of different lengths
+    pairs = zip(
+        _counted_lines(candidates_path, candidates),
+        _counted_lines(references_path, references),
+        strict=True,
+    )
+    return _score(itertools.starmap(_segment, pairs), references, frequency)
 
 
 def render_report(report: EvalReport) -> str:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.corpus
+import nextphrase.metrics
 import nextphrase.treebank
 from nextphrase import __main__ as entry, build, cli
 from nextphrase.build import _npp_outcomes, _pair_lines, _record_line, _tree_pair_outcomes
@@ -638,6 +639,51 @@ def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
     assert main(_evaluate_argv(report, candidates)) == 2
     err = _assert_one_error_line(capsys)
     assert err == f"error: {candidates}: line 1 is not UTF-8 (byte 1: invalid start byte)"
+    assert _files_under(report.parent) == before
+
+
+# the files' lines after evaluate's first pass, which counted three in
+# each, and the error line of its second pass
+CHANGED_EVAL_FILES = {
+    "both-grown": (4, 4, "candidates", "it has more than the 3 lines counted"),
+    "both-cut": (1, 1, "candidates", "it ended after line 1 of the 3 counted"),
+    "candidates-grown": (4, 3, "candidates", "it has more than the 3 lines counted"),
+    "references-grown": (3, 4, "references", "it has more than the 3 lines counted"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGED_EVAL_FILES))
+def test_evaluate_on_files_that_change_between_its_passes_exits_2(
+    tmp_path, capsys, monkeypatch, change
+):
+    candidates, references, changed, detail = CHANGED_EVAL_FILES[change]
+    paths = {"candidates": tmp_path / "cand.txt", "references": tmp_path / "refs.txt"}
+
+    def write(candidate_lines, reference_lines):
+        paths["candidates"].write_text("the cat sat\n" * candidate_lines, encoding="utf-8")
+        paths["references"].write_text("the cat sat down\n" * reference_lines, encoding="utf-8")
+
+    write(3, 3)
+    report = tmp_path / "ev" / "report.txt"
+    argv = [
+        "evaluate", "--candidates", str(paths["candidates"]),
+        "--references", str(paths["references"]), "--report", str(report),
+    ]
+    assert main(argv) == 0
+    before = _files_under(report.parent)
+    first_pass = nextphrase.metrics._document_frequency
+
+    def count_then_change(references_per_segment):
+        counted = first_pass(references_per_segment)
+        write(candidates, references)
+        return counted
+
+    monkeypatch.setattr(nextphrase.metrics, "_document_frequency", count_then_change)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {paths[changed]}: changed while it was read: {detail}\n"
     assert _files_under(report.parent) == before
 
 
@@ -1649,3 +1695,45 @@ def test_the_process_entry_freezes_once_before_main_and_exits_with_its_code(monk
         entry.main()
     assert calls == ["freeze", "main"]
     assert stop.value.code == 3
+
+
+def _phrase_trees(tmp_path):
+    """Trees whose debug-phrases output, about 145 KiB, overfills a pipe."""
+    trees = tmp_path / "trees.txt"
+    trees.write_text(f"{EAT_PIE}\n" * 4000, encoding="utf-8")
+    return trees
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_run_by_sigpipe_with_no_error_line(tmp_path):
+    # as `nextphrase debug-phrases trees.txt | head -1` does
+    src = str(Path(nextphrase.corpus.__file__).parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-m", "nextphrase", "debug-phrases", str(_phrase_trees(tmp_path))],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert run.stdout.readline() == b"NP\t0\t1\tShe\n"
+        run.stdout.close()
+        err = run.stderr.read()
+        run.wait(timeout=60)
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+        run.stderr.close()
+    assert (run.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+def test_a_closed_stdout_raises_broken_pipe_out_of_main(tmp_path, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["debug-phrases", str(_phrase_trees(tmp_path))])

@@ -201,6 +201,12 @@ def test_nsp_pool_too_small():
     assert built == Skip(SkipReason.POOL_TOO_SMALL)
 
 
+def test_nsp_needs_at_least_one_distractor():
+    doc = ["A one.", "A two."]
+    with pytest.raises(ValueError, match="^need at least one distractor$"):
+        build_nsp_instance(doc, 0, ["Other one.", "Other two."], random.Random(0), "n", 0)
+
+
 def test_nsp_skips_distractor_with_the_answers_text():
     doc = ["Hello there.", "Thanks, Bob."]
     pool = ["Thanks, Bob."] * 3
