@@ -35,6 +35,7 @@ from .cli import (
     _guards,
     _json_text,
     _output_files,
+    _sentence_starts,
     resolve_config,
 )
 from .corpus import (
@@ -45,7 +46,6 @@ from .corpus import (
     format_stats_table,
     iter_documents,
     make_sentence_id,
-    read_text,
     split_counts,
     split_sentences,
     tokenize,
@@ -145,22 +145,14 @@ def _tree_id(name: str, line_index: int) -> str:
     return f"{name}:{line_index:08d}"
 
 
-def _documents(path, mode: str) -> Iterator[tuple[int, str | Path]]:
-    """A raw-text build pass's items, ``(doc_index, document)``: a document
-    is its line, or in dir mode its file, which only the process that
-    builds its block reads."""
-    return enumerate(document_files(path)) if mode == "dir" else iter_documents(path, mode)
-
-
 def _split_again(
-    item: tuple[int, str | Path], starts: Sequence[int], guards: Sequence[str]
+    item: tuple[int, str], starts: Sequence[int], guards: Sequence[str]
 ) -> tuple[int, list[str]]:
     """The position of a document's first sentence and its sentences, split
     anew; ``starts[d]`` is where document d's first sentence sat in the
     pass that counted them.  Raises InputChanged when the document has
     another number of sentences than was counted."""
-    doc_index, document = item
-    text = read_text(document) if isinstance(document, Path) else document
+    doc_index, text = item
     sentences = split_sentences(text, guards)
     first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
     if len(sentences) != counted:
@@ -174,8 +166,19 @@ def _info(message: str) -> None:
     print(f"INFO {message}", file=sys.stderr)
 
 
-def _log_records(args: argparse.Namespace, counts: dict, read_key: str) -> None:
-    """The summary line of a finished NPP or NSP build."""
+def _build_records(args, config, read_key, outcomes_of, open_items, items, **extra) -> None:
+    """Fan the ``items`` of an NPP or NSP build out into ``instances.jsonl``,
+    write their counts, under ``read_key`` and then ``extra``, to
+    ``stats.json`` and the manifest, and log the summary line."""
+    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, items)
+        counts = {
+            read_key: built.read,
+            "instances_written": built.written[0],
+            "skips": built.skips,
+            **extra,
+        }
+        _finish_build(sinks, args, config, counts, counts)
     _info(
         f"{args.command}: {counts[read_key]} {read_key.split('_')[0]} -> "
         f"{counts['instances_written']} instances ({sum(counts['skips'].values())} skipped)"
@@ -212,16 +215,7 @@ def cmd_build_npp(args: argparse.Namespace) -> None:
     outcomes_of = functools.partial(
         _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
     )
-    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, total)
-        counts = {
-            "sentences_read": built.read,
-            "instances_written": built.written[0],
-            "skips": built.skips,
-            **sampled,
-        }
-        _finish_build(sinks, args, config, counts, counts)
-    _log_records(args, counts, "sentences_read")
+    _build_records(args, config, "sentences_read", outcomes_of, open_items, total, **sampled)
 
 
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
@@ -264,7 +258,7 @@ def _tree_pair_outcomes(record: tuple[int, tuple[int, str]], splits: bytearray, 
 
 
 def _text_pair_outcomes(
-    item: tuple[int, str | Path],
+    item: tuple[int, str],
     splits: bytearray,
     starts: Sequence[int],
     name: str,
@@ -282,30 +276,23 @@ def _text_pair_outcomes(
 def cmd_build_pairs(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
+    guards = _guards(config)
+    # the count pass keeps where each document's first sentence sits; a
+    # document is split again, or a tree parsed, where its block is built
+    starts = _sentence_starts(args.input, config.input_mode, guards)
+    total, items = starts[-1], len(starts) - 1
+    splits = assign_splits(total, config.ratios, config.seed)
     if config.input_mode == "treebank":
-        # the count pass reads tree lines unparsed: each tree is parsed once,
-        # where its block is built
-        total = sum(1 for _ in iter_tree_lines(args.input))
-        splits = assign_splits(total, config.ratios, config.seed)
-        items, outcomes_of = total, functools.partial(_tree_pair_outcomes, splits=splits, name=name)
+        outcomes_of = functools.partial(_tree_pair_outcomes, splits=splits, name=name)
 
         def open_items():
             return enumerate(iter_tree_lines(args.input))
 
     else:
-        from array import array  # an extension module; only raw-text builds need it
-
-        # the count pass keeps one number per document, where its first
-        # sentence sits; each document is split again where its block is built
-        guards = _guards(config)
-        documents = _document_sentences(args.input, config.input_mode, guards)
-        starts = array("q", itertools.accumulate(map(len, documents), initial=0))
-        total, items = starts[-1], len(starts) - 1
-        splits = assign_splits(total, config.ratios, config.seed)
         outcomes_of = functools.partial(
             _text_pair_outcomes, splits=splits, starts=starts, name=name, guards=guards
         )
-        open_items = functools.partial(_documents, args.input, config.input_mode)
+        open_items = functools.partial(iter_documents, args.input, config.input_mode)
     sentence_counts = split_counts(total, config.ratios)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
@@ -325,7 +312,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
 
 
 def _nsp_outcomes(
-    item: tuple[int, str | Path],
+    item: tuple[int, str],
     pool: Sequence[str],
     own: tuple[Sequence[int], Sequence[int]],
     starts: Sequence[int],
@@ -408,16 +395,8 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
         name=name,
         guards=guards,
     )
-    open_items = functools.partial(_documents, args.input, config.input_mode)
-    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, len(starts) - 1)
-        counts = {
-            "contexts_read": built.read,
-            "instances_written": built.written[0],
-            "skips": built.skips,
-        }
-        _finish_build(sinks, args, config, counts, counts)
-    _log_records(args, counts, "contexts_read")
+    open_items = functools.partial(iter_documents, args.input, config.input_mode)
+    _build_records(args, config, "contexts_read", outcomes_of, open_items, len(starts) - 1)
 
 
 # the build commands by name: cli.main runs them and maps their errors to exit codes

@@ -29,6 +29,7 @@ ends the process by SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -156,6 +157,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _guards(config: PipelineConfig) -> tuple[str, ...]:
+    """The abbreviation guards of raw text; a treebank reads no guard list."""
+    if config.input_mode == "treebank":
+        return ()
     if config.guard_list:
         return load_guard_list(config.guard_list)
     return DEFAULT_GUARDS
@@ -211,6 +215,17 @@ def _document_sentences(path, mode: str, guards: Sequence[str]) -> Iterator[list
         yield split_sentences(document, guards)
 
 
+def _sentence_starts(path, mode: str, guards: Sequence[str]) -> Sequence[int]:
+    """Where each document's first sentence sits, then where the last one ends;
+    a treebank's documents are its non-blank tree lines, read unparsed."""
+    if mode == "treebank":
+        return range(sum(1 for _ in iter_tree_lines(path)) + 1)
+    from array import array  # an extension module; only raw text needs it
+
+    documents = _document_sentences(path, mode, guards)
+    return array("q", itertools.accumulate(map(len, documents), initial=0))
+
+
 # ---------------------------------------------------------- subcommands
 
 
@@ -233,15 +248,11 @@ def cmd_stats(args: argparse.Namespace) -> None:
         # stats.json keys its rows by stem, so a shared stem would lose one
         if names.count(name) > 1:
             raise UsageError(f"two inputs share the file stem {name!r}")
-    # as in build-pairs, only raw text is split at guards
-    guards = () if config.input_mode == "treebank" else _guards(config)
+    guards = _guards(config)
     rows = []
     for path, name in zip(args.inputs, names):
-        if config.input_mode == "treebank":
-            # the non-blank lines build-pairs splits; no tree is parsed
-            total = sum(1 for _ in iter_tree_lines(path))
-        else:
-            total = sum(map(len, _document_sentences(path, config.input_mode, guards)))
+        # the sentences build-pairs splits, counted as it counts them
+        total = _sentence_starts(path, config.input_mode, guards)[-1]
         rows.append((name, split_counts(total, config.ratios)))
     if args.out:
         payload = {

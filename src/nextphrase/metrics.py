@@ -172,10 +172,6 @@ def corpus_bleu(segments: Iterable[EvalSegment]) -> BleuResult:
     )
 
 
-def bleu4(segments: Sequence[EvalSegment]) -> float:
-    return corpus_bleu(segments).score
-
-
 def sentence_bleu(segment: EvalSegment) -> float:
     """Per-segment detail score, add-one smoothed for orders >= 2."""
     length, reference_length, match, total, *higher = segment.bleu_counts
@@ -425,10 +421,6 @@ def cider_scores(segments: Sequence[EvalSegment]) -> tuple[float, list[float]]:
     return _mean(per_segment), per_segment
 
 
-def cider(segments: Sequence[EvalSegment]) -> float:
-    return cider_scores(segments)[0]
-
-
 # -------------------------------------------------------------- report
 
 
@@ -498,16 +490,26 @@ def _lines(path) -> Iterator[str]:
         yield line.removesuffix("\n")
 
 
-def _counted_lines(path, counted: int) -> Iterator[str]:
-    """The lines of path in a later pass, which must be the ``counted`` of
-    the first: InputChanged when the file ends before them or has more."""
+def _hashed_lines(path, hashes: list[int]) -> Iterator[str]:
+    """The lines of path, with the hash of each appended to hashes."""
+    for line in _lines(path):
+        hashes.append(hash(line))
+        yield line
+
+
+def _same_lines(path, hashes: Sequence[int]) -> Iterator[str]:
+    """The lines of path in a later pass, which must be those whose hashes
+    the first kept: InputChanged when the file ends before them, has more,
+    or has a line whose hash differs."""
     end = 0
     for end, line in enumerate(_lines(path), 1):
-        if end > counted:
-            raise InputChanged(f"it has more than the {counted} lines counted", path)
+        if end > len(hashes):
+            raise InputChanged(f"it has more than the {len(hashes)} lines counted", path)
+        if hash(line) != hashes[end - 1]:
+            raise InputChanged(f"line {end} is not the line the first pass read", path)
         yield line
-    if end < counted:
-        raise InputChanged(f"it ended after line {end} of the {counted} counted", path)
+    if end < len(hashes):
+        raise InputChanged(f"it ended after line {end} of the {len(hashes)} counted", path)
 
 
 def _references(line: str) -> tuple[tuple[str, ...], ...]:
@@ -535,31 +537,33 @@ def load_segments(candidates_path, references_path) -> list[EvalSegment]:
 def evaluate_files(candidates_path, references_path) -> EvalReport:
     """The report of two aligned files, read twice and never held whole.
 
-    The first pass counts the lines of both files and builds the
-    document frequencies, so a count mismatch or a one-segment corpus
+    The first pass keeps the hash of every line of both files and builds
+    the document frequencies, so a count mismatch or a one-segment corpus
     is raised before any segment is scored.  The second pass zips the
-    files again and scores one segment at a time.  A file that ends
-    before the count of the first pass, or goes on past it, raises
+    files again and scores one segment at a time.  A file whose lines
+    differ from those of the first pass, in number or in hash, raises
     InputChanged naming that file, so no report is made from frequencies
-    of other lines than those scored.  Only the count is checked: a file
-    rewritten with as many lines is scored against its old frequencies.
+    of other lines than those scored.  A ``str`` hash is salted per
+    process but fixed within one, where both passes run; two different
+    lines share a hash with odds of about 2**-64.
     """
-    candidates = sum(1 for _ in _lines(candidates_path))
-    references, frequency = _document_frequency(
+    candidates = [hash(line) for line in _lines(candidates_path)]
+    references: list[int] = []
+    segments, frequency = _document_frequency(
         # interned, the n-gram keys of the frequencies share one string per word
         tuple([tuple([sys.intern(token) for token in tokens]) for tokens in _references(line)])
-        for line in _lines(references_path)
+        for line in _hashed_lines(references_path, references)
     )
-    _check_counts(candidates, references)
+    _check_counts(len(candidates), segments)
     # strict, zip reads both files to their ends, so a line that either
-    # file gained is read and fails; each file's own count check raises
-    # before zip could find the two of different lengths
+    # file gained is read and fails; each file's own check raises before
+    # zip could find the two of different lengths
     pairs = zip(
-        _counted_lines(candidates_path, candidates),
-        _counted_lines(references_path, references),
+        _same_lines(candidates_path, candidates),
+        _same_lines(references_path, references),
         strict=True,
     )
-    return _score(itertools.starmap(_segment, pairs), references, frequency)
+    return _score(itertools.starmap(_segment, pairs), segments, frequency)
 
 
 def render_report(report: EvalReport) -> str:

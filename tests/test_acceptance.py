@@ -21,8 +21,7 @@ from nextphrase.instances import (
 )
 from nextphrase.metrics import (
     EvalSegment,
-    bleu4,
-    cider,
+    cider_scores,
     corpus_bleu,
     meteor_segment,
 )
@@ -123,8 +122,8 @@ def test_4_completion_pairs_reconstruct_and_reconcile(tmp_path):
 
 def test_5_metric_identities_and_hand_values():
     with criterion(5, "metrics hit identity and hand-computed values"):
-        assert bleu4(IDENTITY) == 100.0
-        assert abs(cider(IDENTITY) - 10.0) < 1e-9
+        assert corpus_bleu(IDENTITY).score == 100.0
+        assert abs(cider_scores(IDENTITY)[0] - 10.0) < 1e-9
         for m in range(1, 11):
             tokens = tuple(f"w{i}" for i in range(m))
             stats = meteor_segment(EvalSegment(tokens, (tokens,)))

@@ -642,13 +642,28 @@ def test_evaluate_on_candidates_that_are_not_utf8_exits_2(tmp_path, capsys):
     assert _files_under(report.parent) == before
 
 
-# the files' lines after evaluate's first pass, which counted three in
-# each, and the error line of its second pass
+# the lines evaluate's first pass reads, three in each file
+SAT, SAT_DOWN = "the cat sat\n", "the cat sat down\n"
+# the files' lines after evaluate's first pass, and the error line of its
+# second pass
 CHANGED_EVAL_FILES = {
-    "both-grown": (4, 4, "candidates", "it has more than the 3 lines counted"),
-    "both-cut": (1, 1, "candidates", "it ended after line 1 of the 3 counted"),
-    "candidates-grown": (4, 3, "candidates", "it has more than the 3 lines counted"),
-    "references-grown": (3, 4, "references", "it has more than the 3 lines counted"),
+    "both-grown": ([SAT] * 4, [SAT_DOWN] * 4, "candidates", "it has more than the 3 lines counted"),
+    "both-cut": ([SAT], [SAT_DOWN], "candidates", "it ended after line 1 of the 3 counted"),
+    "candidates-grown": (
+        [SAT] * 4, [SAT_DOWN] * 3, "candidates", "it has more than the 3 lines counted"
+    ),
+    "references-grown": (
+        [SAT] * 3, [SAT_DOWN] * 4, "references", "it has more than the 3 lines counted"
+    ),
+    # as many lines as the first pass read, each another line
+    "candidates-rewritten": (
+        ["a dog ran\n"] * 3, [SAT_DOWN] * 3, "candidates",
+        "line 1 is not the line the first pass read",
+    ),
+    "references-rewritten": (
+        [SAT] * 3, ["a dog ran\n"] * 3, "references",
+        "line 1 is not the line the first pass read",
+    ),
 }
 
 
@@ -660,10 +675,10 @@ def test_evaluate_on_files_that_change_between_its_passes_exits_2(
     paths = {"candidates": tmp_path / "cand.txt", "references": tmp_path / "refs.txt"}
 
     def write(candidate_lines, reference_lines):
-        paths["candidates"].write_text("the cat sat\n" * candidate_lines, encoding="utf-8")
-        paths["references"].write_text("the cat sat down\n" * reference_lines, encoding="utf-8")
+        paths["candidates"].write_text("".join(candidate_lines), encoding="utf-8")
+        paths["references"].write_text("".join(reference_lines), encoding="utf-8")
 
-    write(3, 3)
+    write([SAT] * 3, [SAT_DOWN] * 3)
     report = tmp_path / "ev" / "report.txt"
     argv = [
         "evaluate", "--candidates", str(paths["candidates"]),
@@ -1020,16 +1035,27 @@ FIVE_DOCUMENTS = [
 RAW_TEXT_BUILDS = {"build-pairs": [], "build-nsp": ["--pool-cap", "3"]}
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+# the ids of a lines input name the worker count alone
+@pytest.mark.parametrize(
+    "mode, workers",
+    [("lines", "1"), ("lines", "2"), ("dir", "1"), ("dir", "2")],
+    ids=["1", "2", "dir-1", "dir-2"],
+)
 @pytest.mark.parametrize("command", sorted(RAW_TEXT_BUILDS))
 def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
-    tmp_path, monkeypatch, command, workers
+    tmp_path, monkeypatch, command, mode, workers
 ):
     # the count pass splits every document and keeps no sentence; the
     # build pass reads the documents only as far as the fan-out asks for
     # them, and splits each in the process that builds its block
-    docs = tmp_path / "docs.txt"
-    docs.write_text("".join(doc + "\n" for doc in FIVE_DOCUMENTS), encoding="utf-8")
+    if mode == "lines":
+        docs = tmp_path / "docs.txt"
+        docs.write_text("".join(doc + "\n" for doc in FIVE_DOCUMENTS), encoding="utf-8")
+    else:
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for index, document in enumerate(FIVE_DOCUMENTS):
+            (docs / f"{index}.txt").write_text(document, encoding="utf-8")
     split, read = cli.split_sentences, cli.iter_documents
     splits, passes = [], []
 
@@ -1049,7 +1075,7 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
         monkeypatch.setattr(module, "split_sentences", counted_split)
         monkeypatch.setattr(module, "iter_documents", counted_read)
     out = tmp_path / "out"
-    argv = [command, str(docs), "--out", str(out), "--workers", workers]
+    argv = [command, str(docs), "--input-mode", mode, "--out", str(out), "--workers", workers]
     assert main([*argv, *RAW_TEXT_BUILDS[command]]) == 0
     # this process's splits and reads; a worker's are its own
     block_0 = range(5) if workers == "1" else range(2)
@@ -1059,33 +1085,6 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
     expected = {"build-pairs": ("sentences_read", 11), "build-nsp": ("contexts_read", 6)}
     key, count = expected[command]
     assert _manifest(out)["counts"][key] == count
-
-
-def test_a_dir_worker_reads_only_the_documents_of_its_block(tmp_path, monkeypatch):
-    root = tmp_path / "docs"
-    root.mkdir()
-    for index, document in enumerate(FIVE_DOCUMENTS):
-        (root / f"{index}.txt").write_text(document, encoding="utf-8")
-    log = tmp_path / "read.log"
-    read = build.read_text
-
-    def logged(path):
-        # appended by whichever process builds the document's block
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {Path(path).stem}\n")
-        return read(path)
-
-    monkeypatch.setattr(build, "read_text", logged)
-    argv = ["build-pairs", str(root), "--input-mode", "dir", "--out", str(tmp_path / "out")]
-    assert main([*argv, "--workers", "2"]) == 0
-    readers = {}
-    for line in log.read_text(encoding="utf-8").splitlines():
-        pid, stem = line.split()
-        readers.setdefault(int(pid), []).append(int(stem))
-    # the count pass reads every file through iter_documents; the build
-    # pass reads each file once, in the process of its block
-    assert readers.pop(os.getpid()) == [0, 1]
-    assert list(readers.values()) == [[2, 3, 4]]
 
 
 def test_build_pairs_reconstruction(tmp_path):

@@ -16,8 +16,6 @@ from nextphrase.metrics import (
     EvalSegment,
     SingleSegmentCorpus,
     align,
-    bleu4,
-    cider,
     cider_scores,
     corpus_bleu,
     evaluate,
@@ -64,7 +62,7 @@ def _random_segments(rng, count=6):
 
 
 def test_bleu_identity_is_exactly_100():
-    assert bleu4(IDENTITY) == 100.0
+    assert corpus_bleu(IDENTITY).score == 100.0
 
 
 def test_bleu_clipped_unigram_precision():
@@ -74,15 +72,15 @@ def test_bleu_clipped_unigram_precision():
 
 def test_bleu_zero_fourgram_overlap_scores_zero():
     segments = [EvalSegment(("a", "b", "c", "d"), (("a", "x", "c", "y"),))]
-    assert bleu4(segments) == 0.0
+    assert corpus_bleu(segments).score == 0.0
 
 
 def test_bleu_empty_candidate_is_zero_not_a_crash():
     empty = EvalSegment((), (("a", "b"),))
-    assert bleu4([empty]) == 0.0
+    assert corpus_bleu([empty]).score == 0.0
     assert sentence_bleu(empty) == 0.0
     mixed = [empty] + IDENTITY
-    assert 0.0 < bleu4(mixed) < 100.0
+    assert 0.0 < corpus_bleu(mixed).score < 100.0
 
 
 def test_bleu_brevity_penalty():
@@ -111,7 +109,7 @@ def test_bleu_pools_counts_instead_of_averaging():
         EvalSegment(("a", "b", "c", "d", "e"), (("a", "b", "c", "d", "e"),)),
         EvalSegment(("p", "q", "r", "s"), (("p", "q", "x", "s"),)),
     ]
-    pooled = bleu4(segments)
+    pooled = corpus_bleu(segments).score
     averaged = sum(sentence_bleu(s) for s in segments) / 2
     assert abs(pooled - bleu_oracle([(s.candidate, s.references) for s in segments])) < 1e-9
     assert abs(pooled - averaged) > 1.0
@@ -122,7 +120,7 @@ def test_bleu_matches_fraction_oracle_on_random_corpora():
     for _ in range(30):
         segments = _random_segments(rng)
         expected = bleu_oracle([(s.candidate, s.references) for s in segments])
-        assert abs(bleu4(segments) - expected) < 1e-9
+        assert abs(corpus_bleu(segments).score - expected) < 1e-9
 
 
 def test_sentence_bleu_identity_and_smoothing():
@@ -279,13 +277,13 @@ def test_meteor_corpus_aggregates_counts():
 
 
 def test_cider_identity_is_ten():
-    assert abs(cider(IDENTITY) - 10.0) < 1e-9
+    assert abs(cider_scores(IDENTITY)[0] - 10.0) < 1e-9
 
 
 def test_cider_single_segment_rejected():
     with pytest.raises(SingleSegmentCorpus):
-        cider(IDENTITY[:1])
-    cider(IDENTITY[:2])
+        cider_scores(IDENTITY[:1])
+    cider_scores(IDENTITY[:2])
 
 
 def test_cider_disjoint_vocabulary_scores_zero():
@@ -294,7 +292,7 @@ def test_cider_disjoint_vocabulary_scores_zero():
         EvalSegment(("d", "e", "f"), (("p", "q", "r"),)),
         EvalSegment(("g", "h"), (("s", "t"),)),
     ]
-    assert cider(segments) == 0.0
+    assert cider_scores(segments)[0] == 0.0
 
 
 def test_cider_matches_frozen_toy_fixture():
@@ -339,9 +337,9 @@ def test_scores_invariant_under_vocabulary_relabeling():
             )
             for s in segments
         ]
-        assert abs(bleu4(segments) - bleu4(renamed)) < 1e-12
+        assert abs(corpus_bleu(segments).score - corpus_bleu(renamed).score) < 1e-12
         assert abs(meteor(segments) - meteor(renamed)) < 1e-12
-        assert abs(cider(segments) - cider(renamed)) < 1e-12
+        assert abs(cider_scores(segments)[0] - cider_scores(renamed)[0]) < 1e-12
 
 
 def test_scores_independent_of_segment_order():
@@ -349,16 +347,16 @@ def test_scores_independent_of_segment_order():
     segments = _random_segments(rng, count=8)
     shuffled = segments[:]
     rng.shuffle(shuffled)
-    assert abs(bleu4(segments) - bleu4(shuffled)) < 1e-12
+    assert abs(corpus_bleu(segments).score - corpus_bleu(shuffled).score) < 1e-12
     assert abs(meteor(segments) - meteor(shuffled)) < 1e-12
-    assert abs(cider(segments) - cider(shuffled)) < 1e-12
+    assert abs(cider_scores(segments)[0] - cider_scores(shuffled)[0]) < 1e-12
 
 
 def test_perturbed_candidate_never_beats_identity():
     rng = random.Random(71)
-    base_bleu = bleu4(IDENTITY)
+    base_bleu = corpus_bleu(IDENTITY).score
     base_meteor = meteor(IDENTITY)
-    base_cider = cider(IDENTITY)
+    base_cider = cider_scores(IDENTITY)[0]
     for _ in range(20):
         mutated = [
             EvalSegment(tuple(s.candidate), s.references) for s in IDENTITY
@@ -367,18 +365,18 @@ def test_perturbed_candidate_never_beats_identity():
         tokens = list(mutated[target].candidate)
         tokens[rng.randrange(len(tokens))] = "zzz"
         mutated[target] = EvalSegment(tuple(tokens), mutated[target].references)
-        assert bleu4(mutated) <= base_bleu
+        assert corpus_bleu(mutated).score <= base_bleu
         assert meteor(mutated) <= base_meteor
-        assert cider(mutated) <= base_cider
+        assert cider_scores(mutated)[0] <= base_cider
 
 
 def test_appending_junk_never_helps_on_identity():
     segments = [
         EvalSegment(s.candidate + ("zzz",), s.references) for s in IDENTITY
     ]
-    assert bleu4(segments) < 100.0
+    assert corpus_bleu(segments).score < 100.0
     assert meteor(segments) < meteor(IDENTITY)
-    assert cider(segments) < 10.0
+    assert cider_scores(segments)[0] < 10.0
 
 
 # ------------------------------------------------------------- reports
