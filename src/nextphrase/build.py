@@ -2,12 +2,15 @@
 
 Only a build imports this module, and with it the fan-out and the
 instance builders, so ``evaluate``, ``stats`` and ``debug-phrases``
-load neither.  Every build run writes its outputs plus ``stats.json``
-and ``manifest.json`` (config snapshot, input digests, counts, skip
-histogram) into a private ``.nextphrase-*`` directory inside ``--out``,
-where its worker processes, each reading the input itself up to the
-end of its own block, write their part files too; at the end the
-outputs are renamed into ``--out`` together, the manifest last.
+load neither.  A build's first pass counts its input's items, keeps
+the hash of each, and digests the bytes of each file it reads.  Every
+build run writes its outputs plus ``stats.json`` and ``manifest.json``
+(config snapshot, those input digests, counts, skip histogram) into a
+private ``.nextphrase-*`` directory inside ``--out``, where its worker
+processes, each reading the input itself up to the end of its own
+block and checking each item of its block against the first pass's
+hash, write their part files too; at the end the outputs are renamed
+into ``--out`` together, the manifest last.
 Re-running with the same config and inputs reproduces every output byte
 for byte; only the manifest timestamp moves.  A run that fails leaves ``--out`` as it
 was, and every run deletes its private directory, so it deletes nothing
@@ -23,6 +26,8 @@ import itertools
 import random
 import sys
 import time
+from array import array
+from collections import defaultdict
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -31,8 +36,8 @@ from . import __version__
 from .cli import (
     PipelineConfig,
     UsageError,
-    _document_sentences,
     _guards,
+    _items,
     _json_text,
     _output_files,
     _sentence_starts,
@@ -40,11 +45,9 @@ from .cli import (
 )
 from .corpus import (
     SPLIT_NAMES,
-    InputChanged,
     assign_splits,
-    document_files,
     format_stats_table,
-    iter_documents,
+    hashed,
     make_sentence_id,
     split_counts,
     split_sentences,
@@ -65,14 +68,6 @@ from .instances import (
 )
 from .phrases import extract_phrases
 from .treebank import iter_tree_lines, parse_tree_line
-
-
-def file_sha256(path) -> str:
-    digest = sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 # Every JSON-lines record is built with _quote, the string quoting of
@@ -103,17 +98,18 @@ def _finish_build(
     config: PipelineConfig,
     counts: dict,
     stats: dict,
+    digests: dict,
 ) -> None:
     """Write stats.json and manifest.json into the last two of a build's sinks.
 
-    The manifest's config lists the keys the subcommand has flags for.
+    The manifest's config lists the keys the subcommand has flags for, and
+    its inputs the digest of each file that the first pass read.
     """
-    inputs = document_files(args.input) if config.input_mode == "dir" else [Path(args.input)]
     manifest = {
         "command": args.command,
         "version": __version__,
         "config": {key: value for key, value in config._asdict().items() if hasattr(args, key)},
-        "inputs": {str(path): file_sha256(path) for path in inputs},
+        "inputs": {path: digest.hexdigest() for path, digest in digests.items()},
         "counts": counts,
         "created_at": _utc_now(),
     }
@@ -124,8 +120,6 @@ def _finish_build(
 def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, Sequence[int], int]:
     """k items drawn uniformly from items, in step with them an ``array('q')``
     of where each sat in items, and how many items there were."""
-    from array import array  # an extension module; a build without a reservoir skips it
-
     chosen: list = []
     where = array("q")
     seen = 0
@@ -145,40 +139,26 @@ def _tree_id(name: str, line_index: int) -> str:
     return f"{name}:{line_index:08d}"
 
 
-def _split_again(
-    item: tuple[int, str], starts: Sequence[int], guards: Sequence[str]
-) -> tuple[int, list[str]]:
-    """The position of a document's first sentence and its sentences, split
-    anew; ``starts[d]`` is where document d's first sentence sat in the
-    pass that counted them.  Raises InputChanged when the document has
-    another number of sentences than was counted."""
-    doc_index, text = item
-    sentences = split_sentences(text, guards)
-    first, counted = starts[doc_index], starts[doc_index + 1] - starts[doc_index]
-    if len(sentences) != counted:
-        raise InputChanged(
-            f"document {doc_index} has {len(sentences)} sentences, where {counted} were counted"
-        )
-    return first, sentences
-
-
 def _info(message: str) -> None:
     print(f"INFO {message}", file=sys.stderr)
 
 
-def _build_records(args, config, read_key, outcomes_of, open_items, items, **extra) -> None:
-    """Fan the ``items`` of an NPP or NSP build out into ``instances.jsonl``,
-    write their counts, under ``read_key`` and then ``extra``, to
-    ``stats.json`` and the manifest, and log the summary line."""
+def _build_records(
+    args, config, read_key, outcomes_of, open_items, hashes, digests, **extra
+) -> None:
+    """Fan the items of an NPP or NSP build, whose first pass kept their
+    ``hashes`` and its ``digests``, out into ``instances.jsonl``, write
+    their counts, under ``read_key`` and then ``extra``, to ``stats.json``
+    and the manifest, and log the summary line."""
     with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, items)
+        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, hashes)
         counts = {
             read_key: built.read,
             "instances_written": built.written[0],
             "skips": built.skips,
             **extra,
         }
-        _finish_build(sinks, args, config, counts, counts)
+        _finish_build(sinks, args, config, counts, counts, digests)
     _info(
         f"{args.command}: {counts[read_key]} {read_key.split('_')[0]} -> "
         f"{counts['instances_written']} instances ({sum(counts['skips'].values())} skipped)"
@@ -203,19 +183,23 @@ def cmd_build_npp(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = Path(args.input).stem
     sampled: dict = {}
-    open_items = functools.partial(iter_tree_lines, args.input)
-    if config.sample is not None:
-        picked, _, sampled["sentences_scanned"] = _reservoir(
-            open_items(), config.sample, random.Random(config.seed)
-        )
-        open_items = functools.partial(iter, sorted(picked))
+    digests = defaultdict(sha256)
     # counted at any worker count, so that an input's first error does not
     # depend on it: this pass reads every line, unparsed, before any build
-    total = sum(1 for _ in open_items())
+    items = iter_tree_lines(args.input, digests)
+    open_items = functools.partial(iter_tree_lines, args.input)
+    if config.sample is not None:
+        rng = random.Random(config.seed)
+        picked, _, sampled["sentences_scanned"] = _reservoir(items, config.sample, rng)
+        items = sorted(picked)
+        open_items = functools.partial(iter, items)
+    hashes = array("q", map(hash, items))
     outcomes_of = functools.partial(
         _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
     )
-    _build_records(args, config, "sentences_read", outcomes_of, open_items, total, **sampled)
+    _build_records(
+        args, config, "sentences_read", outcomes_of, open_items, hashes, digests, **sampled
+    )
 
 
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
@@ -266,10 +250,12 @@ def _text_pair_outcomes(
 ) -> Iterator:
     """A document's outcomes, one per sentence; ``starts[d]`` is the
     position of document d's first sentence, and ``splits`` gives each
-    position's split."""
-    first, sentences = _split_again(item, starts, guards)
-    for position, sentence in enumerate(sentences):
-        sentence_id = make_sentence_id(name, item[0], position)
+    position's split.  The first pass read the same text, so the
+    document splits into the sentences it counted."""
+    doc_index, text = item
+    first = starts[doc_index]
+    for position, sentence in enumerate(split_sentences(text, guards)):
+        sentence_id = make_sentence_id(name, doc_index, position)
         yield from _pair_outcomes(splits[first + position], sentence_id, tokenize(sentence))
 
 
@@ -277,27 +263,25 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
     guards = _guards(config)
+    hashes, digests = array("q"), defaultdict(sha256)
     # the count pass keeps where each document's first sentence sits; a
     # document is split again, or a tree parsed, where its block is built
-    starts = _sentence_starts(args.input, config.input_mode, guards)
-    total, items = starts[-1], len(starts) - 1
+    items = hashed(_items(args.input, config.input_mode, digests), hashes)
+    starts = _sentence_starts(items, config.input_mode, guards)
+    total = starts[-1]
     splits = assign_splits(total, config.ratios, config.seed)
     if config.input_mode == "treebank":
         outcomes_of = functools.partial(_tree_pair_outcomes, splits=splits, name=name)
-
-        def open_items():
-            return enumerate(iter_tree_lines(args.input))
-
     else:
         outcomes_of = functools.partial(
             _text_pair_outcomes, splits=splits, starts=starts, name=name, guards=guards
         )
-        open_items = functools.partial(iter_documents, args.input, config.input_mode)
+    open_items = functools.partial(_items, args.input, config.input_mode)
     sentence_counts = split_counts(total, config.ratios)
     names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
     with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
         data = sinks[: len(names)]
-        built = fan_out(outcomes_of, open_items, data, config.workers, items)
+        built = fan_out(outcomes_of, open_items, data, config.workers, hashes)
         counts = {
             "sentences_read": total,
             "pairs_written": sum(built.written),
@@ -306,7 +290,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
             "pairs": dict(zip(SPLIT_NAMES, built.written)),
         }
         stats = {"dataset": name, **counts, "total_sentences": total}
-        _finish_build(sinks, args, config, counts, stats)
+        _finish_build(sinks, args, config, counts, stats, digests)
     print(format_stats_table([(name, sentence_counts)]))
     _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
 
@@ -315,20 +299,18 @@ def _nsp_outcomes(
     item: tuple[int, str],
     pool: Sequence[str],
     own: tuple[Sequence[int], Sequence[int]],
-    starts: Sequence[int],
     seed: int,
     distractors: int,
     name: str,
     guards: Sequence[str],
 ) -> Iterator:
     """A document's outcomes, one per context.  ``own`` is two sequences
-    in step, sorted: each pool position's document, and the position;
-    ``starts[d]`` is the position of document d's first sentence."""
-    doc_index = item[0]
+    in step, sorted: each pool position's document, and the position."""
+    doc_index, text = item
     owners, positions = own
     first = bisect.bisect_left(owners, doc_index)
     others = PoolView(pool, positions[first:bisect.bisect_right(owners, doc_index, first)])
-    _, sentences = _split_again(item, starts, guards)
+    sentences = split_sentences(text, guards)
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
         rng = record_rng(seed, sentence_id)
@@ -341,15 +323,12 @@ def _nsp_outcomes(
 
 def _nsp_pool(
     documents: Iterable[Sequence[str]], cap: int, rng: random.Random
-) -> tuple[list[str], tuple[Sequence[int], Sequence[int]], Sequence[int]]:
-    """The distractor pool of the documents' sentences, ``own`` and ``starts``:
-    ``own`` is each pool position's document, ascending, and in step the
-    position, so that distractors can skip a document's own; ``starts[d]``
-    is where document d's first sentence sits, and the last item is where
-    the last document ends.  A pool entry costs its text, a list slot and
-    16 bytes of arrays."""
-    from array import array  # an extension module; only raw-text builds need it
-
+) -> tuple[list[str], tuple[Sequence[int], Sequence[int]]]:
+    """The distractor pool of the documents' sentences, and ``own``: each
+    pool position's document, ascending, and in step the position, so
+    that distractors can skip a document's own.  A pool entry costs its
+    text, a list slot and 16 bytes of arrays."""
+    # where each document's first sentence sits in the stream of sentences
     starts = array("q", [0])
 
     def sentences() -> Iterator[str]:
@@ -368,7 +347,7 @@ def _nsp_pool(
     )
     del where
     owners = array("q", (key // size for key in packed))
-    return pool, (owners, array("q", (key % size for key in packed))), starts
+    return pool, (owners, array("q", (key % size for key in packed)))
 
 
 def cmd_build_nsp(args: argparse.Namespace) -> None:
@@ -380,23 +359,24 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
     name = Path(args.input).stem
     guards = _guards(config)
-    documents = _document_sentences(args.input, config.input_mode, guards)
-    # the pool pass keeps the pool, and of each document where its first
-    # sentence sits; each document is split again where its block is built
-    pool, own, starts = _nsp_pool(documents, config.pool_cap, random.Random(config.seed))
+    hashes, digests = array("q"), defaultdict(sha256)
+    documents = hashed(_items(args.input, config.input_mode, digests), hashes)
+    # the pool pass keeps the pool; each document is split again where
+    # its block is built
+    sentences = (split_sentences(text, guards) for _, text in documents)
+    pool, own = _nsp_pool(sentences, config.pool_cap, random.Random(config.seed))
     # forked workers inherit the pool and its owners with this partial
     outcomes_of = functools.partial(
         _nsp_outcomes,
         pool=pool,
         own=own,
-        starts=starts,
         seed=config.seed,
         distractors=config.distractors,
         name=name,
         guards=guards,
     )
-    open_items = functools.partial(iter_documents, args.input, config.input_mode)
-    _build_records(args, config, "contexts_read", outcomes_of, open_items, len(starts) - 1)
+    open_items = functools.partial(_items, args.input, config.input_mode)
+    _build_records(args, config, "contexts_read", outcomes_of, open_items, hashes, digests)
 
 
 # the build commands by name: cli.main runs them and maps their errors to exit codes

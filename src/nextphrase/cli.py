@@ -14,7 +14,7 @@ build commands live in ``nextphrase.build``, which ``main`` imports only
 once it has parsed a build command, so the other commands never load
 the builders, the fan-out or the instance code.  Exit codes, all set in
 ``main``: 0 ok, 1 usage or config error, 2 input I/O error, an input
-that is not UTF-8 or one that changed while a build read it, 3 data
+that is not UTF-8 or one that changed between two passes, 3 data
 contract violation (malformed tree, mismatched eval files), 4 a worker
 process could not be forked or died, for example when it was killed or
 ran out of memory; ``--help`` and ``--version`` exit 0.  ``main`` sets no
@@ -36,7 +36,7 @@ import shutil
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
@@ -208,22 +208,24 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
             )
 
 
-def _document_sentences(path, mode: str, guards: Sequence[str]) -> Iterator[list[str]]:
-    """Each document's sentences, in document order: the first pass over raw
-    text of stats, build-pairs and build-nsp."""
-    for _, document in iter_documents(path, mode):
-        yield split_sentences(document, guards)
-
-
-def _sentence_starts(path, mode: str, guards: Sequence[str]) -> Sequence[int]:
-    """Where each document's first sentence sits, then where the last one ends;
-    a treebank's documents are its non-blank tree lines, read unparsed."""
+def _items(path, mode: str, digests=None) -> Iterator:
+    """The items of an input, as a build's passes read them: a treebank's
+    non-blank tree lines, unparsed, each with its position among them,
+    or raw text's documents; ``digests`` is corpus.text_lines'."""
     if mode == "treebank":
-        return range(sum(1 for _ in iter_tree_lines(path)) + 1)
+        return enumerate(iter_tree_lines(path, digests))
+    return iter_documents(path, mode, digests)
+
+
+def _sentence_starts(items: Iterable, mode: str, guards: Sequence[str]) -> Sequence[int]:
+    """Where each of the ``_items`` of an input of this mode has its first
+    sentence, then where the last one ends; a tree line is one sentence."""
+    if mode == "treebank":
+        return range(sum(1 for _ in items) + 1)
     from array import array  # an extension module; only raw text needs it
 
-    documents = _document_sentences(path, mode, guards)
-    return array("q", itertools.accumulate(map(len, documents), initial=0))
+    sentences = (len(split_sentences(text, guards)) for _, text in items)
+    return array("q", itertools.accumulate(sentences, initial=0))
 
 
 # ---------------------------------------------------------- subcommands
@@ -252,7 +254,7 @@ def cmd_stats(args: argparse.Namespace) -> None:
     rows = []
     for path, name in zip(args.inputs, names):
         # the sentences build-pairs splits, counted as it counts them
-        total = _sentence_starts(path, config.input_mode, guards)[-1]
+        total = _sentence_starts(_items(path, config.input_mode), config.input_mode, guards)[-1]
         rows.append((name, split_counts(total, config.ratios)))
     if args.out:
         payload = {

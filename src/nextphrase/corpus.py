@@ -15,10 +15,12 @@ guard list via a config file when the domain needs it.
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import random
 import re
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
 
 DEFAULT_GUARDS = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.", "ca.",
@@ -58,6 +60,36 @@ class InputChanged(ValueError):
         self.path = path
 
 
+def hashed(items: Iterable, hashes: MutableSequence[int]) -> Iterator:
+    """The items of a first pass, with ``hash(item)`` of each appended to hashes."""
+    for item in items:
+        hashes.append(hash(item))
+        yield item
+
+
+def unchanged(items: Iterable, hashes: Sequence[int], start=0, stop=None, path=None) -> Iterator:
+    """Items ``start`` up to ``stop``, by default the end, of a later pass,
+    checked against the hashes that ``hashed`` kept: InputChanged, naming
+    path, when an item's hash differs, when the items end before stop,
+    or, when stop is the end, when they go on past it.  Items before
+    start are not checked; the pass that reads them as its own checks
+    them.  A ``str`` hash is fixed within a process and its forks, where
+    the passes run; two different items share one with odds of 2**-64.
+    """
+    stop = len(hashes) if stop is None else stop
+    items = iter(items)
+    at = start
+    for item in itertools.islice(items, start, stop):
+        if hash(item) != hashes[at]:
+            raise InputChanged(f"item {at + 1} is not the item the first pass read", path)
+        at += 1
+        yield item
+    if at < stop:
+        raise InputChanged(f"it ended before item {at + 1} of the {len(hashes)} counted", path)
+    if stop == len(hashes) and list(itertools.islice(items, 1)):
+        raise InputChanged(f"it has more than the {stop} items counted", path)
+
+
 def _not_utf8(path) -> NotUtf8:
     """The error of a file that failed to decode, naming its first line
     that is not UTF-8: only this error path reads the file again, as
@@ -73,22 +105,40 @@ def _not_utf8(path) -> NotUtf8:
     return NotUtf8(f"{path}: not UTF-8")
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 file; a line that is not UTF-8 raises NotUtf8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+class _Digested(io.FileIO):
+    """A file whose bytes update a digest as a buffered reader reads them;
+    ``readall``, which a buffered reader calls only for ``read()``, does not."""
+
+    def __init__(self, path, digest) -> None:
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer) -> int:
+        size = super().readinto(buffer)
+        self.digest.update(buffer[:size])
+        return size
 
 
-def text_lines(path) -> Iterator[str]:
+def text_lines(path, digests=None) -> Iterator[str]:
     """The lines of a UTF-8 file, each with its newline; text mode maps
-    \\r\\n and \\r to \\n.  A line that is not UTF-8 raises NotUtf8."""
-    with open(path, encoding="utf-8") as handle:
+    \\r\\n and \\r to \\n.  A line that is not UTF-8 raises NotUtf8.
+    ``digests``, a ``defaultdict`` of digests such as ``defaultdict(sha256)``,
+    gets the file's bytes in ``digests[str(Path(path))]`` as they are read."""
+    if digests is None:
+        handle = open(path, encoding="utf-8")
+    else:
+        raw = io.BufferedReader(_Digested(path, digests[str(Path(path))]))
+        handle = io.TextIOWrapper(raw, encoding="utf-8")
+    with handle:
         try:
             yield from handle
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+
+
+def read_text(path, digests=None) -> str:
+    """The text of a UTF-8 file, its lines as text_lines reads them, joined."""
+    return "".join(text_lines(path, digests))
 
 
 def open_sink(path) -> TextIO:
@@ -152,23 +202,20 @@ def make_sentence_id(corpus: str, doc_index: int, sent_index: int) -> str:
     return f"{corpus}:{doc_index:06d}:{sent_index:04d}"
 
 
-def document_files(path) -> list[Path]:
-    """The documents of a directory input: its regular ``*.txt`` files
-    (or links to them), sorted by name."""
-    root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"not a directory: {root}")
-    return sorted(name for name in root.glob("*.txt") if name.is_file())
-
-
-def iter_documents(path, mode: str) -> Iterator[tuple[int, str]]:
-    """Documents from a directory of .txt files or a one-per-line file."""
+def iter_documents(path, mode: str, digests=None) -> Iterator[tuple[int, str]]:
+    """Documents from a one-per-line file, or from a directory: its regular
+    ``*.txt`` files, or links to them, sorted by name.  ``digests`` is
+    text_lines', and gets a digest per file read."""
     if mode == "dir":
-        for index, name in enumerate(document_files(path)):
-            yield index, read_text(name)
+        root = Path(path)
+        if not root.is_dir():
+            raise FileNotFoundError(f"not a directory: {root}")
+        names = sorted(name for name in root.glob("*.txt") if name.is_file())
+        for index, name in enumerate(names):
+            yield index, read_text(name, digests)
     elif mode == "lines":
         index = 0
-        for line in text_lines(path):
+        for line in text_lines(path, digests):
             line = line.strip()
             if line:
                 yield index, line

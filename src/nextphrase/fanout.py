@@ -13,23 +13,23 @@ and its counts into a file of their own.  This process reaps the
 workers in block order: a worker that exited 0 has its counts read and
 its parts appended, and any other exit fails the build.  So the output
 bytes and counts do not depend on the worker count.  Each process reads
-the items anew, so a block whose items end before its counted end
-fails with ``InputChanged``, and so does the last block when the items
-go on past it.  The workers' files are written next to the sinks, so
-the sinks' directory must be the caller's own.
+the items anew, through ``corpus.unchanged``, so a block fails with
+``InputChanged`` when one of its items is not the one the caller
+counted, when its items end before it does, or, the last block, when
+they go on past it.  The workers' files are written next to the sinks,
+so the sinks' directory must be the caller's own.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import marshal
 import os
 import shutil
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .corpus import InputChanged, open_sink
+from .corpus import open_sink, unchanged
 
 
 class WorkerDied(ChildProcessError):
@@ -70,38 +70,24 @@ def _write_range(outcomes_of: Callable, records: Iterable, sinks: Sequence[TextI
     return RangeCounts(read, tuple(written), skips)
 
 
-def _block(open_items: Callable[[], Iterable], bounds: Sequence[int], k: int) -> Iterator:
-    """Block k of a new pass over the items: those from ``bounds[k]`` up to
-    ``bounds[k + 1]``; raises InputChanged when the items end before it
-    does.  Only the last block reads past its end, one item, and raises
-    InputChanged if there is one."""
-    start, stop = bounds[k], bounds[k + 1]
-    items = iter(open_items())
-    end = start
-    for end, item in enumerate(itertools.islice(items, start, stop), start + 1):
-        yield item
-    if end < stop:
-        raise InputChanged(f"it ended before item {stop} of the {bounds[-1]} counted")
-    if stop == bounds[-1] and list(itertools.islice(items, 1)):
-        raise InputChanged(f"it has more than the {stop} items counted")
-
-
 def _serve(
     outcomes_of: Callable,
     open_items: Callable[[], Iterable],
+    hashes: Sequence[int],
     sink_names: Sequence[str],
     bounds: Sequence[int],
     worker: int,
 ) -> None:
     """Worker ``worker``'s body: build the items from ``bounds[worker]`` up
-    to ``bounds[worker + 1]`` into the part files ``<sink name>.<worker>``,
-    reading none past the end, and write its counts file, with ``marshal``,
+    to ``bounds[worker + 1]``, checked against hashes, into the part files
+    ``<sink name>.<worker>``, and write its counts file, with ``marshal``,
     the counts as a plain tuple or, when the block failed, the exception
     pickled."""
     try:
         with ExitStack() as stack:
             parts = [stack.enter_context(open_sink(f"{name}.{worker}")) for name in sink_names]
-            reply = tuple(_write_range(outcomes_of, _block(open_items, bounds, worker), parts))
+            items = unchanged(open_items(), hashes, bounds[worker], bounds[worker + 1])
+            reply = tuple(_write_range(outcomes_of, items, parts))
     except Exception as exc:
         import pickle  # only a failed worker writes an exception
 
@@ -197,39 +183,44 @@ def _append_part(sink: TextIO, path: str) -> None:
 
 
 def fan_out(
-    outcomes_of: Callable, open_items: Callable, sinks: Sequence[TextIO], workers: int, total: int
+    outcomes_of: Callable,
+    open_items: Callable,
+    sinks: Sequence[TextIO],
+    workers: int,
+    hashes: Sequence[int],
 ) -> RangeCounts:
     """Write the outcomes of the items to sinks; bytes and counts do not depend on workers.
 
     ``outcomes_of(item)`` gives an item's outcomes (see the module
     docstring), each call of ``open_items()`` gives a new iterator over
-    the items, and ``total`` is their number, which the caller counts.
-    They are cut into ``min(workers, total)`` contiguous blocks, or one
-    when there is no item, of ``total // blocks`` items or one more, so
-    no block is empty; this process builds block 0 and forks a worker
-    for each other block (POSIX only), so the caller must run no other
-    thread.  The workers inherit ``outcomes_of`` and ``open_items``, and
-    each reads the items itself.  That is why the
-    items come from a call: an iterator that had read from a file before
-    the fork would share the file's offset with every worker.  An
-    exception in a block is raised here in block order, ``InputChanged``
-    when a block's items end before the block does or go on past the
-    last block; a worker that does not exit 0, killed or not, fails the
-    build with ``WorkerDied`` when its block's turn comes, and one that
-    cannot be forked at once.
-    Workers write their part files ``<sink name>.<worker>`` and their
-    counts file ``<first sink name>.<worker>.counts`` next to the sinks,
-    and a failed run can leave some behind, so the sinks' directory must
-    be the caller's own.
+    the items, and ``hashes`` holds ``hash(item)`` of each item as the
+    caller counted them (see ``corpus.hashed``).  The items are cut into
+    ``min(workers, len(hashes))`` contiguous blocks, or one when there is
+    no item, so no block is empty; this process builds block 0 and forks
+    a worker for each other block (POSIX only), so the caller must run
+    no other thread.  The workers inherit the arguments, and with them
+    this process's hash salt, and each calls ``open_items()`` itself: an
+    iterator that had read from a file before the fork would share the
+    file's offset with every worker.  An exception in a block is raised
+    here in block order, ``InputChanged`` when a block's items are not
+    those counted (see ``corpus.unchanged``); a worker that does not
+    exit 0, killed or not, fails the build with ``WorkerDied`` when its
+    block's turn comes, and one that cannot be forked at once.  Workers
+    write their part files ``<sink name>.<worker>`` and their counts
+    file ``<first sink name>.<worker>.counts`` next to the sinks, and a
+    failed run can leave some behind, so the sinks' directory must be
+    the caller's own.
     """
+    total = len(hashes)
     # a block per item at most: an empty block would cost a fork and its part files
     workers = max(1, min(workers, total))
     bounds = [total * k // workers for k in range(workers + 1)]
     serve = functools.partial(
-        _serve, outcomes_of, open_items, [sink.name for sink in sinks], bounds
+        _serve, outcomes_of, open_items, hashes, [sink.name for sink in sinks], bounds
     )
     with _forked(serve, workers) as pids:
-        counts = _write_range(outcomes_of, _block(open_items, bounds, 0), sinks)
+        items = unchanged(open_items(), hashes, 0, bounds[1])
+        counts = _write_range(outcomes_of, items, sinks)
         for worker in range(1, workers):
             # the counts come first: the parts are whole once the worker has exited 0
             counts = add_counts(counts, _result(pids, worker, f"{sinks[0].name}.{worker}.counts"))

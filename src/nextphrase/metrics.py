@@ -34,7 +34,7 @@ import sys
 from collections import Counter, defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import InputChanged, text_lines, tokenize
+from .corpus import hashed, text_lines, tokenize, unchanged
 
 MAX_ORDER = 4
 
@@ -490,28 +490,6 @@ def _lines(path) -> Iterator[str]:
         yield line.removesuffix("\n")
 
 
-def _hashed_lines(path, hashes: list[int]) -> Iterator[str]:
-    """The lines of path, with the hash of each appended to hashes."""
-    for line in _lines(path):
-        hashes.append(hash(line))
-        yield line
-
-
-def _same_lines(path, hashes: Sequence[int]) -> Iterator[str]:
-    """The lines of path in a later pass, which must be those whose hashes
-    the first kept: InputChanged when the file ends before them, has more,
-    or has a line whose hash differs."""
-    end = 0
-    for end, line in enumerate(_lines(path), 1):
-        if end > len(hashes):
-            raise InputChanged(f"it has more than the {len(hashes)} lines counted", path)
-        if hash(line) != hashes[end - 1]:
-            raise InputChanged(f"line {end} is not the line the first pass read", path)
-        yield line
-    if end < len(hashes):
-        raise InputChanged(f"it ended after line {end} of the {len(hashes)} counted", path)
-
-
 def _references(line: str) -> tuple[tuple[str, ...], ...]:
     """The normalized references of a line; tab separates them."""
     return tuple([normalize(reference) for reference in line.split("\t")])
@@ -542,25 +520,25 @@ def evaluate_files(candidates_path, references_path) -> EvalReport:
     is raised before any segment is scored.  The second pass zips the
     files again and scores one segment at a time.  A file whose lines
     differ from those of the first pass, in number or in hash, raises
-    InputChanged naming that file, so no report is made from frequencies
-    of other lines than those scored.  A ``str`` hash is salted per
-    process but fixed within one, where both passes run; two different
-    lines share a hash with odds of about 2**-64.
+    InputChanged naming that file (see ``corpus.unchanged``), so no
+    report is made from frequencies of other lines than those scored.
     """
-    candidates = [hash(line) for line in _lines(candidates_path)]
-    references: list[int] = []
+    from array import array  # an extension module; only the streamed report needs it
+
+    candidates = array("q", map(hash, _lines(candidates_path)))
+    references = array("q")
     segments, frequency = _document_frequency(
         # interned, the n-gram keys of the frequencies share one string per word
         tuple([tuple([sys.intern(token) for token in tokens]) for tokens in _references(line)])
-        for line in _hashed_lines(references_path, references)
+        for line in hashed(_lines(references_path), references)
     )
     _check_counts(len(candidates), segments)
     # strict, zip reads both files to their ends, so a line that either
     # file gained is read and fails; each file's own check raises before
     # zip could find the two of different lengths
     pairs = zip(
-        _same_lines(candidates_path, candidates),
-        _same_lines(references_path, references),
+        unchanged(_lines(candidates_path), candidates, path=candidates_path),
+        unchanged(_lines(references_path), references, path=references_path),
         strict=True,
     )
     return _score(itertools.starmap(_segment, pairs), segments, frequency)

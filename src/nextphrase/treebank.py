@@ -172,9 +172,10 @@ def parse_ptb(text: str, spans: bool = True) -> ConstituencyTree:
     return ConstituencyTree(tuple(tokens), table)
 
 
-def iter_tree_lines(path) -> Iterator[tuple[int, str]]:
-    """(line_index, line) of each non-blank line of a treebank file, unparsed."""
-    for index, line in enumerate(text_lines(path)):
+def iter_tree_lines(path, digests=None) -> Iterator[tuple[int, str]]:
+    """(line_index, line) of each non-blank line of a treebank file,
+    unparsed; ``digests`` is corpus.text_lines'."""
+    for index, line in enumerate(text_lines(path, digests)):
         if line.strip():
             yield index, line
 

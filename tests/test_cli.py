@@ -178,10 +178,9 @@ def test_nsp_pool_equals_the_tuple_oracle(counts_and_cap, seed):
     counts, cap = counts_and_cap
     documents = [[f"{d}.{i}" for i in range(n)] for d, n in enumerate(counts)]
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    pool, (owners, positions), starts = build._nsp_pool(iter(documents), cap, rng)
+    pool, (owners, positions) = build._nsp_pool(iter(documents), cap, rng)
     expected = oracles.nsp_pool_oracle(documents, cap, oracle_rng)
     assert (pool, list(owners), list(positions)) == expected
-    assert list(starts) == [0, *itertools.accumulate(counts)]
     # the same draws, and no more
     assert rng.getstate() == oracle_rng.getstate()
 
@@ -415,7 +414,7 @@ def test_only_a_build_loads_the_builders(tmp_path, command):
     }[command]
     code = (
         "import sys; from nextphrase.cli import main; code = main(sys.argv[1:]); "
-        f"print(code, *(name in sys.modules for name in {BUILD_ONLY!r}))"
+        f"print(code, *(name in sys.modules for name in {(*BUILD_ONLY, 'hashlib')!r}))"
     )
     src = str(Path(nextphrase.corpus.__file__).parents[1])
     result = subprocess.run(
@@ -425,8 +424,13 @@ def test_only_a_build_loads_the_builders(tmp_path, command):
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    loaded = str(command.startswith("build-"))
-    assert result.stdout.splitlines()[-1].split() == ["0", *[loaded] * len(BUILD_ONLY)]
+    *loaded, hashlib_loaded = result.stdout.splitlines()[-1].split()
+    build_run = str(command.startswith("build-"))
+    assert loaded == ["0", *[build_run] * len(BUILD_ONLY)]
+    # only a build digests its input; hashlib would load OpenSSL, a few
+    # MiB of a small run's peak RSS
+    if build_run == "False":
+        assert hashlib_loaded == "False"
 
 
 def test_build_summary_lines(tmp_path, capsys):
@@ -647,22 +651,27 @@ SAT, SAT_DOWN = "the cat sat\n", "the cat sat down\n"
 # the files' lines after evaluate's first pass, and the error line of its
 # second pass
 CHANGED_EVAL_FILES = {
-    "both-grown": ([SAT] * 4, [SAT_DOWN] * 4, "candidates", "it has more than the 3 lines counted"),
-    "both-cut": ([SAT], [SAT_DOWN], "candidates", "it ended after line 1 of the 3 counted"),
+    "both-grown": ([SAT] * 4, [SAT_DOWN] * 4, "candidates", "it has more than the 3 items counted"),
+    "both-cut": ([SAT], [SAT_DOWN], "candidates", "it ended before item 2 of the 3 counted"),
     "candidates-grown": (
-        [SAT] * 4, [SAT_DOWN] * 3, "candidates", "it has more than the 3 lines counted"
+        [SAT] * 4, [SAT_DOWN] * 3, "candidates", "it has more than the 3 items counted"
     ),
     "references-grown": (
-        [SAT] * 3, [SAT_DOWN] * 4, "references", "it has more than the 3 lines counted"
+        [SAT] * 3, [SAT_DOWN] * 4, "references", "it has more than the 3 items counted"
     ),
     # as many lines as the first pass read, each another line
     "candidates-rewritten": (
         ["a dog ran\n"] * 3, [SAT_DOWN] * 3, "candidates",
-        "line 1 is not the line the first pass read",
+        "item 1 is not the item the first pass read",
     ),
     "references-rewritten": (
         [SAT] * 3, ["a dog ran\n"] * 3, "references",
-        "line 1 is not the line the first pass read",
+        "item 1 is not the item the first pass read",
+    ),
+    # as many lines, only the last of them another line
+    "references-last-rewritten": (
+        [SAT] * 3, [SAT_DOWN, SAT_DOWN, "a dog ran\n"], "references",
+        "item 3 is not the item the first pass read",
     ),
 }
 
@@ -1069,11 +1078,11 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
             passes[-1] += 1
             yield item
 
-    # the first pass of build-pairs is cli._document_sentences, which stats
-    # and build-nsp share
+    # every pass reads the documents through cli._items; the first pass
+    # splits them in cli, or in build-nsp's pool pass, and a block in build
+    monkeypatch.setattr(cli, "iter_documents", counted_read)
     for module in (cli, build):
         monkeypatch.setattr(module, "split_sentences", counted_split)
-        monkeypatch.setattr(module, "iter_documents", counted_read)
     out = tmp_path / "out"
     argv = [command, str(docs), "--input-mode", mode, "--out", str(out), "--workers", workers]
     assert main([*argv, *RAW_TEXT_BUILDS[command]]) == 0

@@ -11,13 +11,15 @@ and SIGTERM leave --out as it was and no worker process behind, SIGTERM
 still ends the build by SIGTERM, a SIGTERM that the caller left ignored
 stops nothing, and Ctrl-C reaches a program that runs cli.main in its
 own process as KeyboardInterrupt; an input that ends before its counted
-end or goes on past it, or a raw-text document whose sentence count
-changed since the count, exits 2 and leaves --out as it was; the
-first error of an input is the same at any worker count; and the one
-write-and-count loop counts a range in parts as it counts it whole."""
+end or goes on past it, or has an item rewritten since the count, with
+as many sentences or not, exits 2 and leaves --out as it was; the
+manifest digests the bytes that the count read; the first error of an
+input is the same at any worker count; and the one write-and-count
+loop counts a range in parts as it counts it whole."""
 
 import errno
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -245,7 +247,10 @@ def test_a_worker_builds_its_block_and_reads_nothing_past_its_end(tmp_path):
     sink = str(tmp_path / "out")
     # worker 1 of 3, its block items 3 to 5 of an endless input; only the
     # last block reads past its end
-    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6, 9], 1)
+    # hash(n) is n, so range(9) holds the hashes of the items counted
+    fanout._serve(
+        lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, range(9), [sink], [0, 3, 6, 9], 1
+    )
     assert marshal.loads(Path(f"{sink}.1.counts").read_bytes()) == (3, (3,), {})
     assert Path(f"{sink}.1").read_text(encoding="utf-8") == "3\n4\n5\n"
     assert next(endless) == 6
@@ -255,7 +260,7 @@ def test_the_last_worker_reads_one_item_past_its_end_and_fails_on_it(tmp_path):
     endless = itertools.count()
     sink = str(tmp_path / "out")
     # worker 1 of 2, the last block, items 3 to 5 of an input that goes on
-    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, [sink], [0, 3, 6], 1)
+    fanout._serve(lambda n: [(0, 1, [f"{n}\n"])], lambda: endless, range(6), [sink], [0, 3, 6], 1)
     failed = pickle.loads(marshal.loads(Path(f"{sink}.1.counts").read_bytes()))
     assert isinstance(failed, InputChanged)
     assert str(failed) == "it has more than the 6 items counted"
@@ -356,31 +361,54 @@ def test_raw_text_builds_write_the_same_at_one_two_and_three_workers(emails, mod
             assert skips[0] == skips[1] == skips[2], command
 
 
-def _changed_after_the_count(monkeypatch, reader: str, change) -> None:
-    """Make every pass over the input after the first, the count, read
-    ``change(items)`` of its items; a forked worker inherits the change."""
-    original = getattr(cli, reader)
-    calls = []
-
-    def changed(*args, **kwargs):
-        calls.append(1)
-        items = original(*args, **kwargs)
-        return items if len(calls) == 1 else change(list(items))
-
-    # the raw-text builds read their first pass with cli._document_sentences
-    for module in (cli, build):
-        monkeypatch.setattr(module, reader, changed)
-
-
-# build, the reader its passes call, and an input of five items
+# build, and an input of five items with its options; a -dir build reads
+# a directory of five files, any other build a file of five lines
 CHANGED_INPUTS = {
-    "build-npp": ("iter_tree_lines", [DOG, SHOP, EAT_PIE, DOG, SHOP], []),
-    "build-pairs-treebank": (
-        "iter_tree_lines", [DOG, SHOP, EAT_PIE, DOG, SHOP], ["--input-mode", "treebank"]
-    ),
-    "build-pairs": ("iter_documents", ["It rains. We hide."] * 5, []),
-    "build-nsp": ("iter_documents", ["It rains. We hide."] * 5, ["--pool-cap", "3"]),
+    "build-npp": ([DOG, SHOP, EAT_PIE, DOG, SHOP], []),
+    "build-pairs-treebank": ([DOG, SHOP, EAT_PIE, DOG, SHOP], ["--input-mode", "treebank"]),
+    "build-pairs": (["It rains. We hide."] * 5, []),
+    "build-pairs-dir": (["It rains. We hide."] * 5, ["--input-mode", "dir"]),
+    "build-nsp": (["It rains. We hide."] * 5, ["--pool-cap", "3"]),
+    "build-nsp-dir": (["It rains. We hide."] * 5, ["--pool-cap", "3", "--input-mode", "dir"]),
 }
+
+
+def _write_input(source: Path, texts) -> None:
+    """Write texts as the lines of the file source or, when source is a
+    directory, as its files 0.txt, 1.txt and so on, in place of its own."""
+    if not source.is_dir():
+        _tree_file(source, texts)
+        return
+    for name in source.glob("*.txt"):
+        name.unlink()
+    for index, text in enumerate(texts):
+        (source / f"{index}.txt").write_text(text, encoding="utf-8")
+
+
+def _changed_input(tmp_path: Path, name: str, workers: str) -> tuple[Path, list[str]]:
+    """The input of the CHANGED_INPUTS row name, written, and the argv
+    of its build at workers, but for --out."""
+    texts, options = CHANGED_INPUTS[name]
+    source = tmp_path / "input.txt"
+    if name.endswith("-dir"):
+        source = tmp_path / "input"
+        source.mkdir()
+    _write_input(source, texts)
+    command = "-".join(name.split("-")[:2])
+    return source, [command, str(source), *options, "--workers", workers]
+
+
+def _changed_after_the_count(monkeypatch, source: Path, texts) -> None:
+    """Rewrite the input at source with texts once the first pass, the
+    count, has read it: every later pass reads the new input, a forked
+    worker's too."""
+    fan_out = build.fan_out
+
+    def changed(*args):
+        _write_input(source, texts)
+        return fan_out(*args)
+
+    monkeypatch.setattr(build, "fan_out", changed)
 
 
 def _before(argv: list[str], out: Path) -> dict:
@@ -388,39 +416,29 @@ def _before(argv: list[str], out: Path) -> dict:
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
+def _assert_the_changed_input_exits_2(capsys, argv, out: Path, before: dict, detail: str) -> None:
+    """A build of argv, whose input changed after the count, exits 2 with
+    its one line, which ends in detail, and leaves out as it was."""
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {argv[1]}: changed while it was read: {detail}\n"
+    _assert_no_child_process()
+    assert list(out.glob(".nextphrase-*")) == []
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("build", sorted(CHANGED_INPUTS))
 def test_an_input_that_ends_before_its_counted_end_exits_2(
     tmp_path, capsys, monkeypatch, build, workers
 ):
-    reader, texts, options = CHANGED_INPUTS[build]
-    source = _tree_file(tmp_path / "input.txt", texts)
+    source, argv = _changed_input(tmp_path, build, workers)
     out = tmp_path / "out"
-    argv = [build.partition("-treebank")[0], str(source), *options, "--workers", workers]
     before = _before(argv, out)
     # the last item, which the last block builds, is gone when it is read
-    _changed_after_the_count(monkeypatch, reader, lambda items: items[:-1])
-    capsys.readouterr()
-    assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {source}: changed while it was read: it ended before item 5 of the 5 counted\n"
-    )
-    _assert_no_child_process()
-    assert list(out.glob(".nextphrase-*")) == []
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-
-
-def _assert_the_grown_input_exits_2(capsys, argv: list[str], out: Path, before: dict) -> None:
-    """A build of argv, whose input has a sixth item after a count of
-    five, exits 2 with its one line and leaves out as it was."""
-    capsys.readouterr()
-    assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {argv[1]}: changed while it was read: it has more than the 5 items counted\n"
-    )
-    _assert_no_child_process()
-    assert list(out.glob(".nextphrase-*")) == []
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    _changed_after_the_count(monkeypatch, source, CHANGED_INPUTS[build][0][:-1])
+    detail = "it ended before item 5 of the 5 counted"
+    _assert_the_changed_input_exits_2(capsys, argv, out, before, detail)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -428,14 +446,14 @@ def _assert_the_grown_input_exits_2(capsys, argv: list[str], out: Path, before: 
 def test_an_input_that_grows_past_its_counted_end_exits_2(
     tmp_path, capsys, monkeypatch, build, workers
 ):
-    reader, texts, options = CHANGED_INPUTS[build]
-    source = _tree_file(tmp_path / "input.txt", texts)
+    source, argv = _changed_input(tmp_path, build, workers)
     out = tmp_path / "out"
-    argv = [build.partition("-treebank")[0], str(source), *options, "--workers", workers]
     before = _before(argv, out)
+    texts = CHANGED_INPUTS[build][0]
     # a sixth item, which the last block reads past its end
-    _changed_after_the_count(monkeypatch, reader, lambda items: [*items, (5, texts[0])])
-    _assert_the_grown_input_exits_2(capsys, argv, out, before)
+    _changed_after_the_count(monkeypatch, source, [*texts, texts[0]])
+    detail = "it has more than the 5 items counted"
+    _assert_the_changed_input_exits_2(capsys, argv, out, before, detail)
 
 
 @pytest.mark.parametrize("build", ["build-nsp", "build-pairs"])
@@ -452,45 +470,74 @@ def test_a_directory_that_gains_a_file_after_the_count_exits_2(
         yield from read(*args, **kwargs)
         (docs / "5.txt").write_text("One more. Mail.", encoding="utf-8")
 
-    # the first pass is cli._document_sentences; the files are listed anew
-    # by each block, and the last block finds the sixth
+    # every pass reads the documents through cli._items; the files are
+    # listed anew by each block, and the last block finds the sixth
     monkeypatch.setattr(cli, "iter_documents", count_then_grow)
-    _assert_the_grown_input_exits_2(capsys, argv, out, before)
+    detail = "it has more than the 5 items counted"
+    _assert_the_changed_input_exits_2(capsys, argv, out, before, detail)
 
 
-# the ids name the change and the worker count, and the build when it is build-nsp
+# item 3 rewritten, per build and change: a document with one sentence
+# more, one less, or as many; a tree line is one sentence, so another
+# tree keeps the count
+RAW_TEXT_EDITS = {
+    "gained": "It rains. We hide. We wait.",
+    "lost": "It rains and we hide.",
+    "kept": "Birds sing. We hide.",
+}
+EDITS = {
+    name: {"kept": EAT_PIE} if name in ("build-npp", "build-pairs-treebank") else RAW_TEXT_EDITS
+    for name in CHANGED_INPUTS
+}
+
+
+# the ids name the change and the worker count, and the build but for
+# build-pairs on a lines input
 @pytest.mark.parametrize(
     "build, change, workers",
     [
         pytest.param(build, change, workers, id="-".join([*named, change, workers]))
-        for build, named in (("build-pairs", []), ("build-nsp", ["build-nsp"]))
-        for change in ("gained", "lost")
+        for build in sorted(CHANGED_INPUTS)
+        for named in ([] if build == "build-pairs" else [build],)
+        for change in EDITS[build]
         for workers in ("1", "2")
     ],
 )
 def test_a_document_whose_sentence_count_changes_exits_2(
     tmp_path, capsys, monkeypatch, build, change, workers
 ):
-    reader, texts, options = CHANGED_INPUTS[build]
-    docs = _tree_file(tmp_path / "docs.txt", texts)
+    # the change check compares items, not counts: a document or a tree
+    # line rewritten between the passes fails whatever its sentence count
+    source, argv = _changed_input(tmp_path, build, workers)
     out = tmp_path / "out"
-    argv = [build, str(docs), *options, "--workers", workers]
     before = _before(argv, out)
-    edit = {"gained": "It rains. We hide. We wait.", "lost": "It rains and we hide."}
+    texts = list(CHANGED_INPUTS[build][0])
+    texts[3] = EDITS[build][change]
     # document 3 is in the last block at both worker counts
-    _changed_after_the_count(
-        monkeypatch, reader, lambda items: [*items[:3], (3, edit[change]), *items[4:]]
-    )
-    capsys.readouterr()
-    assert main([*argv, "--out", str(out)]) == 2
-    sentences = 3 if change == "gained" else 1
-    assert capsys.readouterr().err == (
-        f"error: {docs}: changed while it was read: document 3 has {sentences} sentences, "
-        "where 2 were counted\n"
-    )
-    _assert_no_child_process()
-    assert list(out.glob(".nextphrase-*")) == []
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    _changed_after_the_count(monkeypatch, source, texts)
+    detail = "item 4 is not the item the first pass read"
+    _assert_the_changed_input_exits_2(capsys, argv, out, before, detail)
+
+
+@pytest.mark.parametrize("name", sorted(CHANGED_INPUTS))
+def test_the_manifest_digests_the_bytes_that_the_count_read(tmp_path, monkeypatch, name):
+    source, argv = _changed_input(tmp_path, name, "2")
+    files = sorted(source.glob("*.txt")) if source.is_dir() else [source]
+    counted = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    fan_out = build.fan_out
+
+    def then_grown(*args):
+        counts = fan_out(*args)
+        with open(files[-1], "a", encoding="utf-8") as last:
+            last.write(f"{CHANGED_INPUTS[name][0][0]}\n")
+        return counts
+
+    # every block has been read when fan_out returns; the line it appends
+    # is no part of the build, nor of its manifest
+    monkeypatch.setattr(build, "fan_out", then_grown)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"] == counted
 
 
 @pytest.fixture
@@ -573,15 +620,17 @@ def test_a_worker_killed_after_it_wrote_its_counts_exits_4(tmp_path, capsys, mon
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
     original = build.iter_tree_lines
 
-    def slow_from_the_second_block(path):
-        for index, text in original(path):
+    def slow_from_the_second_block(*args, **kwargs):
+        for index, text in original(*args, **kwargs):
             if index >= 20:
                 time.sleep(0.01)
             yield index, text
 
     # every pass reads the input from the second block on slowly, so
-    # the parent's block has failed while worker 1 still builds
-    monkeypatch.setattr(build, "iter_tree_lines", slow_from_the_second_block)
+    # the parent's block has failed while worker 1 still builds;
+    # build-pairs reads it through cli._items
+    for module in (cli, build):
+        monkeypatch.setattr(module, "iter_tree_lines", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     texts[line - 1] = "(S (NP"
