@@ -2,19 +2,36 @@
 
 Only a build imports this module, and with it the fan-out and the
 instance builders, so ``evaluate``, ``stats`` and ``debug-phrases``
-load neither.  A build's first pass counts its input's items, keeps
-the hash of each, and digests the bytes of each file it reads.  Every
-build run writes its outputs plus ``stats.json`` and ``manifest.json``
-(config snapshot, those input digests, counts, skip histogram) into a
-private ``.nextphrase-*`` directory inside ``--out``, where its worker
-processes, each reading the input itself up to the end of its own
-block and checking each item of its block against the first pass's
-hash, write their part files too; at the end the outputs are renamed
-into ``--out`` together, the manifest last.
-Re-running with the same config and inputs reproduces every output byte
-for byte; only the manifest timestamp moves.  A run that fails leaves ``--out`` as it
-was, and every run deletes its private directory, so it deletes nothing
-it did not create.
+load neither.
+
+A build reads its input in two passes.  The first runs in this process
+at every worker count, so that an input's first error does not depend
+on it.  It counts the items, each a tree line, a document line or a
+``*.txt`` file, keeps the hash of each, and digests the bytes of each
+file it reads for the manifest: ``build-npp`` counts its tree lines
+unparsed, or draws its ``--sample`` from them, ``build-pairs`` counts
+each item's sentences for its split assignment, and ``build-nsp`` fills
+its distractor pool.  The second pass is ``fanout.fan_out``'s, which
+builds each block of items in its own process.  So a raw-text document
+is split into sentences twice, and a tree is parsed once, in
+``build-pairs`` without its span table; a ``dir`` input is listed
+anew, and its files read, by each pass of each process.
+
+``build-nsp`` and raw-text ``build-pairs`` thus hold no sentence past
+its document.  What grows with the input is a few bytes per sentence or
+document: per document the 8-byte position of its first sentence and
+its 8-byte hash, and in ``build-pairs`` the split assignment (see
+``corpus.assign_splits``).  The ``build-nsp`` pool grows with
+``--pool-cap``, not with the input (see ``_nsp_pool``); the benchmark's
+1,000 emails have about 6,000 sentences, so the default cap holds them
+all.
+
+Every build run writes its outputs plus ``stats.json`` and
+``manifest.json`` (config snapshot, input digests, counts, skip
+histogram) through ``cli._output_files``, so a run that fails leaves
+``--out`` as it was.  Re-running with the same config and inputs
+reproduces every output byte for byte; only the manifest timestamp
+moves.
 """
 
 from __future__ import annotations
@@ -103,7 +120,8 @@ def _finish_build(
     """Write stats.json and manifest.json into the last two of a build's sinks.
 
     The manifest's config lists the keys the subcommand has flags for, and
-    its inputs the digest of each file that the first pass read.
+    its inputs the digest of each file that the first pass read, and of
+    the guard list.
     """
     manifest = {
         "command": args.command,
@@ -262,7 +280,9 @@ def _text_pair_outcomes(
 def cmd_build_pairs(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
-    guards = _guards(config)
+    # the guard list's digest is kept apart: the list may be an input file too
+    guard_digests = defaultdict(sha256)
+    guards = _guards(config, guard_digests)
     hashes, digests = array("q"), defaultdict(sha256)
     # the count pass keeps where each document's first sentence sits; a
     # document is split again, or a tree parsed, where its block is built
@@ -290,7 +310,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
             "pairs": dict(zip(SPLIT_NAMES, built.written)),
         }
         stats = {"dataset": name, **counts, "total_sentences": total}
-        _finish_build(sinks, args, config, counts, stats, digests)
+        _finish_build(sinks, args, config, counts, stats, digests | guard_digests)
     print(format_stats_table([(name, sentence_counts)]))
     _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
 
@@ -358,7 +378,9 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
     name = Path(args.input).stem
-    guards = _guards(config)
+    # the guard list's digest is kept apart: the list may be an input file too
+    guard_digests = defaultdict(sha256)
+    guards = _guards(config, guard_digests)
     hashes, digests = array("q"), defaultdict(sha256)
     documents = hashed(_items(args.input, config.input_mode, digests), hashes)
     # the pool pass keeps the pool; each document is split again where
@@ -376,7 +398,9 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
         guards=guards,
     )
     open_items = functools.partial(_items, args.input, config.input_mode)
-    _build_records(args, config, "contexts_read", outcomes_of, open_items, hashes, digests)
+    _build_records(
+        args, config, "contexts_read", outcomes_of, open_items, hashes, digests | guard_digests
+    )
 
 
 # the build commands by name: cli.main runs them and maps their errors to exit codes

@@ -156,12 +156,12 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _guards(config: PipelineConfig) -> tuple[str, ...]:
+def _guards(config: PipelineConfig, digests=None) -> tuple[str, ...]:
     """The abbreviation guards of raw text; a treebank reads no guard list."""
     if config.input_mode == "treebank":
         return ()
     if config.guard_list:
-        return load_guard_list(config.guard_list)
+        return load_guard_list(config.guard_list, digests)
     return DEFAULT_GUARDS
 
 

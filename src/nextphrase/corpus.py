@@ -8,8 +8,8 @@ an upper-case character; but not when the word, less any leading
 ``( [ { ' "``, is on the abbreviation guard list, compared
 case-insensitively.  The tokenizer splits on whitespace and then
 detaches trailing ``. , ! ? ; :`` characters into their own tokens.
-Both are deliberately simple so that runs are reproducible; swap the
-guard list via a config file when the domain needs it.
+Both are deliberately simple so that runs are reproducible; a guard
+list file can replace the guards.
 """
 
 from __future__ import annotations
@@ -146,16 +146,19 @@ def open_sink(path) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def read_entries(path) -> list[str]:
-    """The stripped lines of a UTF-8 file of one entry per line, cut where
-    text_lines cuts them; blank lines and # comments are skipped."""
-    lines = (line.strip() for line in text_lines(path))
+def read_entries(path, digests=None) -> list[str]:
+    """The stripped lines of a UTF-8 file of one entry per line, read as
+    text_lines reads them, less a leading byte-order mark, blank lines and
+    # comments."""
+    lines = [line.strip() for line in text_lines(path, digests)]
+    if lines:  # str.strip keeps a byte-order mark
+        lines[0] = lines[0].removeprefix("\ufeff").lstrip()
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def load_guard_list(path) -> tuple[str, ...]:
-    """Read one guard per line; blank lines and # comments are skipped."""
-    return tuple(read_entries(path))
+def load_guard_list(path, digests=None) -> tuple[str, ...]:
+    """A guard list file's entries, as read_entries reads them."""
+    return tuple(read_entries(path, digests))
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,21 +3,46 @@
 A builder hands ``fan_out`` a function ``outcomes_of(item)`` that gives
 each input item's outcomes.  An outcome is either a skip reason (a
 ``str``) or a ``(sink index, records written, lines)`` triple whose
-lines go to that sink; each outcome counts as one record read.
-The items are cut into one contiguous block per worker, or one per
-item when there are fewer items than workers, so that no block is
-empty.  This process builds block 0 straight into the sinks; each other
-block k is built by a forked worker process, which reads the items
-itself, up to the end of block k, and writes its block into part files
-and its counts into a file of their own.  This process reaps the
-workers in block order: a worker that exited 0 has its counts read and
-its parts appended, and any other exit fails the build.  So the output
-bytes and counts do not depend on the worker count.  Each process reads
-the items anew, through ``corpus.unchanged``, so a block fails with
-``InputChanged`` when one of its items is not the one the caller
-counted, when its items end before it does, or, the last block, when
-they go on past it.  The workers' files are written next to the sinks,
-so the sinks' directory must be the caller's own.
+lines go to that sink with ``writelines``; each outcome counts as one
+record read.
+
+The items are cut into N contiguous blocks of equal count, give or take
+one: block k holds items ``total * k // N`` up to ``total * (k + 1) //
+N``, where N is the worker count, or the item count when that is
+smaller, so that no block is empty.  This process, the parent, forks
+workers 1 to N - 1 and then builds block 0 straight into the sinks.  No
+item travels between processes: each worker inherits the arguments and
+reads the items itself, passing over those before its block unbuilt and
+stopping at its end, except that the last block reads one item more,
+which must not be there.  So a file that the items come from is read
+1 + (N + 1) / 2 times, counting the caller's first pass: 2.5 times at
+N = 2.  Each block reads its items through ``corpus.unchanged``, and
+fails with ``InputChanged`` when one of them is not the item the caller
+counted, when they end before the block does or, in the last block,
+when they go on past it.
+
+Worker k writes its block into one part file per sink, ``<sink
+name>.<k>``, then its counts, or the exception that failed it, with
+``marshal`` into ``<first sink name>.<k>.counts``, and exits 0: it
+reports only through those files and its exit status.  Once block 0 is
+written, the parent reaps the workers in block order.  Any exit status
+but 0, a signal included, fails the build with ``WorkerDied`` even when
+the worker wrote its counts; otherwise the parent reads and deletes the
+counts file, raises the exception in it or adds up the counts, and
+appends each part to its sink, deleting it.  So the output bytes and
+counts do not depend on the worker count.  The workers' files are
+written next to the sinks, and a failed run can leave some behind, so
+the sinks' directory must be the caller's own.
+
+One block per process has its trade-offs.  The blocks are balanced by
+item count, not by cost, so a block whose costly items cluster holds up
+the build.  A worker that dies fails the build only when its block's
+turn comes, after the blocks before it are built and appended.  Until
+appended, a worker's parts, up to 1/N of the output, sit next to the
+sinks.  The parent's peak memory is that of a smaller one-worker build;
+a forked worker counts each page of its parent's that it touches.  A
+worker costs a fork and no import: ``concurrent.futures`` and
+``multiprocessing`` are never loaded, and ``signal`` only to fork.
 """
 
 from __future__ import annotations
@@ -78,11 +103,9 @@ def _serve(
     bounds: Sequence[int],
     worker: int,
 ) -> None:
-    """Worker ``worker``'s body: build the items from ``bounds[worker]`` up
-    to ``bounds[worker + 1]``, checked against hashes, into the part files
-    ``<sink name>.<worker>``, and write its counts file, with ``marshal``,
-    the counts as a plain tuple or, when the block failed, the exception
-    pickled."""
+    """Worker ``worker``'s body: build its block into its part files and
+    write its counts file (see the module docstring), the counts as a
+    plain tuple or, when the block failed, the exception pickled."""
     try:
         with ExitStack() as stack:
             parts = [stack.enter_context(open_sink(f"{name}.{worker}")) for name in sink_names]
@@ -189,27 +212,22 @@ def fan_out(
     workers: int,
     hashes: Sequence[int],
 ) -> RangeCounts:
-    """Write the outcomes of the items to sinks; bytes and counts do not depend on workers.
+    """Write the outcomes of the items to sinks in blocks, one per
+    process, as the module docstring tells; bytes and counts do not
+    depend on workers.
 
-    ``outcomes_of(item)`` gives an item's outcomes (see the module
-    docstring), each call of ``open_items()`` gives a new iterator over
-    the items, and ``hashes`` holds ``hash(item)`` of each item as the
-    caller counted them (see ``corpus.hashed``).  The items are cut into
-    ``min(workers, len(hashes))`` contiguous blocks, or one when there is
-    no item, so no block is empty; this process builds block 0 and forks
-    a worker for each other block (POSIX only), so the caller must run
-    no other thread.  The workers inherit the arguments, and with them
-    this process's hash salt, and each calls ``open_items()`` itself: an
-    iterator that had read from a file before the fork would share the
-    file's offset with every worker.  An exception in a block is raised
-    here in block order, ``InputChanged`` when a block's items are not
-    those counted (see ``corpus.unchanged``); a worker that does not
-    exit 0, killed or not, fails the build with ``WorkerDied`` when its
-    block's turn comes, and one that cannot be forked at once.  Workers
-    write their part files ``<sink name>.<worker>`` and their counts
-    file ``<first sink name>.<worker>.counts`` next to the sinks, and a
-    failed run can leave some behind, so the sinks' directory must be
-    the caller's own.
+    ``outcomes_of(item)`` gives an item's outcomes, each call of
+    ``open_items()`` a new iterator over the items, such as
+    ``functools.partial(iter_tree_lines, path)``, and ``hashes`` holds
+    ``hash(item)`` of each item as the caller counted them (see
+    ``corpus.hashed``).  The workers are forked (POSIX only), so the
+    callables and the items can be any objects, but the caller must run
+    no other thread.  Each worker inherits this process's hash salt and
+    calls ``open_items()`` itself: an iterator that had read from a file
+    before the fork would share the file's offset with every worker.  An
+    exception in a block is raised here in block order; a worker that
+    does not exit 0, killed or not, raises ``WorkerDied`` when its
+    block's turn comes, and one that cannot be forked at once.
     """
     total = len(hashes)
     # a block per item at most: an empty block would cost a fork and its part files

@@ -24,7 +24,9 @@ from .phrases import PhraseGroups, eligible_groups
 from .treebank import ConstituencyTree
 
 # CPython's built-in SHA-256, as Lib/random.py takes its sha512: hashlib
-# would load OpenSSL's libcrypto, about 3.5 MiB of a small run's peak RSS
+# would load OpenSSL's libcrypto, about 3.5 MiB of a small run's peak RSS.
+# Both give the same bytes.  The built-in hashes slower, which shows in
+# the manifest digest of a large input; seeding a record costs the same.
 try:
     from _sha2 import sha256  # CPython 3.12+
 except ImportError:

@@ -19,9 +19,10 @@ frequencies from each segment's set of distinct reference n-grams; the
 second scores one segment at a time and keeps only its scores.
 ``evaluate_files`` streams both passes from the two files, so it never
 holds more than one segment, and that segment's ``ngrams`` are freed
-with it.  ``evaluate`` runs the same two passes over a list, and the
-corpus scorers (``corpus_bleu``, ``meteor``, ``cider_scores``) take a
-list too.
+with it: it keeps the frequencies, a hash per line and the report's
+per-segment rows.  ``evaluate`` runs the same two passes over a list,
+and the corpus scorers (``corpus_bleu``, ``meteor``, ``cider_scores``)
+take a list too.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ class _Segment(NamedTuple):
 class EvalSegment(_Segment):
     """One tokenized candidate and its references, with n-gram counts
     cached on first use (hence the subclass: a NamedTuple has no
-    ``__dict__`` to cache them in)."""
+    ``__dict__`` to cache them in).  The fields cannot be reassigned, so
+    the counts never go stale."""
 
     @functools.cached_property
     def ngrams(self) -> tuple[tuple[Counter, tuple[Counter, ...]], ...]:
         """Per order 1..MAX_ORDER: the candidate's n-gram counts and one
-        Counter per reference, counted once for BLEU, METEOR and CIDEr."""
+        Counter per reference."""
         return tuple([
             (
                 _ngram_counts(self.candidate, n),
@@ -515,13 +517,11 @@ def load_segments(candidates_path, references_path) -> list[EvalSegment]:
 def evaluate_files(candidates_path, references_path) -> EvalReport:
     """The report of two aligned files, read twice and never held whole.
 
-    The first pass keeps the hash of every line of both files and builds
-    the document frequencies, so a count mismatch or a one-segment corpus
-    is raised before any segment is scored.  The second pass zips the
-    files again and scores one segment at a time.  A file whose lines
-    differ from those of the first pass, in number or in hash, raises
-    InputChanged naming that file (see ``corpus.unchanged``), so no
-    report is made from frequencies of other lines than those scored.
+    A count mismatch or a one-segment corpus is raised by the first
+    pass, before any segment is scored.  A file whose lines differ from
+    those of the first pass, in number or in hash, raises InputChanged
+    naming that file (see ``corpus.unchanged``), so no report is made
+    from frequencies of other lines than those scored.
     """
     from array import array  # an extension module; only the streamed report needs it
 

@@ -113,6 +113,13 @@ RUNS = {
         NPP_SAMPLE_FILES,
         NPP_SAMPLE_COUNTS,
     ),
+    # the one build whose forked workers read their items from memory
+    "npp-sample-w2": (
+        _trees,
+        ["build-npp", "--seed", "11", "--sample", "20", "--workers", "2"],
+        NPP_SAMPLE_FILES,
+        NPP_SAMPLE_COUNTS,
+    ),
     "pairs-treebank-w1": (
         _trees,
         ["build-pairs", "--seed", "11", "--input-mode", "treebank"],

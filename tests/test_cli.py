@@ -928,6 +928,16 @@ def test_a_config_line_ends_only_at_a_newline(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_file_may_open_with_a_byte_order_mark(tmp_path):
+    trees = _write_trees(tmp_path)
+    config = tmp_path / "run.cfg"
+    # as an editor that saves "UTF-8 with BOM" writes it
+    config.write_bytes(b"\xef\xbb\xbfseed=3\n")
+    out = tmp_path / "out"
+    assert main(["build-npp", str(trees), "--out", str(out), "--config", str(config)]) == 0
+    assert _manifest(out)["config"]["seed"] == 3
+
+
 def test_unknown_input_mode_in_config_exits_1(tmp_path, capsys):
     docs = _write_docs(tmp_path)
     config = tmp_path / "run.cfg"
@@ -1477,6 +1487,40 @@ def test_a_treebank_reads_no_guard_list(tmp_path, capsys):
         assert main([*command, "--guard-list", missing]) == 2, command
         assert missing in _assert_one_error_line(capsys)
     assert not lines_out.exists()
+
+
+def test_a_guard_list_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    text = tmp_path / "text.txt"
+    text.write_text("See e.g. Smith now. Then go.\n", encoding="utf-8")
+    guards = tmp_path / "guards.txt"
+    guards.write_bytes(b"\xef\xbb\xbfe.g.\n")
+    assert main(["stats", str(text), "--guard-list", str(guards)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    # the first guard still matches, so "e.g." ends no sentence
+    assert sum(int(count) for count in row[1:]) == 2
+
+
+@pytest.mark.parametrize("command", ["build-pairs", "build-nsp"])
+def test_the_manifest_digests_the_guard_list(tmp_path, command):
+    docs = _write_docs(tmp_path)
+    guards = tmp_path / "g.txt"
+    guards.write_text("e.g.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(docs), "--out", str(out), "--guard-list", str(guards)]) == 0
+    assert _manifest(out)["inputs"] == {str(docs): _digest(docs), str(guards): _digest(guards)}
+
+
+def test_a_guard_list_that_is_also_a_document_has_one_digest(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("The sky is blue. It rains often.\n", encoding="utf-8")
+    guards = docs / "g.txt"
+    guards.write_text("e.g.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["build-pairs", str(docs), "--input-mode", "dir", "--guard-list", str(guards)]
+    assert main([*argv, "--out", str(out)]) == 0
+    documents = (docs / "a.txt", guards)
+    assert _manifest(out)["inputs"] == {str(path): _digest(path) for path in documents}
 
 
 def test_stats_counts_a_malformed_tree_line(tmp_path, capsys):
