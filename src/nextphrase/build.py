@@ -9,13 +9,15 @@ at every worker count, so that an input's first error does not depend
 on it.  It counts the items, each a tree line, a document line or a
 ``*.txt`` file, keeps the hash of each, and digests the bytes of each
 file it reads for the manifest: ``build-npp`` counts its tree lines
-unparsed, or draws its ``--sample`` from them, ``build-pairs`` counts
-each item's sentences for its split assignment, and ``build-nsp`` fills
-its distractor pool.  The second pass is ``fanout.fan_out``'s, which
-builds each block of items in its own process.  So a raw-text document
-is split into sentences twice, and a tree is parsed once, in
-``build-pairs`` without its span table; a ``dir`` input is listed
-anew, and its files read, by each pass of each process.
+unparsed, and draws the positions of its ``--sample`` among them,
+``build-pairs`` counts each item's sentences for its split assignment,
+and ``build-nsp`` fills its distractor pool.  The second pass is
+``fanout.fan_out``'s, which reads the input again and builds each block
+of items in its own process; a sampled ``build-npp`` passes over the
+lines that were not drawn.  So a raw-text document is split into
+sentences twice, and a tree is parsed once, in ``build-pairs`` without
+its span table; a ``dir`` input is listed anew, and its files read, by
+each pass of each process.
 
 ``build-nsp`` and raw-text ``build-pairs`` thus hold no sentence past
 its document.  What grows with the input is a few bytes per sentence or
@@ -47,7 +49,7 @@ from array import array
 from collections import defaultdict
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .cli import (
@@ -84,7 +86,7 @@ from .instances import (
     sha256,
 )
 from .phrases import extract_phrases
-from .treebank import iter_tree_lines, parse_tree_line
+from .treebank import parse_tree_line
 
 
 # Every JSON-lines record is built with _quote, the string quoting of
@@ -98,41 +100,11 @@ def _record_line(sentence_id: str, prompt: str, target: str) -> str:
     )
 
 
-# the last two outputs of every build; the manifest is renamed into place last
-_BUILD_META = ("stats.json", "manifest.json")
-
-
 def _utc_now() -> str:
     """The time now in ISO 8601, UTC, to the microsecond: the format of
     datetime's isoformat() with six fraction digits, without loading datetime."""
     seconds, micro = divmod(time.time_ns() // 1000, 1_000_000)
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micro:06d}+00:00"
-
-
-def _finish_build(
-    sinks: Sequence[TextIO],
-    args: argparse.Namespace,
-    config: PipelineConfig,
-    counts: dict,
-    stats: dict,
-    digests: dict,
-) -> None:
-    """Write stats.json and manifest.json into the last two of a build's sinks.
-
-    The manifest's config lists the keys the subcommand has flags for, and
-    its inputs the digest of each file that the first pass read, and of
-    the guard list.
-    """
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "config": {key: value for key, value in config._asdict().items() if hasattr(args, key)},
-        "inputs": {path: digest.hexdigest() for path, digest in digests.items()},
-        "counts": counts,
-        "created_at": _utc_now(),
-    }
-    for sink, payload in zip(sinks[-2:], (stats, manifest)):
-        sink.write(_json_text(payload))
 
 
 def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, Sequence[int], int]:
@@ -161,31 +133,69 @@ def _info(message: str) -> None:
     print(f"INFO {message}", file=sys.stderr)
 
 
-def _build_records(
-    args, config, read_key, outcomes_of, open_items, hashes, digests, **extra
-) -> None:
-    """Fan the items of an NPP or NSP build, whose first pass kept their
-    ``hashes`` and its ``digests``, out into ``instances.jsonl``, write
-    their counts, under ``read_key`` and then ``extra``, to ``stats.json``
-    and the manifest, and log the summary line."""
-    with _output_files(Path(args.out), ["instances.jsonl", *_BUILD_META]) as sinks:
-        built = fan_out(outcomes_of, open_items, sinks[:1], config.workers, hashes)
+def _first_pass(args: argparse.Namespace, config: PipelineConfig) -> tuple:
+    """A build's guards, the items of its first pass, and the ``first``
+    that ``_build`` takes: the ``array('q')`` that gets each item's hash
+    as the pass reads it, and the digests of the input and guard list."""
+    # the guard list's digest is kept apart: the list may be an input file too
+    guard_digests = defaultdict(sha256)
+    guards = _guards(config, guard_digests)
+    hashes, digests = array("q"), defaultdict(sha256)
+    items = hashed(_items(args.input, config.input_mode, digests), hashes)
+    return guards, items, (hashes, digests, guard_digests)
+
+
+def _build(args, config, first, names, outcomes_of, tally) -> dict:
+    """Once the ``first`` pass has read every item, fan the items out into
+    one data file per name, then write ``stats.json`` and the manifest from
+    ``tally(built)``, which gives the counts and the stats of what was
+    built, and return the counts.  The manifest's config holds the keys
+    the subcommand has flags for."""
+    hashes, digests, guard_digests = first
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "config": {key: value for key, value in config._asdict().items() if hasattr(args, key)},
+        "inputs": {path: digest.hexdigest() for path, digest in (digests | guard_digests).items()},
+    }
+    # the manifest is renamed into place last
+    with _output_files(Path(args.out), [*names, "stats.json", "manifest.json"]) as sinks:
+        open_items = functools.partial(_items, args.input, config.input_mode)
+        built = fan_out(outcomes_of, open_items, sinks[:-2], config.workers, hashes)
+        counts, stats = tally(built)
+        manifest.update(counts=counts, created_at=_utc_now())
+        for sink, payload in zip(sinks[-2:], (stats, manifest)):
+            sink.write(_json_text(payload))
+    return counts
+
+
+def _build_records(args, config, first, read_key, outcomes_of, **extra) -> None:
+    """``_build`` of an NPP or NSP build into ``instances.jsonl``, with its
+    counts under ``read_key`` and then ``extra``, and its summary line."""
+
+    def tally(built):
         counts = {
             read_key: built.read,
             "instances_written": built.written[0],
             "skips": built.skips,
             **extra,
         }
-        _finish_build(sinks, args, config, counts, counts, digests)
+        return counts, counts
+
+    counts = _build(args, config, first, ["instances.jsonl"], outcomes_of, tally)
     _info(
         f"{args.command}: {counts[read_key]} {read_key.split('_')[0]} -> "
         f"{counts['instances_written']} instances ({sum(counts['skips'].values())} skipped)"
     )
 
 
-def _npp_outcomes(item: tuple[int, str], seed: int, min_size: int, name: str) -> Iterator:
-    """The one outcome of a tree line: its NPP record, or its skip reason."""
-    line_index, line = item
+def _npp_outcomes(item: tuple, seed: int, min_size: int, name: str, drawn=None) -> Iterator:
+    """The one outcome of a tree line, its NPP record or its skip reason;
+    ``item`` is its position among the tree lines and the line, and a
+    line whose position a ``drawn`` sample leaves out has none."""
+    position, (line_index, line) = item
+    if drawn is not None and position not in drawn:
+        return
     tree = parse_tree_line(line_index, line)
     sentence_id = _tree_id(name, line_index)
     groups = extract_phrases(tree)
@@ -198,26 +208,23 @@ def _npp_outcomes(item: tuple[int, str], seed: int, min_size: int, name: str) ->
 
 
 def cmd_build_npp(args: argparse.Namespace) -> None:
-    config = resolve_config(args)
-    name = Path(args.input).stem
-    sampled: dict = {}
-    digests = defaultdict(sha256)
-    # counted at any worker count, so that an input's first error does not
-    # depend on it: this pass reads every line, unparsed, before any build
-    items = iter_tree_lines(args.input, digests)
-    open_items = functools.partial(iter_tree_lines, args.input)
-    if config.sample is not None:
-        rng = random.Random(config.seed)
-        picked, _, sampled["sentences_scanned"] = _reservoir(items, config.sample, rng)
-        items = sorted(picked)
-        open_items = functools.partial(iter, items)
-    hashes = array("q", map(hash, items))
+    # build-npp reads a treebank, and has no --input-mode to say so
+    config = resolve_config(args)._replace(input_mode="treebank")
+    _, trees, first = _first_pass(args, config)
     outcomes_of = functools.partial(
-        _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=name
+        _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=Path(args.input).stem
     )
-    _build_records(
-        args, config, "sentences_read", outcomes_of, open_items, hashes, digests, **sampled
-    )
+    sampled = {}
+    if config.sample is None:
+        # every line is read, and hashed, before any is built
+        for _ in trees:
+            pass
+    else:
+        positions = (position for position, _ in trees)
+        rng = random.Random(config.seed)
+        drawn, _, sampled["sentences_scanned"] = _reservoir(positions, config.sample, rng)
+        outcomes_of = functools.partial(outcomes_of, drawn=frozenset(drawn))
+    _build_records(args, config, first, "sentences_read", outcomes_of, **sampled)
 
 
 def _pair_lines(sentence_id: str, tokens: Sequence[str]) -> tuple[int, Iterator[str]]:
@@ -280,13 +287,9 @@ def _text_pair_outcomes(
 def cmd_build_pairs(args: argparse.Namespace) -> None:
     config = resolve_config(args)
     name = args.name or Path(args.input).stem
-    # the guard list's digest is kept apart: the list may be an input file too
-    guard_digests = defaultdict(sha256)
-    guards = _guards(config, guard_digests)
-    hashes, digests = array("q"), defaultdict(sha256)
+    guards, items, first = _first_pass(args, config)
     # the count pass keeps where each document's first sentence sits; a
     # document is split again, or a tree parsed, where its block is built
-    items = hashed(_items(args.input, config.input_mode, digests), hashes)
     starts = _sentence_starts(items, config.input_mode, guards)
     total = starts[-1]
     splits = assign_splits(total, config.ratios, config.seed)
@@ -296,12 +299,9 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
         outcomes_of = functools.partial(
             _text_pair_outcomes, splits=splits, starts=starts, name=name, guards=guards
         )
-    open_items = functools.partial(_items, args.input, config.input_mode)
     sentence_counts = split_counts(total, config.ratios)
-    names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
-    with _output_files(Path(args.out), [*names, *_BUILD_META]) as sinks:
-        data = sinks[: len(names)]
-        built = fan_out(outcomes_of, open_items, data, config.workers, hashes)
+
+    def tally(built):
         counts = {
             "sentences_read": total,
             "pairs_written": sum(built.written),
@@ -309,8 +309,10 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
             "sentences": sentence_counts,
             "pairs": dict(zip(SPLIT_NAMES, built.written)),
         }
-        stats = {"dataset": name, **counts, "total_sentences": total}
-        _finish_build(sinks, args, config, counts, stats, digests | guard_digests)
+        return counts, {"dataset": name, **counts, "total_sentences": total}
+
+    names = [f"pairs_{split}.jsonl" for split in SPLIT_NAMES]
+    counts = _build(args, config, first, names, outcomes_of, tally)
     print(format_stats_table([(name, sentence_counts)]))
     _info(f"{args.command}: {total} sentences -> {counts['pairs_written']} pairs")
 
@@ -378,11 +380,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
     if config.input_mode not in ("lines", "dir"):
         raise UsageError("build-nsp reads raw text (input mode lines or dir)")
     name = Path(args.input).stem
-    # the guard list's digest is kept apart: the list may be an input file too
-    guard_digests = defaultdict(sha256)
-    guards = _guards(config, guard_digests)
-    hashes, digests = array("q"), defaultdict(sha256)
-    documents = hashed(_items(args.input, config.input_mode, digests), hashes)
+    guards, documents, first = _first_pass(args, config)
     # the pool pass keeps the pool; each document is split again where
     # its block is built
     sentences = (split_sentences(text, guards) for _, text in documents)
@@ -397,10 +395,7 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
         name=name,
         guards=guards,
     )
-    open_items = functools.partial(_items, args.input, config.input_mode)
-    _build_records(
-        args, config, "contexts_read", outcomes_of, open_items, hashes, digests | guard_digests
-    )
+    _build_records(args, config, first, "contexts_read", outcomes_of)
 
 
 # the build commands by name: cli.main runs them and maps their errors to exit codes

@@ -46,7 +46,6 @@ from .corpus import (
     RatioSumInvalid,
     format_stats_table,
     iter_documents,
-    load_guard_list,
     open_sink,
     read_entries,
     split_counts,
@@ -161,7 +160,7 @@ def _guards(config: PipelineConfig, digests=None) -> tuple[str, ...]:
     if config.input_mode == "treebank":
         return ()
     if config.guard_list:
-        return load_guard_list(config.guard_list, digests)
+        return tuple(read_entries(config.guard_list, digests))
     return DEFAULT_GUARDS
 
 

@@ -156,11 +156,6 @@ def read_entries(path, digests=None) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def load_guard_list(path, digests=None) -> tuple[str, ...]:
-    """A guard list file's entries, as read_entries reads them."""
-    return tuple(read_entries(path, digests))
-
-
 @functools.lru_cache(maxsize=8)
 def _guard_set(guards: tuple[str, ...]) -> frozenset[str]:
     return frozenset(g.lower() for g in guards)

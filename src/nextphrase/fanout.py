@@ -218,7 +218,7 @@ def fan_out(
 
     ``outcomes_of(item)`` gives an item's outcomes, each call of
     ``open_items()`` a new iterator over the items, such as
-    ``functools.partial(iter_tree_lines, path)``, and ``hashes`` holds
+    ``functools.partial(cli._items, path, mode)``, and ``hashes`` holds
     ``hash(item)`` of each item as the caller counted them (see
     ``corpus.hashed``).  The workers are forked (POSIX only), so the
     callables and the items can be any objects, but the caller must run

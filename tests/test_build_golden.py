@@ -113,7 +113,8 @@ RUNS = {
         NPP_SAMPLE_FILES,
         NPP_SAMPLE_COUNTS,
     ),
-    # the one build whose forked workers read their items from memory
+    # the sample is drawn in the first pass; each block reads the tree
+    # lines again and builds only the drawn ones
     "npp-sample-w2": (
         _trees,
         ["build-npp", "--seed", "11", "--sample", "20", "--workers", "2"],

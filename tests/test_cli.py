@@ -164,6 +164,30 @@ def test_build_npp_sample(tmp_path):
     assert len(_records(out / "instances.jsonl")) == 5
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(GENERATED_TREES, max_size=10), st.integers(1, 12), st.integers(0, 2**16))
+@example([DOG, SHOP], 1, 0)
+def test_a_sample_writes_the_full_builds_lines_at_the_drawn_positions(trees, k, seed):
+    # one tree per document: the pool oracle's reservoir draws the positions
+    documents = [[position] for position in range(len(trees))]
+    drawn, _, _ = oracles.nsp_pool_oracle(documents, k, random.Random(seed))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trees.txt"
+        path.write_text("".join(tree + "\n" for tree in trees), encoding="utf-8")
+        argv = ["build-npp", str(path), "--seed", str(seed)]
+        assert main([*argv, "--out", f"{scratch}/full"]) == 0
+        full = Path(scratch, "full", "instances.jsonl").read_bytes().splitlines(keepends=True)
+        # a record's id ends in its tree's line number, here its position
+        expected = [line for line in full if int(json.loads(line)["id"][-8:]) in drawn]
+        for workers in ("1", "2", "3"):
+            out = Path(scratch) / workers
+            assert main([*argv, "--sample", str(k), "--workers", workers, "--out", str(out)]) == 0
+            assert (out / "instances.jsonl").read_bytes() == b"".join(expected)
+            counts = _manifest(out)["counts"]
+            assert counts["sentences_scanned"] == len(trees)
+            assert counts["sentences_read"] == min(k, len(trees))
+
+
 @given(
     st.lists(st.integers(0, 6), max_size=25).flatmap(
         lambda counts: st.tuples(st.just(counts), st.integers(1, sum(counts) + 3))
@@ -233,7 +257,7 @@ def test_build_npp_malformed_tree_exits_3(tmp_path, capsys, tree, message):
 
 @given(GENERATED_TREES, st.integers(0, 2**16))
 def test_npp_record_writes_or_names_a_skip(text, seed):
-    (outcome,) = _npp_outcomes((0, text), seed=seed, min_size=2, name="t")
+    (outcome,) = _npp_outcomes((0, (0, text)), seed=seed, min_size=2, name="t")
     if isinstance(outcome, tuple):
         sink, written, lines = outcome
         assert (sink, written) == (0, 1)
@@ -257,8 +281,8 @@ def test_tree_records_build_no_nodes(monkeypatch):
         tree_root(nextphrase.treebank.parse_ptb(DOG))
     outcomes = []
     for index, text in enumerate((SHOP, EAT_PIE, DOG, f"(ROOT {SHOP})", list_tree(3))):
-        outcomes += _npp_outcomes((index, text), seed=3, min_size=2, name="t")
         record = (0, (index, text))
+        outcomes += _npp_outcomes(record, seed=3, min_size=2, name="t")
         ((_, pairs, lines),) = _tree_pair_outcomes(record, splits=bytearray(1), name="t")
         assert pairs and "".join(lines)
     assert any(isinstance(outcome, tuple) for outcome in outcomes)

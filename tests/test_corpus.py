@@ -11,7 +11,7 @@ from nextphrase.corpus import (
     detokenize,
     format_stats_table,
     iter_documents,
-    load_guard_list,
+    read_entries,
     split_counts,
     split_sentences,
     tokenize,
@@ -72,8 +72,8 @@ def test_blank_input():
 def test_custom_guard_list(tmp_path):
     path = tmp_path / "guards.txt"
     path.write_text("# comment\nfoo.\n\nbar.\n", encoding="utf-8")
-    guards = load_guard_list(path)
-    assert guards == ("foo.", "bar.")
+    guards = read_entries(path)
+    assert guards == ["foo.", "bar."]
     assert split_sentences("Take foo. Then stop.", guards) == ["Take foo. Then stop."]
     assert split_sentences("Take Dr. Who away.", guards) == [
         "Take Dr.",
@@ -85,7 +85,7 @@ def test_a_guard_list_line_ends_only_at_a_newline(tmp_path):
     path = tmp_path / "guards.txt"
     # str.splitlines would also cut at U+2028, U+0085 and the form feed
     path.write_text("foo.\u2028bar.\nbaz.\x85qux.\x0cend.\n", encoding="utf-8")
-    assert load_guard_list(path) == ("foo.\u2028bar.", "baz.\x85qux.\x0cend.")
+    assert read_entries(path) == ["foo.\u2028bar.", "baz.\x85qux.\x0cend."]
 
 
 # pieces of the texts the splitter and tokenizer are checked on against

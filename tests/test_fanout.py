@@ -365,6 +365,7 @@ def test_raw_text_builds_write_the_same_at_one_two_and_three_workers(emails, mod
 # a directory of five files, any other build a file of five lines
 CHANGED_INPUTS = {
     "build-npp": ([DOG, SHOP, EAT_PIE, DOG, SHOP], []),
+    "build-npp-sample": ([DOG, SHOP, EAT_PIE, DOG, SHOP], ["--sample", "4"]),
     "build-pairs-treebank": ([DOG, SHOP, EAT_PIE, DOG, SHOP], ["--input-mode", "treebank"]),
     "build-pairs": (["It rains. We hide."] * 5, []),
     "build-pairs-dir": (["It rains. We hide."] * 5, ["--input-mode", "dir"]),
@@ -485,9 +486,9 @@ RAW_TEXT_EDITS = {
     "lost": "It rains and we hide.",
     "kept": "Birds sing. We hide.",
 }
+TREE_ROWS = ("build-npp", "build-npp-sample", "build-pairs-treebank")
 EDITS = {
-    name: {"kept": EAT_PIE} if name in ("build-npp", "build-pairs-treebank") else RAW_TEXT_EDITS
-    for name in CHANGED_INPUTS
+    name: {"kept": EAT_PIE} if name in TREE_ROWS else RAW_TEXT_EDITS for name in CHANGED_INPUTS
 }
 
 
@@ -618,7 +619,7 @@ def test_a_worker_killed_after_it_wrote_its_counts_exits_4(tmp_path, capsys, mon
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
-    original = build.iter_tree_lines
+    original = cli.iter_tree_lines
 
     def slow_from_the_second_block(*args, **kwargs):
         for index, text in original(*args, **kwargs):
@@ -626,11 +627,10 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
                 time.sleep(0.01)
             yield index, text
 
-    # every pass reads the input from the second block on slowly, so
-    # the parent's block has failed while worker 1 still builds;
-    # build-pairs reads it through cli._items
-    for module in (cli, build):
-        monkeypatch.setattr(module, "iter_tree_lines", slow_from_the_second_block)
+    # every pass reads the input through cli._items, from the second
+    # block on slowly, so the parent's block has failed while worker 1
+    # still builds
+    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     texts[line - 1] = "(S (NP"
