@@ -21,12 +21,12 @@ each pass of each process.
 
 ``build-nsp`` and raw-text ``build-pairs`` thus hold no sentence past
 its document.  What grows with the input is a few bytes per sentence or
-document: per document the 8-byte position of its first sentence and
-its 8-byte hash, and in ``build-pairs`` the split assignment (see
-``corpus.assign_splits``).  The ``build-nsp`` pool grows with
-``--pool-cap``, not with the input (see ``_nsp_pool``); the benchmark's
-1,000 emails have about 6,000 sentences, so the default cap holds them
-all.
+document: per document its 8-byte hash, and in ``build-pairs`` also the
+8-byte position of its first sentence and, per sentence, the split
+assignment (see ``corpus.assign_splits``).  The ``build-nsp`` pool grows
+with ``--pool-cap``, not with the input (see ``_nsp_pool``); the
+benchmark's 1,000 emails have about 6,000 sentences, so the default cap
+holds them all.
 
 Every build run writes its outputs plus ``stats.json`` and
 ``manifest.json`` (config snapshot, input digests, counts, skip
@@ -107,22 +107,25 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micro:06d}+00:00"
 
 
-def _reservoir(items: Iterable, k: int, rng: random.Random) -> tuple[list, Sequence[int], int]:
-    """k items drawn uniformly from items, in step with them an ``array('q')``
-    of where each sat in items, and how many items there were."""
+def _reservoir(
+    pairs: Iterable[tuple[int, object]], k: int, rng: random.Random
+) -> tuple[list, Sequence[int], int]:
+    """k items drawn uniformly from ``(key, item)`` pairs, in step with them
+    an ``array('q')`` of their keys, and how many pairs there were.  The
+    draws depend only on that count."""
     chosen: list = []
-    where = array("q")
+    keys = array("q")
     seen = 0
-    for seen, item in enumerate(items, 1):
+    for seen, (key, item) in enumerate(pairs, 1):
         if seen <= k:
             chosen.append(item)
-            where.append(seen - 1)
+            keys.append(key)
         else:
             slot = rng.randrange(seen)
             if slot < k:
                 chosen[slot] = item
-                where[slot] = seen - 1
-    return chosen, where, seen
+                keys[slot] = key
+    return chosen, keys, seen
 
 
 def _tree_id(name: str, line_index: int) -> str:
@@ -135,23 +138,26 @@ def _info(message: str) -> None:
 
 def _first_pass(args: argparse.Namespace, config: PipelineConfig) -> tuple:
     """A build's guards, the items of its first pass, and the ``first``
-    that ``_build`` takes: the ``array('q')`` that gets each item's hash
-    as the pass reads it, and the digests of the input and guard list."""
+    that ``_build`` takes: those items, the ``array('q')`` that gets each
+    item's hash as the pass reads it, and the digests of the input and
+    guard list."""
     # the guard list's digest is kept apart: the list may be an input file too
     guard_digests = defaultdict(sha256)
     guards = _guards(config, guard_digests)
     hashes, digests = array("q"), defaultdict(sha256)
     items = hashed(_items(args.input, config.input_mode, digests), hashes)
-    return guards, items, (hashes, digests, guard_digests)
+    return guards, items, (items, hashes, digests, guard_digests)
 
 
 def _build(args, config, first, names, outcomes_of, tally) -> dict:
-    """Once the ``first`` pass has read every item, fan the items out into
-    one data file per name, then write ``stats.json`` and the manifest from
-    ``tally(built)``, which gives the counts and the stats of what was
-    built, and return the counts.  The manifest's config holds the keys
-    the subcommand has flags for."""
-    hashes, digests, guard_digests = first
+    """Read, and hash, whatever items the ``first`` pass left unread, then
+    fan the items out into one data file per name, then write
+    ``stats.json`` and the manifest from ``tally(built)``, which gives the
+    counts and the stats of what was built, and return the counts.  The
+    manifest's config holds the keys the subcommand has flags for."""
+    items, hashes, digests, guard_digests = first
+    for _ in items:
+        pass
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -215,14 +221,10 @@ def cmd_build_npp(args: argparse.Namespace) -> None:
         _npp_outcomes, seed=config.seed, min_size=config.min_group_size, name=Path(args.input).stem
     )
     sampled = {}
-    if config.sample is None:
-        # every line is read, and hashed, before any is built
-        for _ in trees:
-            pass
-    else:
-        positions = (position for position, _ in trees)
+    if config.sample is not None:
+        positions = ((position, None) for position, _ in trees)
         rng = random.Random(config.seed)
-        drawn, _, sampled["sentences_scanned"] = _reservoir(positions, config.sample, rng)
+        _, drawn, sampled["sentences_scanned"] = _reservoir(positions, config.sample, rng)
         outcomes_of = functools.partial(outcomes_of, drawn=frozenset(drawn))
     _build_records(args, config, first, "sentences_read", outcomes_of, **sampled)
 
@@ -320,18 +322,20 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
 def _nsp_outcomes(
     item: tuple[int, str],
     pool: Sequence[str],
-    own: tuple[Sequence[int], Sequence[int]],
+    owned: Sequence[int],
     seed: int,
     distractors: int,
     name: str,
     guards: Sequence[str],
 ) -> Iterator:
-    """A document's outcomes, one per context.  ``own`` is two sequences
-    in step, sorted: each pool position's document, and the position."""
+    """A document's outcomes, one per context.  ``owned`` is ``_nsp_pool``'s:
+    document d's own pool positions are its keys from d * len(pool) up to
+    (d + 1) * len(pool), less d * len(pool)."""
     doc_index, text = item
-    owners, positions = own
-    first = bisect.bisect_left(owners, doc_index)
-    others = PoolView(pool, positions[first:bisect.bisect_right(owners, doc_index, first)])
+    base = doc_index * len(pool)
+    first = bisect.bisect_left(owned, base)
+    last = bisect.bisect_left(owned, base + len(pool), first)
+    others = PoolView(pool, [key - base for key in owned[first:last]])
     sentences = split_sentences(text, guards)
     for position in range(len(sentences) - 1):
         sentence_id = make_sentence_id(name, doc_index, position)
@@ -345,31 +349,17 @@ def _nsp_outcomes(
 
 def _nsp_pool(
     documents: Iterable[Sequence[str]], cap: int, rng: random.Random
-) -> tuple[list[str], tuple[Sequence[int], Sequence[int]]]:
-    """The distractor pool of the documents' sentences, and ``own``: each
-    pool position's document, ascending, and in step the position, so
-    that distractors can skip a document's own.  A pool entry costs its
-    text, a list slot and 16 bytes of arrays."""
-    # where each document's first sentence sits in the stream of sentences
-    starts = array("q", [0])
-
-    def sentences() -> Iterator[str]:
-        for split in documents:
-            starts.append(starts[-1] + len(split))
-            yield from split
-
-    pool, where, _ = _reservoir(sentences(), cap, rng)
-    size = len(pool)
-    # a sentence's document is the last one starting at or before it; one
-    # sort of owner * size + position orders the positions by document,
-    # and within a document by position
-    packed = sorted(
-        (bisect.bisect_right(starts, stream) - 1) * size + position
-        for position, stream in enumerate(where)
-    )
-    del where
-    owners = array("q", (key // size for key in packed))
-    return pool, (owners, array("q", (key % size for key in packed)))
+) -> tuple[list[str], Sequence[int]]:
+    """The distractor pool of the documents' sentences, and ``owned``: the
+    ``array('q')``, ascending, of ``document * len(pool) + position`` for
+    each pool position, so that distractors can skip a document's own.  A
+    pool entry costs its text, a list slot and 8 bytes of the array."""
+    pairs = ((doc_index, text) for doc_index, texts in enumerate(documents) for text in texts)
+    pool, owners, _ = _reservoir(pairs, cap, rng)
+    # one sort orders the positions by document, and within one by position
+    keys = sorted(owner * len(pool) + position for position, owner in enumerate(owners))
+    del owners
+    return pool, array("q", keys)
 
 
 def cmd_build_nsp(args: argparse.Namespace) -> None:
@@ -384,12 +374,12 @@ def cmd_build_nsp(args: argparse.Namespace) -> None:
     # the pool pass keeps the pool; each document is split again where
     # its block is built
     sentences = (split_sentences(text, guards) for _, text in documents)
-    pool, own = _nsp_pool(sentences, config.pool_cap, random.Random(config.seed))
-    # forked workers inherit the pool and its owners with this partial
+    pool, owned = _nsp_pool(sentences, config.pool_cap, random.Random(config.seed))
+    # forked workers inherit the pool and its index with this partial
     outcomes_of = functools.partial(
         _nsp_outcomes,
         pool=pool,
-        own=own,
+        owned=owned,
         seed=config.seed,
         distractors=config.distractors,
         name=name,

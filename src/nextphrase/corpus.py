@@ -124,12 +124,8 @@ def text_lines(path, digests=None) -> Iterator[str]:
     \\r\\n and \\r to \\n.  A line that is not UTF-8 raises NotUtf8.
     ``digests``, a ``defaultdict`` of digests such as ``defaultdict(sha256)``,
     gets the file's bytes in ``digests[str(Path(path))]`` as they are read."""
-    if digests is None:
-        handle = open(path, encoding="utf-8")
-    else:
-        raw = io.BufferedReader(_Digested(path, digests[str(Path(path))]))
-        handle = io.TextIOWrapper(raw, encoding="utf-8")
-    with handle:
+    raw = io.FileIO(path) if digests is None else _Digested(path, digests[str(Path(path))])
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as handle:
         try:
             yield from handle
         except UnicodeDecodeError:

@@ -202,7 +202,9 @@ def test_nsp_pool_equals_the_tuple_oracle(counts_and_cap, seed):
     counts, cap = counts_and_cap
     documents = [[f"{d}.{i}" for i in range(n)] for d, n in enumerate(counts)]
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    pool, (owners, positions) = build._nsp_pool(iter(documents), cap, rng)
+    pool, owned = build._nsp_pool(iter(documents), cap, rng)
+    # each key is document * len(pool) + position; an empty pool has none
+    owners, positions = zip(*(divmod(key, len(pool)) for key in owned)) if owned else ((), ())
     expected = oracles.nsp_pool_oracle(documents, cap, oracle_rng)
     assert (pool, list(owners), list(positions)) == expected
     # the same draws, and no more

@@ -6,8 +6,9 @@ leaves a freshly allocated small tuple on a free list once it is freed,
 and a build that makes one per record parks memory that grows with its
 input until those free lists are full.
 
-``build-nsp`` keeps its distractor pool as texts plus arrays, with no
-tuple or boxed document number per pool sentence.
+``build-nsp`` keeps its distractor pool as texts plus one array, with no
+tuple or boxed document number per pool sentence, and per document only
+its hash.
 """
 
 import ast
@@ -104,20 +105,34 @@ def test_build_npp_holds_no_more_after_ten_times_the_trees(tmp_path):
     assert int(done.stdout) < 256 * 1024
 
 
-# build-nsp at each pool cap in one process, each traced on its own
-# after a first build that loads what a build loads
-POOL_PEAKS = """
+# build-nsp on each input at each pool cap in one process, each traced on
+# its own after a first build that loads what a build loads
+NSP_PEAKS = """
 import sys, tracemalloc
 from nextphrase.cli import main
-emails, out = sys.argv[1:3]
+out, runs = sys.argv[1], sys.argv[2:]
 peaks = []
-for cap in sys.argv[3:]:
+for number, (emails, cap) in enumerate(zip(runs[::2], runs[1::2])):
     tracemalloc.start()
-    assert main(["build-nsp", emails, "--out", out + cap, "--pool-cap", cap]) == 0
+    assert main(["build-nsp", emails, "--out", f"{out}{number}", "--pool-cap", cap]) == 0
     peaks.append(tracemalloc.get_traced_memory()[1])
     tracemalloc.stop()
 print(*peaks[1:])
 """
+
+
+def _nsp_peaks(out: Path, *runs: tuple[Path, int]) -> list[int]:
+    """The traced peaks of build-nsp on each ``(emails, cap)`` of runs,
+    after a first build of the first run whose peak is dropped."""
+    argv = [str(part) for run in [runs[0], *runs] for part in run]
+    done = subprocess.run(
+        [sys.executable, "-c", NSP_PEAKS, str(out), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return list(map(int, done.stdout.split()))
 
 
 def test_build_nsp_pays_few_bytes_per_pool_entry_beyond_its_text(tmp_path):
@@ -134,18 +149,29 @@ def test_build_nsp_pays_few_bytes_per_pool_entry_beyond_its_text(tmp_path):
     documents = [split_sentences(email, DEFAULT_GUARDS) for email in emails]
     caps = (200, 2000)
     assert sum(map(len, documents)) > caps[1]
-    done = subprocess.run(
-        [sys.executable, "-c", POOL_PEAKS, str(path), str(tmp_path / "out"), "1", *map(str, caps)],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    small, large = map(int, done.stdout.split())
+    small, large = _nsp_peaks(tmp_path / "out", *((path, cap) for cap in caps))
     # the pool's texts at each cap, drawn with the build's default seed
     texts = [nsp_pool_oracle(documents, cap, random.Random(0))[0] for cap in caps]
     text_bytes = sum(map(sys.getsizeof, texts[1])) - sum(map(sys.getsizeof, texts[0]))
     per_entry = (large - small - text_bytes) / (caps[1] - caps[0])
     # 65-78 B with a (doc_index, text) tuple per entry and a sort keyed by
-    # a lambda, 18-33 B with the texts and two arrays (3.10 to 3.13)
-    assert per_entry < 48
+    # a lambda, 18-33 B with the texts and two arrays (3.10 to 3.13), 21 B
+    # with the texts and one array of document * len(pool) + position (3.11)
+    assert per_entry < 40
+
+
+def test_build_nsp_pays_few_bytes_per_document(tmp_path):
+    rng = random.Random(31)
+    sizes = (2_000, 20_000)
+    emails = [
+        " ".join(" ".join(random_sentence(rng, 3, 6)).capitalize() + "." for _ in range(2))
+        for _ in range(sizes[1])
+    ]
+    paths = [tmp_path / f"emails-{size}.txt" for size in sizes]
+    for path, size in zip(paths, sizes):
+        path.write_text("".join(email + "\n" for email in emails[:size]), encoding="utf-8")
+    small, large = _nsp_peaks(tmp_path / "out", *((path, 50) for path in paths))
+    per_document = (large - small) / (sizes[1] - sizes[0])
+    # the first pass keeps one 8-byte hash per document; 15 B with an
+    # 8-byte first-sentence position per document besides (3.11)
+    assert per_document < 12
