@@ -6,12 +6,13 @@ load neither.
 
 A build reads its input in two passes.  The first runs in this process
 at every worker count, so that an input's first error does not depend
-on it.  It counts the items, each a tree line, a document line or a
-``*.txt`` file, keeps the hash of each, and digests the bytes of each
-file it reads for the manifest: ``build-npp`` counts its tree lines
-unparsed, and draws the positions of its ``--sample`` among them,
-``build-pairs`` counts each item's sentences for its split assignment,
-and ``build-nsp`` fills its distractor pool.  The second pass is
+on it.  It counts the items that ``corpus.read_items`` gives, each a
+tree line, a document line or a ``*.txt`` file, keeps the hash of each,
+and digests the bytes of each file it reads for the manifest:
+``build-npp`` counts its tree lines unparsed, and draws the positions of
+its ``--sample`` among them, ``build-pairs`` counts each item's
+sentences for its split assignment (``corpus.sentence_starts``), and
+``build-nsp`` fills its distractor pool.  The second pass is
 ``fanout.fan_out``'s, which reads the input again and builds each block
 of items in its own process; a sampled ``build-npp`` passes over the
 lines that were not drawn.  So a raw-text document is split into
@@ -52,22 +53,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .cli import (
-    PipelineConfig,
-    UsageError,
-    _guards,
-    _items,
-    _json_text,
-    _output_files,
-    _sentence_starts,
-    resolve_config,
-)
+from .cli import PipelineConfig, UsageError, _json_text, _output_files, resolve_config
 from .corpus import (
     SPLIT_NAMES,
     assign_splits,
     format_stats_table,
     hashed,
     make_sentence_id,
+    read_guards,
+    read_items,
+    sentence_starts,
     split_counts,
     split_sentences,
     tokenize,
@@ -143,9 +138,9 @@ def _first_pass(args: argparse.Namespace, config: PipelineConfig) -> tuple:
     guard list."""
     # the guard list's digest is kept apart: the list may be an input file too
     guard_digests = defaultdict(sha256)
-    guards = _guards(config, guard_digests)
+    guards = read_guards(config.input_mode, config.guard_list, guard_digests)
     hashes, digests = array("q"), defaultdict(sha256)
-    items = hashed(_items(args.input, config.input_mode, digests), hashes)
+    items = hashed(read_items(args.input, config.input_mode, digests), hashes)
     return guards, items, (items, hashes, digests, guard_digests)
 
 
@@ -166,7 +161,7 @@ def _build(args, config, first, names, outcomes_of, tally) -> dict:
     }
     # the manifest is renamed into place last
     with _output_files(Path(args.out), [*names, "stats.json", "manifest.json"]) as sinks:
-        open_items = functools.partial(_items, args.input, config.input_mode)
+        open_items = functools.partial(read_items, args.input, config.input_mode)
         built = fan_out(outcomes_of, open_items, sinks[:-2], config.workers, hashes)
         counts, stats = tally(built)
         manifest.update(counts=counts, created_at=_utc_now())
@@ -292,7 +287,7 @@ def cmd_build_pairs(args: argparse.Namespace) -> None:
     guards, items, first = _first_pass(args, config)
     # the count pass keeps where each document's first sentence sits; a
     # document is split again, or a tree parsed, where its block is built
-    starts = _sentence_starts(items, config.input_mode, guards)
+    starts = sentence_starts(items, config.input_mode, guards)
     total = starts[-1]
     splits = assign_splits(total, config.ratios, config.seed)
     if config.input_mode == "treebank":

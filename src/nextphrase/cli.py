@@ -29,27 +29,27 @@ ends the process by SIGPIPE.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import shutil
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .corpus import (
-    DEFAULT_GUARDS,
+    INPUT_MODES,
     InputChanged,
     NotUtf8,
     RatioSumInvalid,
     format_stats_table,
-    iter_documents,
     open_sink,
     read_entries,
+    read_guards,
+    read_items,
+    sentence_starts,
     split_counts,
-    split_sentences,
 )
 from .metrics import (
     CountMismatch,
@@ -60,15 +60,13 @@ from .metrics import (
 )
 from .phrases import extract_phrases
 # parse_ptb is not called here; perfbench's recorder test reads it as cli.parse_ptb
-from .treebank import TreebankError, iter_tree_lines, parse_ptb, read_treebank
+from .treebank import TreebankError, parse_ptb, read_treebank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
 EXIT_WORKER = 4
-
-INPUT_MODES = ("lines", "dir", "treebank")
 
 
 class UsageError(Exception):
@@ -155,15 +153,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _guards(config: PipelineConfig, digests=None) -> tuple[str, ...]:
-    """The abbreviation guards of raw text; a treebank reads no guard list."""
-    if config.input_mode == "treebank":
-        return ()
-    if config.guard_list:
-        return tuple(read_entries(config.guard_list, digests))
-    return DEFAULT_GUARDS
-
-
 # ------------------------------------------------------------ plumbing
 
 
@@ -207,26 +196,6 @@ def _output_files(out_dir: Path, names: Sequence[str]) -> Iterator[list[TextIO]]
             )
 
 
-def _items(path, mode: str, digests=None) -> Iterator:
-    """The items of an input, as a build's passes read them: a treebank's
-    non-blank tree lines, unparsed, each with its position among them,
-    or raw text's documents; ``digests`` is corpus.text_lines'."""
-    if mode == "treebank":
-        return enumerate(iter_tree_lines(path, digests))
-    return iter_documents(path, mode, digests)
-
-
-def _sentence_starts(items: Iterable, mode: str, guards: Sequence[str]) -> Sequence[int]:
-    """Where each of the ``_items`` of an input of this mode has its first
-    sentence, then where the last one ends; a tree line is one sentence."""
-    if mode == "treebank":
-        return range(sum(1 for _ in items) + 1)
-    from array import array  # an extension module; only raw text needs it
-
-    sentences = (len(split_sentences(text, guards)) for _, text in items)
-    return array("q", itertools.accumulate(sentences, initial=0))
-
-
 # ---------------------------------------------------------- subcommands
 
 
@@ -249,11 +218,12 @@ def cmd_stats(args: argparse.Namespace) -> None:
         # stats.json keys its rows by stem, so a shared stem would lose one
         if names.count(name) > 1:
             raise UsageError(f"two inputs share the file stem {name!r}")
-    guards = _guards(config)
+    mode = config.input_mode
+    guards = read_guards(mode, config.guard_list)
     rows = []
     for path, name in zip(args.inputs, names):
         # the sentences build-pairs splits, counted as it counts them
-        total = _sentence_starts(_items(path, config.input_mode), config.input_mode, guards)[-1]
+        total = sentence_starts(read_items(path, mode), mode, guards)[-1]
         rows.append((name, split_counts(total, config.ratios)))
     if args.out:
         payload = {

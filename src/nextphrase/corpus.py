@@ -1,4 +1,9 @@
-"""Plain-text corpus handling: sentence split, tokenize, split into sets.
+"""Corpus handling: reading every input, sentence split, tokenize, split into sets.
+
+Every command reads its files through ``text_lines``, and each input
+mode's items through ``read_items``: a ``lines`` document per non-blank
+line, a ``dir`` document per ``*.txt`` file, or a ``treebank``'s
+unparsed tree lines.  ``sentence_starts`` is the count pass over them.
 
 The sentence splitter is rule-based.  A sentence ends after a word
 (a run of non-whitespace) that ends in one or more of ``.``, ``!`` and
@@ -38,6 +43,8 @@ _SENTENCE_END = re.compile(r"(?<!\S)(\S*[.!?]+)(?=[ \t]*(?:\n|\Z)|[ \t]+(\S))")
 _DETACH = ".,!?;:"
 
 SPLIT_NAMES = ("train", "dev", "test")
+
+INPUT_MODES = ("lines", "dir", "treebank")
 
 
 class RatioSumInvalid(ValueError):
@@ -216,6 +223,37 @@ def iter_documents(path, mode: str, digests=None) -> Iterator[tuple[int, str]]:
                 index += 1
     else:
         raise ValueError(f"unknown input mode: {mode!r}")
+
+
+def read_items(path, mode: str, digests=None) -> Iterator:
+    """The items of an input, as every pass over it reads them: a
+    treebank's non-blank lines, unparsed, as ``(position, (line_index,
+    line))``, or raw text's documents; ``digests`` is text_lines'."""
+    if mode != "treebank":
+        return iter_documents(path, mode, digests)
+    lines = enumerate(text_lines(path, digests))
+    return enumerate((index, line) for index, line in lines if line.strip())
+
+
+def sentence_starts(items: Iterable, mode: str, guards: Sequence[str]) -> Sequence[int]:
+    """Where each of the ``read_items`` of an input of this mode has its
+    first sentence, then where the last one ends; a tree line is one sentence."""
+    if mode == "treebank":
+        return range(sum(1 for _ in items) + 1)
+    from array import array  # an extension module; only raw text needs it
+
+    sentences = (len(split_sentences(text, guards)) for _, text in items)
+    return array("q", itertools.accumulate(sentences, initial=0))
+
+
+def read_guards(mode: str, guard_list, digests=None) -> tuple[str, ...]:
+    """The abbreviation guards of raw text, from the guard list when there
+    is one; a treebank reads no guard list."""
+    if mode == "treebank":
+        return ()
+    if guard_list:
+        return tuple(read_entries(guard_list, digests))
+    return DEFAULT_GUARDS
 
 
 def split_counts(n: int, ratios: Sequence[float]) -> dict[str, int]:

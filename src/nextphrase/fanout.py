@@ -218,8 +218,8 @@ def fan_out(
 
     ``outcomes_of(item)`` gives an item's outcomes, each call of
     ``open_items()`` a new iterator over the items, such as
-    ``functools.partial(cli._items, path, mode)``, and ``hashes`` holds
-    ``hash(item)`` of each item as the caller counted them (see
+    ``functools.partial(corpus.read_items, path, mode)``, and ``hashes``
+    holds ``hash(item)`` of each item as the caller counted them (see
     ``corpus.hashed``).  The workers are forked (POSIX only), so the
     callables and the items can be any objects, but the caller must run
     no other thread.  Each worker inherits this process's hash salt and

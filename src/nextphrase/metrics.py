@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import hashed, text_lines, tokenize, unchanged
 
@@ -192,29 +192,12 @@ class MeteorStats(NamedTuple):
     reference_length: int
 
     @property
-    def precision(self) -> float:
-        return self.matches / self.candidate_length if self.candidate_length else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.matches / self.reference_length if self.reference_length else 0.0
-
-    @property
-    def fmean(self) -> float:
-        if self.matches == 0:
-            return 0.0
-        p, r = self.precision, self.recall
-        return 10.0 * p * r / (r + 9.0 * p)
-
-    @property
-    def penalty(self) -> float:
-        if self.matches == 0:
-            return 0.0
-        return 0.5 * (self.chunks / self.matches) ** 3
-
-    @property
     def score(self) -> float:
-        return self.fmean * (1.0 - self.penalty)
+        if self.matches == 0:
+            return 0.0
+        p = self.matches / self.candidate_length
+        r = self.matches / self.reference_length
+        return 10.0 * p * r / (r + 9.0 * p) * (1.0 - 0.5 * (self.chunks / self.matches) ** 3)
 
 
 def align(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]:
@@ -485,13 +468,6 @@ def evaluate(segments: Sequence[EvalSegment]) -> EvalReport:
     return _score(segments, *_document_frequency(s.references for s in segments))
 
 
-def _lines(path) -> Iterator[str]:
-    """Lines split at newlines only; text mode maps \\r\\n and \\r to \\n.
-    str.splitlines would also cut at U+2028, U+0085 and the like."""
-    for line in text_lines(path):
-        yield line.removesuffix("\n")
-
-
 def _references(line: str) -> tuple[tuple[str, ...], ...]:
     """The normalized references of a line; tab separates them."""
     return tuple([normalize(reference) for reference in line.split("\t")])
@@ -508,8 +484,8 @@ def _check_counts(candidates: int, references: int) -> None:
 
 def load_segments(candidates_path, references_path) -> list[EvalSegment]:
     """Read aligned plain-text files; tab separates multiple references."""
-    candidates = list(_lines(candidates_path))
-    references = list(_lines(references_path))
+    candidates = list(text_lines(candidates_path))
+    references = list(text_lines(references_path))
     _check_counts(len(candidates), len(references))
     return list(map(_segment, candidates, references))
 
@@ -518,27 +494,27 @@ def evaluate_files(candidates_path, references_path) -> EvalReport:
     """The report of two aligned files, read twice and never held whole.
 
     A count mismatch or a one-segment corpus is raised by the first
-    pass, before any segment is scored.  A file whose lines differ from
-    those of the first pass, in number or in hash, raises InputChanged
-    naming that file (see ``corpus.unchanged``), so no report is made
-    from frequencies of other lines than those scored.
+    pass, before any segment is scored.  A file whose lines, each with
+    its newline, differ from those of the first pass, in number or in
+    hash, raises InputChanged naming that file (see ``corpus.unchanged``),
+    so no report is made from frequencies of other lines than those scored.
     """
     from array import array  # an extension module; only the streamed report needs it
 
-    candidates = array("q", map(hash, _lines(candidates_path)))
+    candidates = array("q", map(hash, text_lines(candidates_path)))
     references = array("q")
     segments, frequency = _document_frequency(
         # interned, the n-gram keys of the frequencies share one string per word
         tuple([tuple([sys.intern(token) for token in tokens]) for tokens in _references(line)])
-        for line in hashed(_lines(references_path), references)
+        for line in hashed(text_lines(references_path), references)
     )
     _check_counts(len(candidates), segments)
     # strict, zip reads both files to their ends, so a line that either
     # file gained is read and fails; each file's own check raises before
     # zip could find the two of different lengths
     pairs = zip(
-        unchanged(_lines(candidates_path), candidates, path=candidates_path),
-        unchanged(_lines(references_path), references, path=references_path),
+        unchanged(text_lines(candidates_path), candidates, path=candidates_path),
+        unchanged(text_lines(references_path), references, path=references_path),
         strict=True,
     )
     return _score(itertools.starmap(_segment, pairs), segments, frequency)

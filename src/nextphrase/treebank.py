@@ -1,9 +1,10 @@
-"""Reader for Penn-Treebank-style bracketed constituency trees.
+"""Parser for Penn-Treebank-style bracketed constituency trees.
 
 Input is the usual one-tree-per-line bracketed format, e.g.
 
     (S (NP (PRP She)) (VP (VBZ naps)) (. .))
 
+whose lines ``corpus.read_items`` reads, as it reads every input.
 Labels are normalized to their base category (``NP-SBJ`` and ``NP-1``
 both become ``NP``); an outer ``(ROOT ...)`` or ``(TOP ...)`` wrapper is
 dropped.  Escaped brackets such as ``-LRB-`` are kept verbatim, both as
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
-from .corpus import text_lines
+from .corpus import read_items
 
 
 class TreebankError(ValueError):
@@ -172,14 +173,6 @@ def parse_ptb(text: str, spans: bool = True) -> ConstituencyTree:
     return ConstituencyTree(tuple(tokens), table)
 
 
-def iter_tree_lines(path, digests=None) -> Iterator[tuple[int, str]]:
-    """(line_index, line) of each non-blank line of a treebank file,
-    unparsed; ``digests`` is corpus.text_lines'."""
-    for index, line in enumerate(text_lines(path, digests)):
-        if line.strip():
-            yield index, line
-
-
 def parse_tree_line(line_index: int, line: str, spans: bool = True) -> ConstituencyTree:
     """Parse the treebank line at 0-based line_index, with or without its
     span table, as parse_ptb does.
@@ -194,6 +187,7 @@ def parse_tree_line(line_index: int, line: str, spans: bool = True) -> Constitue
 
 
 def read_treebank(path) -> Iterator[tuple[int, ConstituencyTree]]:
-    """Yield (line_index, tree) for each non-blank line of a treebank file."""
-    for index, line in iter_tree_lines(path):
+    """Yield (line_index, tree) for each non-blank line of a treebank file,
+    read as every command reads one (``corpus.read_items``)."""
+    for _, (index, line) in read_items(path, "treebank"):
         yield index, parse_tree_line(index, line)

@@ -737,6 +737,38 @@ def test_evaluate_on_files_that_change_between_its_passes_exits_2(
     assert _files_under(report.parent) == before
 
 
+def test_evaluate_on_a_candidate_line_that_gains_its_newline_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # evaluate reads its lines as corpus.text_lines gives them, each with
+    # its newline, so a last line that gains one is another line, though
+    # it scores the same
+    candidates, references = tmp_path / "cand.txt", tmp_path / "refs.txt"
+    candidates.write_text("the cat sat\na dog ran", encoding="utf-8")
+    references.write_text("the cat sat down\na dog ran far\n", encoding="utf-8")
+    report = tmp_path / "ev" / "report.txt"
+    argv = [
+        "evaluate", "--candidates", str(candidates),
+        "--references", str(references), "--report", str(report),
+    ]
+    first_pass = nextphrase.metrics._document_frequency
+
+    def count_then_end_the_line(references_per_segment):
+        counted = first_pass(references_per_segment)
+        candidates.write_text("the cat sat\na dog ran\n", encoding="utf-8")
+        return counted
+
+    monkeypatch.setattr(nextphrase.metrics, "_document_frequency", count_then_end_the_line)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {candidates}: changed while it was read: "
+        "item 2 is not the item the first pass read\n"
+    )
+    assert not report.parent.exists()
+
+
 # evaluate scores every segment before it stages any output; here the
 # scoring touches the file that $STARTED names and then waits
 SLOW_EVALUATE = """
@@ -1101,7 +1133,7 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
         docs.mkdir()
         for index, document in enumerate(FIVE_DOCUMENTS):
             (docs / f"{index}.txt").write_text(document, encoding="utf-8")
-    split, read = cli.split_sentences, cli.iter_documents
+    split, read = nextphrase.corpus.split_sentences, nextphrase.corpus.iter_documents
     splits, passes = [], []
 
     def counted_split(document, *args, **kwargs):
@@ -1114,10 +1146,11 @@ def test_a_raw_text_build_splits_each_document_where_its_block_is_built(
             passes[-1] += 1
             yield item
 
-    # every pass reads the documents through cli._items; the first pass
-    # splits them in cli, or in build-nsp's pool pass, and a block in build
-    monkeypatch.setattr(cli, "iter_documents", counted_read)
-    for module in (cli, build):
+    # every pass reads the documents through corpus.read_items; the first
+    # pass splits them in corpus, or in build-nsp's pool pass, and a block
+    # in build
+    monkeypatch.setattr(nextphrase.corpus, "iter_documents", counted_read)
+    for module in (nextphrase.corpus, build):
         monkeypatch.setattr(module, "split_sentences", counted_split)
     out = tmp_path / "out"
     argv = [command, str(docs), "--input-mode", mode, "--out", str(out), "--workers", workers]

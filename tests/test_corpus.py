@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nextphrase.cli import main
 from nextphrase.corpus import (
     DEFAULT_GUARDS,
     RatioSumInvalid,
@@ -256,6 +258,30 @@ def test_iter_documents_dir_sorted(tmp_path):
     (tmp_path / "ignored.md").write_text("nope", encoding="utf-8")
     docs = list(iter_documents(tmp_path, "dir"))
     assert docs == [(0, "First doc."), (1, "Second doc.")]
+
+
+def test_a_dir_input_reads_hidden_files_and_links_to_files_only(tmp_path):
+    # a hidden *.txt file is read and so is a link to a file; a directory,
+    # a link to one and a dangling link are not, in the listing and in the
+    # manifest of a build
+    docs = tmp_path / "docs"
+    sub = docs / "sub"
+    sub.mkdir(parents=True)
+    (docs / "a.txt").write_text("Plain doc.", encoding="utf-8")
+    (docs / ".h.txt").write_text("Hidden doc.", encoding="utf-8")
+    (sub / "target.txt").write_text("Linked doc.", encoding="utf-8")
+    (docs / "link.txt").symlink_to(sub / "target.txt")
+    (docs / "sublink.txt").symlink_to(sub, target_is_directory=True)
+    (docs / "broken.txt").symlink_to(docs / "missing.txt")
+    (docs / "x.txt").mkdir()
+    texts = [text for _, text in iter_documents(docs, "dir")]
+    assert texts == ["Hidden doc.", "Plain doc.", "Linked doc."]
+    out = tmp_path / "out"
+    assert main(["build-pairs", str(docs), "--input-mode", "dir", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["inputs"]) == sorted(
+        str(docs / name) for name in (".h.txt", "a.txt", "link.txt")
+    )
 
 
 def test_iter_documents_lines(tmp_path):

@@ -465,15 +465,15 @@ def test_a_directory_that_gains_a_file_after_the_count_exits_2(
     out = tmp_path / "out"
     argv = [build, str(docs), "--input-mode", "dir", "--workers", "2"]
     before = _before(argv, out)
-    read = cli.iter_documents
+    read = nextphrase.corpus.iter_documents
 
     def count_then_grow(*args, **kwargs):
         yield from read(*args, **kwargs)
         (docs / "5.txt").write_text("One more. Mail.", encoding="utf-8")
 
-    # every pass reads the documents through cli._items; the files are
-    # listed anew by each block, and the last block finds the sixth
-    monkeypatch.setattr(cli, "iter_documents", count_then_grow)
+    # every pass reads the documents through corpus.read_items; the files
+    # are listed anew by each block, and the last block finds the sixth
+    monkeypatch.setattr(nextphrase.corpus, "iter_documents", count_then_grow)
     detail = "it has more than the 5 items counted"
     _assert_the_changed_input_exits_2(capsys, argv, out, before, detail)
 
@@ -619,7 +619,7 @@ def test_a_worker_killed_after_it_wrote_its_counts_exits_4(tmp_path, capsys, mon
 @pytest.mark.parametrize("line", [2, 12])
 @pytest.mark.parametrize("command", sorted(TREE_BUILDS))
 def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, command, line):
-    original = cli.iter_tree_lines
+    original = build.read_items
 
     def slow_from_the_second_block(*args, **kwargs):
         for index, text in original(*args, **kwargs):
@@ -627,10 +627,10 @@ def test_a_failure_in_an_early_range_exits_3(tmp_path, capsys, monkeypatch, comm
                 time.sleep(0.01)
             yield index, text
 
-    # every pass reads the input through cli._items, from the second
-    # block on slowly, so the parent's block has failed while worker 1
-    # still builds
-    monkeypatch.setattr(cli, "iter_tree_lines", slow_from_the_second_block)
+    # every pass reads the input through build's read_items, which yields
+    # each tree line's position and the line, from the second block on
+    # slowly, so the parent's block has failed while worker 1 still builds
+    monkeypatch.setattr(build, "read_items", slow_from_the_second_block)
     rng = random.Random(4)
     texts = [random_tree_text(rng, 5, 4) for _ in range(40)]
     texts[line - 1] = "(S (NP"
