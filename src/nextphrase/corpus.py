@@ -128,11 +128,12 @@ class _Digested(io.FileIO):
 
 def text_lines(path, digests=None) -> Iterator[str]:
     """The lines of a UTF-8 file, each with its newline; text mode maps
-    \\r\\n and \\r to \\n.  A line that is not UTF-8 raises NotUtf8.
+    \\r\\n and \\r to \\n, and a byte-order mark at the very start of
+    the file is dropped.  A line that is not UTF-8 raises NotUtf8.
     ``digests``, a ``defaultdict`` of digests such as ``defaultdict(sha256)``,
     gets the file's bytes in ``digests[str(Path(path))]`` as they are read."""
     raw = io.FileIO(path) if digests is None else _Digested(path, digests[str(Path(path))])
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as handle:
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig") as handle:
         try:
             yield from handle
         except UnicodeDecodeError:
@@ -151,11 +152,8 @@ def open_sink(path) -> TextIO:
 
 def read_entries(path, digests=None) -> list[str]:
     """The stripped lines of a UTF-8 file of one entry per line, read as
-    text_lines reads them, less a leading byte-order mark, blank lines and
-    # comments."""
+    text_lines reads them, less blank lines and # comments."""
     lines = [line.strip() for line in text_lines(path, digests)]
-    if lines:  # str.strip keeps a byte-order mark
-        lines[0] = lines[0].removeprefix("\ufeff").lstrip()
     return [line for line in lines if line and not line.startswith("#")]
 
 

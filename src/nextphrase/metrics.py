@@ -15,7 +15,8 @@ score.  SPICE is not implemented.
 
 CIDEr's document frequencies need every reference before any segment
 can be scored, so a report takes two passes.  The first builds the
-frequencies from each segment's set of distinct reference n-grams; the
+frequencies from each segment's set of distinct reference n-grams, and
+from the corpus size one idf table per corpus, indexed by frequency; the
 second scores one segment at a time and keeps only its scores.
 ``evaluate_files`` streams both passes from the two files, so it never
 holds more than one segment, and that segment's ``ngrams`` are freed
@@ -111,10 +112,10 @@ def _clipped_matches(segment: EvalSegment) -> list[tuple[int, int]]:
     n-gram counts at most as often as it occurs in any single reference."""
     pairs = []
     for candidate, references in segment.ngrams:
-        match = sum(
-            min(count, max(reference.get(gram, 0) for reference in references))
+        match = sum([
+            min(count, max([reference.get(gram, 0) for reference in references]))
             for gram, count in candidate.items()
-        )
+        ])
         pairs.append((match, sum(candidate.values())))
     return pairs
 
@@ -209,22 +210,29 @@ def align(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]
     repetition patterns the beam may return a slight overcount, but it
     is deterministic and exact on natural sentences.
 
-    A beam state is ``(used, last)``: ``used`` is an int bitmask of the
-    matched reference positions, position ``j`` at bit ``L-1-j`` for a
-    reference of length ``L``.  ``last`` is the last matched pair
-    ``(i, j)`` as the int ``i*(L+2)+j``, which orders like the tuple; the
-    start state's "no pair yet" is below every real pair.
-    When a step has more than ``_BEAM_WIDTH`` successors, the beam keeps
-    those with the fewest chunks, then the most matches, then the
-    smallest ``last``, then the largest ``used``.  With that bit order a
-    larger mask of the same size is the set whose sorted positions come
-    first lexicographically, so the tie-break is "earliest positions".
+    A beam state is the int ``last << L | free`` for a reference of
+    length ``L``: ``free`` has bit ``L-1-j`` set while reference
+    position ``j`` is unmatched, and ``last`` is the last matched pair
+    ``(i, j)`` as ``i*(L+2)+j``, which orders like the tuple; the start
+    state's "no pair yet" is below every real pair.  Its value is
+    ``chunks << b | (L - matches)``, with ``2**b > L``.  When a step has
+    more than ``_BEAM_WIDTH`` successors, the beam keeps those with the
+    fewest chunks, then the most matches, then the smallest ``last``,
+    then the smallest ``free``: with that bit order, of two match sets
+    of one size the one whose sorted positions come first leaves the
+    smaller ``free``, so the tie-break is "earliest positions".  Those
+    are the smallest values and, among equal values, the smallest
+    states: one sort of the values finds the ``_BEAM_WIDTH``-th
+    smallest, every state below it is kept, and only the states at it
+    are sorted.  The start state, alone with no chunk, is never sorted.
     """
-    width = len(reference) + 2
+    size = len(reference)
+    full = (1 << size) - 1
+    width = size + 2
     ref_bits: dict[str, list[tuple[int, int]]] = defaultdict(list)
     word_mask: dict[str, int] = defaultdict(int)
     for j, word in enumerate(reference):
-        bit = 1 << (len(reference) - 1 - j)
+        bit = 1 << (size - 1 - j)
         ref_bits[word].append((j, bit))
         word_mask[word] |= bit
     remaining = Counter(candidate)
@@ -236,43 +244,46 @@ def align(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]
     total = sum(quota.values())
     if total == 0:
         return 0, 0
-    # state: (used reference bits, encoded last matched pair) -> chunks
-    states: dict[tuple[int, int], int] = {(0, -2 * width - 2): 0}
+    low = size.bit_length()
+    chunk = 1 << low
+    states: dict[int, int] = {(-2 * width - 2) << size | full: size}  # state -> value
     for i, word in enumerate(candidate):
         if word not in quota:
             continue
         remaining[word] -= 1
         later = remaining[word]
         mask = word_mask[word]
-        positions = ref_bits[word]
+        # the matches a state still owes the word: offset plus its free positions of the word
+        offset = quota[word] - mask.bit_count()
         here = i * width
-        # `last` of the pair (i-1, j-1), which a match at (i, j) extends
-        adjacent = here - width - 1
-        successors: dict[tuple[int, int], int] = {}
-        for (used, last), chunks in states.items():
-            need = quota[word] - (used & mask).bit_count()
+        # per j: its bit, the pair (i, j) and that bit as state bits, and the last of (i-1, j-1)
+        moves = [(bit, (here + j) << size | bit, here - width - 1 + j) for j, bit in ref_bits[word]]
+        successors: dict[int, int] = {}
+        for state, value in states.items():
+            free = state & full
+            need = offset + (free & mask).bit_count()
             if need <= 0 or later >= need:
                 # no other state or match successor has this key
-                successors[used, last] = chunks
+                successors[state] = value
             if need > 0:
-                for j, bit in positions:
-                    if used & bit:
+                last = state >> size
+                joined = value - 1  # one more match, in the last chunk
+                for bit, pair, adjacent in moves:
+                    if not free & bit:
                         continue
-                    grown = chunks if last == adjacent + j else chunks + 1
-                    key = (used | bit, here + j)
-                    if grown < successors.get(key, grown + 1):
+                    grown = joined if last == adjacent else joined + chunk
+                    key = free ^ pair
+                    if successors.setdefault(key, grown) > grown:
                         successors[key] = grown
         if len(successors) > _BEAM_WIDTH:
-            ranked = sorted(
-                [(chunks, -used.bit_count(), last, -used)
-                 for (used, last), chunks in successors.items()]
-            )
-            successors = {
-                (-negated, last): chunks
-                for chunks, _, last, negated in ranked[:_BEAM_WIDTH]
-            }
+            cut = sorted(successors.values())[_BEAM_WIDTH - 1]
+            kept = {state: value for state, value in successors.items() if value < cut}
+            tied = sorted([state for state, value in successors.items() if value == cut])
+            kept.update(dict.fromkeys(tied[:_BEAM_WIDTH - len(kept)], cut))
+            successors = kept
         states = successors
-    return total, min(states.values())
+    # every final state has all the matches, so the least value has the fewest chunks
+    return total, min(states.values()) >> low
 
 
 def _overlap(candidate: Counter, reference: Counter) -> int:
@@ -356,40 +367,29 @@ def _document_frequency(
     return count, frequency
 
 
-def _require_corpus(segments: int) -> None:
-    if segments < 2:
-        raise SingleSegmentCorpus(
-            f"got {segments} segment(s); idf needs a corpus of at least 2"
-        )
-
-
-def _tf_idf(counts: Counter, frequency: Counter, corpus_size: int) -> dict:
-    return {
-        gram: count * math.log(corpus_size / (1.0 + frequency[gram]))
-        for gram, count in counts.items()
-    }
-
-
-def _cosine(a: dict, b: dict) -> float:
-    norm_a = math.sqrt(math.fsum(v * v for v in a.values()))
-    norm_b = math.sqrt(math.fsum(v * v for v in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    dot = math.fsum(v * b[g] for g, v in a.items() if g in b)
-    return dot / (norm_a * norm_b)
+def _idf(corpus_size: int) -> list[float]:
+    """The idf ``log(|S|/(1+df))`` of each document frequency 0..|S|,
+    one table per corpus; it is degenerate below two segments."""
+    if corpus_size < 2:
+        raise SingleSegmentCorpus(f"got {corpus_size} segment(s); idf needs a corpus of at least 2")
+    return [math.log(corpus_size / (1.0 + df)) for df in range(corpus_size + 1)]
 
 
 def _cider_segment(
-    segment: EvalSegment, corpus_size: int, document_frequency: Sequence[Counter]
+    segment: EvalSegment, idf: Sequence[float], document_frequency: Sequence[Counter]
 ) -> float:
-    """One segment's CIDEr against the corpus's document frequencies."""
+    """One segment's CIDEr: per order, the mean cosine of the candidate's
+    tf-idf vector with each reference's, a zero vector scoring 0."""
     order_scores = []
     for frequency, (candidate, references) in zip(document_frequency, segment.ngrams):
-        cand_vec = _tf_idf(candidate, frequency, corpus_size)
-        sims = [
-            _cosine(cand_vec, _tf_idf(reference, frequency, corpus_size))
-            for reference in references
-        ]
+        cand_vec = {gram: count * idf[frequency[gram]] for gram, count in candidate.items()}
+        cand_norm = math.sqrt(math.fsum([v * v for v in cand_vec.values()]))
+        sims = []
+        for reference in references:
+            ref_vec = {gram: count * idf[frequency[gram]] for gram, count in reference.items()}
+            ref_norm = math.sqrt(math.fsum([v * v for v in ref_vec.values()]))
+            dot = math.fsum([v * ref_vec[g] for g, v in cand_vec.items() if g in ref_vec])
+            sims.append(dot / (cand_norm * ref_norm) if cand_norm and ref_norm else 0.0)
         order_scores.append(math.fsum(sims) / len(sims))
     return 10.0 * math.fsum(order_scores) / MAX_ORDER
 
@@ -401,8 +401,8 @@ def _mean(scores: Sequence[float]) -> float:
 def cider_scores(segments: Sequence[EvalSegment]) -> tuple[float, list[float]]:
     """(corpus score, per-segment scores)."""
     corpus_size, frequency = _document_frequency(s.references for s in segments)
-    _require_corpus(corpus_size)
-    per_segment = [_cider_segment(s, corpus_size, frequency) for s in segments]
+    idf = _idf(corpus_size)
+    per_segment = [_cider_segment(s, idf, frequency) for s in segments]
     return _mean(per_segment), per_segment
 
 
@@ -430,7 +430,7 @@ def _score(
     """The second pass: score each segment in turn, keep only its scores
     and add its BLEU counts and METEOR stats to the corpus sums, so a
     segment and its cached counts are freed when the next one comes."""
-    _require_corpus(corpus_size)
+    idf = _idf(corpus_size)
     bleu_sums = _NO_BLEU_COUNTS
     meteor_sums = _NO_METEOR_STATS
     detail: list[SegmentScores] = []
@@ -443,7 +443,7 @@ def _score(
                 index=index,
                 bleu4=sentence_bleu(segment),
                 meteor=stats.score,
-                cider=_cider_segment(segment, corpus_size, document_frequency),
+                cider=_cider_segment(segment, idf, document_frequency),
             )
         )
     metadata = {

@@ -4,7 +4,7 @@ import math
 import random
 import re
 import string
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +17,7 @@ from nextphrase.corpus import (
     split_sentences,
 )
 from nextphrase.metrics import (
+    _BEAM_WIDTH,
     EvalReport,
     MeteorStats,
     SegmentScores,
@@ -358,6 +359,83 @@ def align_oracle(candidate, reference):
 
     walk(0, frozenset(), None, 0, 0)
     return best[0], -best[1]
+
+
+def align_beam_oracle(candidate, reference):
+    """``metrics.align`` as it was when its beam state was the tuple
+    ``(used, last)`` and every cut sorted the 4-tuple rank of every
+    successor: (matches, chunks) of an exact unigram alignment.
+
+    Every alignment with the maximum number of matches is feasible;
+    among those a beam search minimizes the chunk count.  Exact chunk
+    minimization is a common-partition problem, so for adversarial
+    repetition patterns the beam may return a slight overcount, but it
+    is deterministic and exact on natural sentences.
+
+    A beam state is ``(used, last)``: ``used`` is an int bitmask of the
+    matched reference positions, position ``j`` at bit ``L-1-j`` for a
+    reference of length ``L``.  ``last`` is the last matched pair
+    ``(i, j)`` as the int ``i*(L+2)+j``, which orders like the tuple; the
+    start state's "no pair yet" is below every real pair.
+    When a step has more than ``_BEAM_WIDTH`` successors, the beam keeps
+    those with the fewest chunks, then the most matches, then the
+    smallest ``last``, then the largest ``used``.  With that bit order a
+    larger mask of the same size is the set whose sorted positions come
+    first lexicographically, so the tie-break is "earliest positions".
+    """
+    width = len(reference) + 2
+    ref_bits: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    word_mask: dict[str, int] = defaultdict(int)
+    for j, word in enumerate(reference):
+        bit = 1 << (len(reference) - 1 - j)
+        ref_bits[word].append((j, bit))
+        word_mask[word] |= bit
+    remaining = Counter(candidate)
+    quota = {
+        word: min(count, len(ref_bits[word]))
+        for word, count in remaining.items()
+        if word in ref_bits
+    }
+    total = sum(quota.values())
+    if total == 0:
+        return 0, 0
+    # state: (used reference bits, encoded last matched pair) -> chunks
+    states: dict[tuple[int, int], int] = {(0, -2 * width - 2): 0}
+    for i, word in enumerate(candidate):
+        if word not in quota:
+            continue
+        remaining[word] -= 1
+        later = remaining[word]
+        mask = word_mask[word]
+        positions = ref_bits[word]
+        here = i * width
+        # `last` of the pair (i-1, j-1), which a match at (i, j) extends
+        adjacent = here - width - 1
+        successors: dict[tuple[int, int], int] = {}
+        for (used, last), chunks in states.items():
+            need = quota[word] - (used & mask).bit_count()
+            if need <= 0 or later >= need:
+                # no other state or match successor has this key
+                successors[used, last] = chunks
+            if need > 0:
+                for j, bit in positions:
+                    if used & bit:
+                        continue
+                    grown = chunks if last == adjacent + j else chunks + 1
+                    key = (used | bit, here + j)
+                    if grown < successors.get(key, grown + 1):
+                        successors[key] = grown
+        if len(successors) > _BEAM_WIDTH:
+            ranked = sorted(
+                [(chunks, -used.bit_count(), last, -used)
+                 for (used, last), chunks in successors.items()]
+            )
+            successors = {
+                (-negated, last): chunks
+                for chunks, _, last, negated in ranked[:_BEAM_WIDTH]
+            }
+        states = successors
+    return total, min(states.values())
 
 
 def meteor_segment_oracle(candidate, references):

@@ -180,6 +180,23 @@ def test_build_outputs_match_golden_hashes(tmp_path, run):
     assert list(manifest["counts"]) == list(counts)
 
 
+@pytest.mark.parametrize("run", ["npp-w1", "npp-w2", "pairs-treebank-w1", "pairs-lines"])
+def test_an_input_that_opens_with_a_byte_order_mark_builds_the_same_files(tmp_path, run):
+    # as an editor that saves "UTF-8 with BOM" writes it: the mark is no
+    # part of the first tree or document, and only the manifest's digest
+    # of the input, which hashes its bytes, differs
+    make_input, argv, files, counts = RUNS[run]
+    source = make_input(tmp_path)
+    source.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    out = tmp_path / "out"
+    command, *options = argv
+    assert main([command, str(source), "--out", str(out), *options]) == 0
+    assert {name: _sha256(out / name) for name in files} == files
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"] == counts
+    assert manifest["inputs"] == {str(source): _sha256(source)}
+
+
 def test_build_npp_without_the_builtin_sha256_writes_the_same_bytes(tmp_path):
     # an interpreter with neither _sha2 nor _sha256 hashes with hashlib
     source = _trees(tmp_path)

@@ -1383,6 +1383,39 @@ def test_evaluate_writes_report_and_sidecar(tmp_path, capsys):
     assert "BLEU-4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "marked", [("candidates.txt",), ("references.txt",), ("candidates.txt", "references.txt")]
+)
+def test_evaluate_reads_past_a_byte_order_mark(tmp_path, marked):
+    # as an editor that saves "UTF-8 with BOM" writes them: the mark is no
+    # part of the first candidate or reference, so "The" matches "the"
+    paths = {}
+    for name in ("candidates.txt", "references.txt"):
+        paths[name] = tmp_path / name
+        mark = b"\xef\xbb\xbf" if name in marked else b""
+        paths[name].write_bytes(mark + (DATA / name).read_bytes())
+    report = tmp_path / "report.txt"
+    assert main(
+        [
+            "evaluate",
+            "--candidates", str(paths["candidates.txt"]),
+            "--references", str(paths["references.txt"]),
+            "--report", str(report),
+        ]
+    ) == 0
+    assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
+    assert (tmp_path / "report.txt.json").read_bytes() == (DATA / "golden_report.json").read_bytes()
+
+
+def test_debug_phrases_reads_past_a_byte_order_mark(tmp_path, capsys):
+    trees = _write_trees(tmp_path)
+    assert main(["debug-phrases", str(trees)]) == 0
+    plain = capsys.readouterr().out
+    trees.write_bytes(b"\xef\xbb\xbf" + trees.read_bytes())
+    assert main(["debug-phrases", str(trees)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_evaluate_count_mismatch_exits_3(tmp_path):
     cand = tmp_path / "c.txt"
     ref = tmp_path / "r.txt"

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nextphrase.metrics
 from nextphrase.metrics import (
@@ -31,6 +31,7 @@ from nextphrase.metrics import (
 
 from conftest import WORDS, random_sentence
 from oracles import (
+    align_beam_oracle,
     align_oracle,
     bleu_oracle,
     cider_oracle,
@@ -191,6 +192,26 @@ SHORT_TOKENS = st.lists(st.sampled_from("abc"), max_size=8).map(tuple)
 @given(SHORT_TOKENS, SHORT_TOKENS)
 def test_align_matches_exhaustive_oracle(candidate, reference):
     assert align(candidate, reference) == align_oracle(candidate, reference)
+
+
+@st.composite
+def beam_pairs(draw):
+    """A candidate and a reference of 0-60 tokens over 2-4 words: long
+    enough, with so few words, for the beam to truncate."""
+    words = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    tokens = st.integers(0, 60).flatmap(lambda n: st.lists(words, min_size=n, max_size=n))
+    return tuple(draw(tokens)), tuple(draw(tokens))
+
+
+@settings(deadline=None)
+@given(beam_pairs())
+@example((("a", "b", "a"), ()))
+@example((("a", "b", "a", "b"), ("c", "d", "c")))
+# masks of 200 bits, wider than a machine word
+@example((tuple("abc"[i * 7 % 11 % 3] for i in range(40)), tuple("abc"[i * 5 % 13 % 3] for i in range(200))))
+def test_align_keeps_the_tuple_ranked_beam(pair):
+    candidate, reference = pair
+    assert align(candidate, reference) == align_beam_oracle(candidate, reference)
 
 
 def test_meteor_picks_best_reference():
